@@ -17,7 +17,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__, morse, randwalk, relhyp, space, sublinear
-from .errors import DomainError, Inconclusive, PreconditionError
+from .errors import (CertificationError, DomainError, GenerationError,
+                     Inconclusive, NotSublinear, PreconditionError)
 from .seeds import derive_seed, rng_for
 
 
@@ -421,7 +422,7 @@ def _run_surgery(sp, cfg, seed, jobs, out_dir, regen):
         alpha = morse.probe_family(sp, z_R, 2.0, 4, 1, s)[0]
         try:
             spliced = morse.surgery(sp, gamma, alpha, r, R)
-        except Exception:
+        except (PreconditionError, CertificationError, DomainError):
             failures += 1
             continue
         if spliced.q > 9 * alpha.q + 1e-9 or spliced.Q > alpha.Q + 1e-9:
@@ -493,8 +494,8 @@ def run_experiment(config, tests=None, seed=None, jobs=None, out=None,
         runner = _RUNNERS[name]
         try:
             results.append(runner(sp, cfg, seed, jobs, out_dir, regen_fixtures))
-        except (Inconclusive, PreconditionError, DomainError,
-                ConfigError) as e:
+        except (Inconclusive, PreconditionError, DomainError, ConfigError,
+                GenerationError, CertificationError, NotSublinear) as e:
             results.append(_record(name, expect=cfg.get("expect", "pass"),
                                    error=f"{type(e).__name__}: {e}"))
     ok = bool(results) and all(r.get("ok", False) for r in results)

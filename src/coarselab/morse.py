@@ -21,7 +21,6 @@ swallowing the chained kappa-error terms (see `derive_gauge`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,8 +28,8 @@ from . import space as _sp
 from .errors import (CertificationError, DomainError, GenerationError,
                      Inconclusive, NotSublinear, PreconditionError)
 from .seeds import derive_seed, rng_for
-from .space import (PathSeg, distance_to_set, distances_along_path,
-                    first_time_at_norm, is_quasi_geodesic)
+from .space import (PathSeg, distance_to_set, first_time_at_norm,
+                    is_quasi_geodesic)
 from .sublinear import TOL, estimation_constant, evaluate, small_compared
 
 #: octave-over-octave growth slope (log2) above which a ratio counts as
@@ -122,9 +121,6 @@ def _neighborhood_margins(sp, path, Z, m, kappa):
     """(worst margin, index) of the N_kappa(Z, m) condition along a path."""
     if hasattr(Z, "dist_along"):
         ds = Z.dist_along(path)
-    elif isinstance(Z, PathSeg) and sp.is_group and Z.letters is not None \
-            and isinstance(path, PathSeg):
-        ds = [min(distances_along_path(sp, x, Z)) for x in path.vertex_list()]
     else:
         ds = [distance_to_set(sp, x, Z) for x in path.vertex_list()]
     norms = path.norms()
@@ -231,7 +227,7 @@ def _insert_detours(sp, letters, rng, depth, n_detours):
     for _ in range(n_detours):
         pos = rng.randrange(len(out) + 1)
         g = rng.choice(sp.gens)
-        ginv = _sp._gen_inverse(sp, g)
+        ginv = sp.gen_inv(g)
         excursion = [g] * depth + [ginv] * depth
         out[pos:pos] = excursion
     return out
@@ -586,9 +582,7 @@ def surgery(sp, gamma, alpha, r, R):
     Q = alpha.Q if alpha.Q is not None else 0
     t_r = first_time_at_norm(gamma, r)
     gamma_r = gamma.vertex(t_r)
-    d_entry = min(distances_along_path(sp, gamma_r, alpha)) \
-        if alpha.letters is not None and sp.is_group \
-        else min(sp.dist(gamma_r, v) for v in alpha.vertex_list())
+    d_entry = distance_to_set(sp, gamma_r, alpha)
     if d_entry > r / 2:
         raise PreconditionError(
             f"d(gamma_r, alpha) = {d_entry} > r/2 = {r / 2}")
@@ -614,7 +608,7 @@ def surgery(sp, gamma, alpha, r, R):
 
 
 # ---------------------------------------------------------------------------
-# cone sets and point convergence
+# cone sets
 
 #: (q, Q) ladder sampled when a definition quantifies over all constants
 QG_LADDER = ((1, 0), (1.5, 2), (2, 4), (3, 8))
@@ -659,37 +653,6 @@ def cone_membership(sp, candidate, beta, r, gauge, kappa, probes, seed):
         raise Inconclusive(f"no (q, Q) on the ladder is admissible at r={r}")
     return Verdict(True, test="cone_membership", margin=worst,
                    parameters={"r": r, "kappa": kappa.tag, "tested": tested},
-                   seed=seed, space=sp.kind)
-
-
-def sequence_convergence(sp, xs, gamma, C, kappa, r_schedule, gauge,
-                         probes=8, seed=0):
-    """Points tracking gamma sublinearly eventually enter every cone set.
-
-    Precondition (checked first): d(x_n, gamma) <= C * kappa(||x_n||) for
-    every n.  For each r in the schedule the verdict records the first index
-    n0 from which on all points pass cone_membership(., gamma, r)."""
-    for n, x in enumerate(xs):
-        if distance_to_set(sp, x, gamma) > C * evaluate(kappa, sp.norm(x)) + TOL:
-            raise PreconditionError(
-                f"tracking hypothesis fails at index {n}", witness=n)
-    entry = {}
-    for r in r_schedule:
-        n0 = None
-        for n in range(len(xs) - 1, -1, -1):
-            v = cone_membership(sp, xs[n], gamma, r, gauge, kappa, probes,
-                                derive_seed(seed, r, n))
-            if not v:
-                break
-            n0 = n
-        if n0 is None:
-            return Verdict(False, test="sequence_convergence",
-                           witness={"r": r},
-                           parameters={"C": C, "kappa": kappa.tag},
-                           seed=seed, space=sp.kind)
-        entry[r] = n0
-    return Verdict(True, test="sequence_convergence",
-                   parameters={"C": C, "kappa": kappa.tag, "entry": entry},
                    seed=seed, space=sp.kind)
 
 
@@ -782,8 +745,6 @@ def radius_contraction_rho(gauge, r, tol_factor=1e-6):
     if hi <= rhs(hi):
         return hi
     lo = min(1e-9 * r, hi / 2)
-    while lo <= rhs(lo) is False:  # pragma: no cover - defensive
-        lo /= 2
     tol = tol_factor * r
     while hi - lo > tol:
         mid = (lo + hi) / 2

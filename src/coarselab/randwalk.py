@@ -391,8 +391,7 @@ def limit_ray_proxy(sp, path, N=None):
     else:
         seg = sp.geodesic(sp.identity, wN)
         consts = (1, 0)
-        stability = float(distances_along_path(sp, wHalf, seg) and
-                          min(distances_along_path(sp, wHalf, seg)))
+        stability = min(distances_along_path(sp, wHalf, seg))
     return RayProxy(path_seg=seg, constants=consts, horizon=N,
                     stability=max(0.0, float(stability)))
 

@@ -23,8 +23,8 @@ from . import morse as _morse
 from .errors import CertificationError, DomainError, PreconditionError
 from .morse import Verdict, _band_trend_fail
 from .seeds import rng_for
-from .space import (FreeProductSpace, GridSpace, PathSeg, distance_to_set,
-                    is_quasi_geodesic)
+from .space import (FreeProductSpace, GridSpace, PathSeg, _norms_along,
+                    distance_to_set, is_quasi_geodesic)
 from .sublinear import evaluate
 
 
@@ -58,10 +58,6 @@ def normal_form(sp, word):
     return tuple(word)
 
 
-def word_distance(sp, x, y):
-    return sp.dist(x, y)
-
-
 @dataclass(frozen=True)
 class PeripheralCoset:
     """Left coset rep * P_i; rep is the minimal-length representative
@@ -81,14 +77,18 @@ def coset_of(sp, v, i):
     return PeripheralCoset(factor=i, rep=rep)
 
 
-def _syllable_coned_cost(sp, i, e, peripherals):
-    return 1 if i in peripherals else sp.factors[i].norm(e)
+def _coned_costs(sp):
+    """Per-factor syllable costs of d_Ghat: a peripheral syllable is one
+    coset shortcut, a free syllable costs its length."""
+    pers = set(peripheral_indices(sp))
+    return tuple((lambda e: 1) if i in pers else f.norm
+                 for i, f in enumerate(sp.factors))
 
 
 def coned_norm(sp, v):
     """d_Ghat(o, v): 1 per peripheral syllable, full length otherwise."""
-    pers = set(peripheral_indices(sp))
-    return sum(_syllable_coned_cost(sp, i, e, pers) for i, e in v)
+    costs = _coned_costs(sp)
+    return sum(costs[i](e) for i, e in v)
 
 
 @dataclass
@@ -121,25 +121,22 @@ def coned_distance(sp, x, y):
                 nxt = sp.mul_gen(cur, (i, g))
                 edges.append(("edge", cur, nxt))
                 cur = nxt
-    value = sum(_syllable_coned_cost(sp, i, e, pers) for i, e in z)
+    value = coned_norm(sp, z)
     assert len(edges) == value
     return ConedMetricReport(value=value, edges=edges)
 
 
 def coned_dist(sp, x, y):
     """Just the number: d_Ghat(x, y) by the syllable closed form."""
-    pers = set(peripheral_indices(sp))
-    z = sp.mul(sp.inv(x), y)
-    return sum(_syllable_coned_cost(sp, i, e, pers) for i, e in z)
+    return coned_norm(sp, sp.mul(sp.inv(x), y))
 
 
 def coned_dist_to_coset(sp, v, P):
     """d_Ghat(v, P): drop the entry syllable's cost if v opens with one."""
     z = sp.mul(sp.inv(P.rep), v)
-    d = coned_dist(sp, (), z)
+    d = coned_norm(sp, z)
     if z and z[0][0] == P.factor:
-        pers = set(peripheral_indices(sp))
-        d -= _syllable_coned_cost(sp, z[0][0], z[0][1], pers)
+        d -= _coned_costs(sp)[P.factor](z[0][1])
     return d
 
 
@@ -188,16 +185,6 @@ class ConedBallOracle:
                         nxt.append(w)
             frontier = nxt
         return dist
-
-
-def coned_bfs(sp, x, y, radius=None):
-    """One-shot BFS value of d_Ghat(x, y); prefer ConedBallOracle in bulk."""
-    r = radius if radius is not None else sp.norm(x) + sp.norm(y)
-    oracle = ConedBallOracle(sp, r)
-    d = oracle.distances_from(x).get(y)
-    if d is None:
-        raise DomainError("target unreached inside the oracle ball")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -472,36 +459,14 @@ def default_constants(sp):
 
 
 def coned_distances_along_path(sp, x, path):
-    """d_Ghat(x, path(j)) for every j, in one incremental syllable sweep."""
-    pers = set(peripheral_indices(sp))
-    stack = []  # [factor, element, coned cost], head of gamma_j^-1 x at end
-    total = 0
-    z0 = sp.mul(sp.inv(path.start), x)
-    for i, e in reversed(z0):
-        c = _syllable_coned_cost(sp, i, e, pers)
-        stack.append([i, e, c])
-        total += c
-    out = [total]
-    for g in path.step_letters():
-        i, ge = g
-        gi = (i, sp.factors[i].inv(ge))
-        if stack and stack[-1][0] == i:
-            f = sp.factors[i]
-            top = stack[-1]
-            merged = f.mul(gi[1], top[1])
-            total -= top[2]
-            if f.is_identity(merged):
-                stack.pop()
-            else:
-                top[1] = merged
-                top[2] = _syllable_coned_cost(sp, i, merged, pers)
-                total += top[2]
-        else:
-            c = _syllable_coned_cost(sp, i, gi[1], pers)
-            stack.append([i, gi[1], c])
-            total += c
-        out.append(total)
-    return out
+    """d_Ghat(x, path(j)) for every j, in one incremental syllable sweep.
+
+    d_Ghat(x, v) is the coned cost of x^-1 v, and x^-1 (v g) = (x^-1 v) g,
+    so a right accumulator priced by coned syllable costs, started at
+    x^-1 * path.start, reads off every distance.
+    """
+    acc = sp.right_acc(sp.mul(sp.inv(x), path.start), costs=_coned_costs(sp))
+    return _norms_along(acc, path.step_letters())
 
 
 def coned_nearest_index(sp, gamma, x):
@@ -539,15 +504,14 @@ class ProjectionOracle:
         self.runs = coset_runs(sp, gamma, constants.D0)
         self._verts = gamma.vertex_list()
         self._rep_inv = [sp.inv(c.rep) for _, _, c in self.runs]
-        self._pers = set(peripheral_indices(sp))
+        self._costs = _coned_costs(sp)
 
     def _coned_to_coset(self, idx, v):
-        sp = self.sp
         coset = self.runs[idx][2]
-        z = sp.mul(self._rep_inv[idx], v)
-        d = sum(_syllable_coned_cost(sp, i, e, self._pers) for i, e in z)
+        z = self.sp.mul(self._rep_inv[idx], v)
+        d = sum(self._costs[i](e) for i, e in z)
         if z and z[0][0] == coset.factor:
-            d -= _syllable_coned_cost(sp, z[0][0], z[0][1], self._pers)
+            d -= self._costs[coset.factor](z[0][1])
         return d
 
     def project(self, x):

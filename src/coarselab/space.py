@@ -10,13 +10,13 @@ nearest-point projections.  Built-in kinds:
   * ``free_product(..)``-- free products of the above via syllable normal
                            forms (distance = sum of factor norms),
   * ``loopy_ray(N)``    -- a geodesic ray with a loop of arm length n^2 and
-                           span n attached for each 2 <= n <= N,
-  * ``edge_list``       -- an arbitrary finite graph, everything by BFS.
+                           span n attached for each 2 <= n <= N.
 
-Group-structured spaces additionally provide incremental accumulators
-(right/left multiplication by one generator in O(1) amortized) so that
-norms and distances along long unit-speed paths cost O(length) overall
-instead of O(length^2).
+Group-structured spaces additionally provide right accumulators (w <- w*g
+for one generator g in O(1) amortized) so that norms and distances along
+long unit-speed paths cost O(length) overall instead of O(length^2).  A
+distance d(x, v) is the norm of x^-1 v, so one right sweep started at
+x^-1 * (path start) covers every vertex of a letter path.
 """
 
 from __future__ import annotations
@@ -90,12 +90,8 @@ class PathSeg:
         """Norm of every vertex, computed in one linear sweep."""
         if self._norms is None:
             if self.letters is not None:
-                acc = self.sp.right_acc(self.start)
-                ns = [acc.norm]
-                for g in self.letters:
-                    acc.push(g)
-                    ns.append(acc.norm)
-                self._norms = ns
+                self._norms = _norms_along(self.sp.right_acc(self.start),
+                                           self.letters)
             else:
                 self._norms = [self.sp.norm(v) for v in self._vertices]
         return self._norms
@@ -226,6 +222,10 @@ class GroupSpace(GraphSpace):
     def mul_gen(self, v, g):
         return self.mul(v, g)
 
+    def gen_inv(self, g):
+        """The inverse of the generator g, as a generator."""
+        return self.inv(g)
+
     def dist(self, x, y):
         return self.norm(self.mul(self.inv(x), y))
 
@@ -253,22 +253,11 @@ class GroupSpace(GraphSpace):
             self.cur = self.sp.mul_gen(self.cur, g)
             self.norm = self.sp.norm(self.cur)
 
-        def push_front(self, g):
-            self.cur = self.sp.mul(g, self.cur)
-            self.norm = self.sp.norm(self.cur)
-
         def value(self):
             return self.cur
 
     def right_acc(self, start=None):
         return self._GenericAcc(self, start if start is not None else self.identity)
-
-    def left_acc(self, x):
-        return self._GenericAcc(self, x)
-
-    def geodesic(self, x, y):
-        """Closed-form geodesic as a letter path (overridden per kind)."""
-        return super().geodesic(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +348,8 @@ class FreeGroupSpace(GroupSpace):
         def value(self):
             return tuple(self.stack)
 
-    class _LeftAcc:
-        """Holds w and supports w <- g*w; stored reversed so the word head
-        sits at the end of the list."""
-        __slots__ = ("rstack",)
-
-        def __init__(self, x):
-            self.rstack = list(reversed(x))
-
-        def push_front(self, g):
-            (letter,) = g
-            s = self.rstack
-            if s and s[-1] == -letter:
-                s.pop()
-            else:
-                s.append(letter)
-
-        @property
-        def norm(self):
-            return len(self.rstack)
-
-        def value(self):
-            return tuple(reversed(self.rstack))
-
     def right_acc(self, start=None):
         return self._RightAcc(start if start is not None else ())
-
-    def left_acc(self, x):
-        return self._LeftAcc(x)
 
     def geodesic(self, x, y):
         i = 0
@@ -475,17 +438,11 @@ class GridSpace(GroupSpace):
                     self.norm += abs(c + gi) - abs(c)
                     self.coords[i] = c + gi
 
-        push_front = push  # Z^d is abelian
-
         def value(self):
             return tuple(self.coords)
 
     def right_acc(self, start=None):
         return self._Acc(start if start is not None else self.identity)
-
-    def left_acc(self, x):
-        # left acc tracks g^-1 * x, and addition commutes
-        return self._Acc(x)
 
     def geodesic(self, x, y):
         """Axis-ordered staircase: move coordinate 0 first, then 1, etc."""
@@ -519,6 +476,8 @@ class FreeProductSpace(GroupSpace):
         self.factors = tuple(factors)
         self.kind = "free_product(" + ", ".join(f.kind for f in factors) + ")"
         self._gens = tuple((i, g) for i, f in enumerate(factors) for g in f.gens)
+        # per-factor syllable costs of the word metric (see _RightAcc)
+        self._word_costs = tuple(f.norm for f in self.factors)
 
     @property
     def identity(self):
@@ -565,6 +524,10 @@ class FreeProductSpace(GroupSpace):
     def inv(self, x):
         return tuple((i, self.factors[i].inv(e)) for i, e in reversed(x))
 
+    def gen_inv(self, g):
+        i, e = g
+        return (i, self.factors[i].inv(e))
+
     def norm(self, v):
         return sum(self.factors[i].norm(e) for i, e in v)
 
@@ -586,26 +549,27 @@ class FreeProductSpace(GroupSpace):
         return (self.norm(v), tuple((i, self.factors[i].vertex_key(e))
                                     for i, e in v))
 
-    def step_generator(self, u, v):
-        # adjacent vertices differ in at most the last syllable region
-        for g in self._gens:
-            if self.mul_gen(u, g) == v:
-                return g
-        raise DomainError("vertices are not adjacent")
-
     class _RightAcc:
-        __slots__ = ("sp", "stack", "norm")
+        """w <- w*g on the syllable stack of w, one [factor, element, cost]
+        entry per syllable; `norm` is the total cost.
 
-        def __init__(self, sp, start):
-            self.sp = sp
-            self.stack = [[i, e, sp.factors[i].norm(e)] for i, e in start]
+        costs[i] prices a factor-i syllable: the factor norm for the word
+        metric, or the coned cost of relhyp.  A single generator costs 1
+        under both, which is what a fresh syllable is charged.
+        """
+        __slots__ = ("factors", "costs", "stack", "norm")
+
+        def __init__(self, sp, start, costs):
+            self.factors = sp.factors
+            self.costs = costs
+            self.stack = [[i, e, costs[i](e)] for i, e in start]
             self.norm = sum(s[2] for s in self.stack)
 
         def push(self, g):
             i, ge = g
             s = self.stack
             if s and s[-1][0] == i:
-                f = self.sp.factors[i]
+                f = self.factors[i]
                 top = s[-1]
                 merged = f.mul(top[1], ge)
                 self.norm -= top[2]
@@ -613,7 +577,7 @@ class FreeProductSpace(GroupSpace):
                     s.pop()
                 else:
                     top[1] = merged
-                    top[2] = f.norm(merged)
+                    top[2] = self.costs[i](merged)
                     self.norm += top[2]
             else:
                 s.append([i, ge, 1])
@@ -622,41 +586,11 @@ class FreeProductSpace(GroupSpace):
         def value(self):
             return tuple((i, e) for i, e, _ in self.stack)
 
-    class _LeftAcc:
-        """Tracks w under w <- g*w; syllables stored reversed (head last)."""
-        __slots__ = ("sp", "rstack", "norm")
-
-        def __init__(self, sp, x):
-            self.sp = sp
-            self.rstack = [[i, e, sp.factors[i].norm(e)] for i, e in reversed(x)]
-            self.norm = sum(s[2] for s in self.rstack)
-
-        def push_front(self, g):
-            i, ge = g
-            s = self.rstack
-            if s and s[-1][0] == i:
-                f = self.sp.factors[i]
-                top = s[-1]
-                merged = f.mul(ge, top[1])
-                self.norm -= top[2]
-                if f.is_identity(merged):
-                    s.pop()
-                else:
-                    top[1] = merged
-                    top[2] = f.norm(merged)
-                    self.norm += top[2]
-            else:
-                s.append([i, ge, 1])
-                self.norm += 1
-
-        def value(self):
-            return tuple((i, e) for i, e, _ in reversed(self.rstack))
-
-    def right_acc(self, start=None):
-        return self._RightAcc(self, start if start is not None else ())
-
-    def left_acc(self, x):
-        return self._LeftAcc(self, x)
+    def right_acc(self, start=None, costs=None):
+        """Syllable-stack accumulator; `costs` is a per-factor syllable cost
+        table, the word norms unless given."""
+        return self._RightAcc(self, start if start is not None else (),
+                              costs if costs is not None else self._word_costs)
 
     def geodesic(self, x, y):
         z = self.mul(self.inv(x), y)
@@ -814,78 +748,13 @@ class LoopyRaySpace(GraphSpace):
 
 
 # ---------------------------------------------------------------------------
-# explicit graphs
-
-class ExplicitGraphSpace(GraphSpace):
-    """A finite graph given by an edge list; all oracles are BFS."""
-
-    def __init__(self, edges, basepoint=None):
-        adj = {}
-        for u, v in edges:
-            if u == v:
-                continue
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        if not adj:
-            raise DomainError("empty edge list")
-        self.adj = {u: sorted(vs) for u, vs in adj.items()}
-        self._base = basepoint if basepoint is not None else min(self.adj)
-        self.kind = f"edge_list({len(self.adj)} vertices)"
-        # connectivity from the base point
-        reach = self.ball(self._base, len(self.adj), cap=len(self.adj) + 1)
-        if len(reach) != len(self.adj):
-            raise DomainError("edge list graph is not connected")
-        self._norms = reach
-
-    @property
-    def basepoint(self):
-        return self._base
-
-    def neighbors(self, v):
-        return self.adj[v]
-
-    def vertex_key(self, v):
-        return (self._norms.get(v, 0), str(v))
-
-    def norm(self, v):
-        return self._norms[v]
-
-    def dist(self, x, y):
-        if x == y:
-            return 0
-        seen = {x: 0}
-        frontier = deque([x])
-        while frontier:
-            u = frontier.popleft()
-            for w in self.adj[u]:
-                if w not in seen:
-                    if w == y:
-                        return seen[u] + 1
-                    seen[w] = seen[u] + 1
-                    frontier.append(w)
-        raise DomainError("vertices are not connected")
-
-    @classmethod
-    def from_file(cls, path):
-        edges = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                u, v = line.split()
-                edges.append((u, v))
-        return cls(edges)
-
-
-# ---------------------------------------------------------------------------
 # spec parsing and the operation layer
 
 def build_space(spec):
     """Instantiate a space from a spec string or pass through an instance.
 
     Grammar: ``free_group(k)``, ``grid(d)``, ``loopy_ray(N)``,
-    ``free_product(<spec>, <spec>, ...)``, ``edge_list(<path>)``.
+    ``free_product(<spec>, <spec>, ...)``.
     """
     if isinstance(spec, GraphSpace):
         return spec
@@ -901,8 +770,6 @@ def build_space(spec):
         return GridSpace(int(body))
     if head == "loopy_ray":
         return LoopyRaySpace(int(body))
-    if head == "edge_list":
-        return ExplicitGraphSpace.from_file(body)
     if head == "free_product":
         parts = _split_args(body)
         return FreeProductSpace([build_space(p) for p in parts])
@@ -924,18 +791,6 @@ def _split_args(body):
     return parts
 
 
-def norm(sp, x):
-    return sp.norm(x)
-
-
-def geodesic_between(sp, x, y):
-    return sp.geodesic(x, y)
-
-
-def ball(sp, center, r, cap=DEFAULT_BALL_CAP):
-    return sp.ball(center, r, cap=cap)
-
-
 def enumerate_target(sp, Z):
     """The vertex list behind a projection target (PathSeg or iterable)."""
     if isinstance(Z, PathSeg):
@@ -943,48 +798,39 @@ def enumerate_target(sp, Z):
     return list(Z)
 
 
+def _norms_along(acc, letters):
+    """acc.norm before and after pushing each letter, in order."""
+    out = [acc.norm]
+    for g in letters:
+        acc.push(g)
+        out.append(acc.norm)
+    return out
+
+
 def distances_along_path(sp, x, path):
     """d(x, v) for every vertex v of `path`, in one linear sweep.
 
-    Uses the left accumulator on group spaces (each step of the path
-    multiplies v^-1 x by one generator); falls back to per-vertex distance
-    elsewhere.
+    On group spaces d(x, v) = ||x^-1 v|| and x^-1 (v g) = (x^-1 v) g, so a
+    right accumulator started at x^-1 * path.start and pushed with each
+    letter of the path reads off every distance.  Other paths and spaces
+    fall back to one distance query per vertex.
     """
     if sp.is_group and isinstance(path, PathSeg) and path.letters is not None:
-        acc = sp.left_acc(sp.mul(sp.inv(path.start), x))
-        out = [acc.norm]
-        inv = sp.inv
-        for g in path.letters:
-            acc.push_front(_gen_inverse(sp, g))
-            out.append(acc.norm)
-        return out
+        return _norms_along(sp.right_acc(sp.mul(sp.inv(x), path.start)),
+                            path.letters)
     vs = path.vertex_list() if isinstance(path, PathSeg) else list(path)
     return [sp.dist(x, v) for v in vs]
 
 
-def _gen_inverse(sp, g):
-    if isinstance(sp, FreeGroupSpace):
-        return (-g[0],)
-    if isinstance(sp, GridSpace):
-        return tuple(-c for c in g)
-    if isinstance(sp, FreeProductSpace):
-        i, e = g
-        return (i, sp.factors[i].inv(e))
-    return sp.inv(g)
-
-
 def distance_to_set(sp, x, Z):
     """Exact d(x, Z); honors a closed-form `dist_fn` on PathSeg targets."""
-    if isinstance(Z, PathSeg):
-        fn = getattr(Z, "dist_fn", None)
-        if fn is not None:
-            return fn(x)
-        if sp.is_group and Z.letters is not None:
-            return min(distances_along_path(sp, x, Z))
-    vs = enumerate_target(sp, Z)
-    if not vs:
+    fn = getattr(Z, "dist_fn", None)
+    if fn is not None:
+        return fn(x)
+    ds = distances_along_path(sp, x, Z)
+    if not ds:
         raise DomainError("empty projection target")
-    return min(sp.dist(x, v) for v in vs)
+    return min(ds)
 
 
 def nearest_point_projection(sp, x, Z):
@@ -992,10 +838,7 @@ def nearest_point_projection(sp, x, Z):
     vs = enumerate_target(sp, Z)
     if not vs:
         raise DomainError("empty projection target")
-    if isinstance(Z, PathSeg) and sp.is_group and Z.letters is not None:
-        ds = distances_along_path(sp, x, Z)
-    else:
-        ds = [sp.dist(x, v) for v in vs]
+    ds = distances_along_path(sp, x, Z if isinstance(Z, PathSeg) else vs)
     best = min(ds)
     out = sorted({v for v, d in zip(vs, ds) if d == best}, key=sp.vertex_key)
     return out
@@ -1214,10 +1057,12 @@ def axis_ray(sp, length, gen=None):
     """The ray g, g^2, ..., g^length as a PathSeg with fast distance oracles.
 
     `gen` defaults to the first generator.  The returned path carries
-    ``dist_fn(x)`` (exact distance from a vertex to the ray prefix) and
-    ``dist_along(path)`` (the same for every vertex of a unit-speed path in
-    one linear sweep); both exist in closed form for free groups, grids and
-    free products whose chosen generator spans a free-group factor.
+    ``dist_fn(x)`` (exact distance from a vertex to the ray prefix) for
+    free groups, grids and free products whose chosen generator spans a
+    free-group factor, and ``dist_along(path)`` (the same for every vertex
+    of a unit-speed path in one linear sweep) for the free groups and free
+    products among them.  On grids dist_fn is O(d) per vertex, so calling
+    it per vertex is already linear.
     """
     if not sp.is_group:
         raise DomainError("axis_ray needs a group space")
@@ -1315,7 +1160,6 @@ def axis_ray(sp, length, gen=None):
             return off
 
         seg.dist_fn = dist_fn
-        seg.dist_along = lambda path: [dist_fn(v) for v in path.vertex_list()]
         return seg
 
     return seg

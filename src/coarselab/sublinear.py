@@ -18,7 +18,7 @@ supremum plus a tail monotonicity check settles the value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

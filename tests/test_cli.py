@@ -3,8 +3,10 @@ import os
 
 import pytest
 
+from coarselab import cli, morse
 from coarselab.cli import (ConfigError, main, run_experiment,
                            surgery_fixture_file, validate_config)
+from coarselab.errors import CertificationError, GenerationError, NotSublinear
 from coarselab.space import build_space
 
 GAUGE_CONFIG = """\
@@ -129,6 +131,21 @@ def test_module_errors_are_recorded_not_raised(tmp_path):
     assert "DomainError" in by_name["distance_formula"]["error"]
 
 
+@pytest.mark.parametrize("exc", [GenerationError, CertificationError,
+                                 NotSublinear])
+def test_section_errors_still_write_the_summary(tmp_path, monkeypatch, exc):
+    def raiser(*args):
+        raise exc("raised by the section")
+
+    monkeypatch.setitem(cli._RUNNERS, "gauge", raiser)
+    path = _write(tmp_path, GAUGE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["gauge", "--config", path, "--out", str(out)]) == 1
+    (rec,) = json.loads((out / "summary.json").read_text())["results"]
+    assert rec["section"] == "gauge" and not rec["ok"]
+    assert rec["error"] == f"{exc.__name__}: raised by the section"
+
+
 def test_reruns_are_byte_identical(tmp_path):
     text = WALK_FAIL_CONFIG
     cfg = validate_config(_write(tmp_path, text))
@@ -166,6 +183,28 @@ big_r = 60
     # regen rewrites them from the new seed
     run_experiment(cfg, seed=99, out=out, regen_fixtures=True)
     assert open(fx).read() != first
+
+
+def test_surgery_does_not_count_a_type_error_as_a_failure(tmp_path,
+                                                           monkeypatch):
+    def broken(*args):
+        raise TypeError("a bug, not a failed splice")
+
+    # morse.surgery looks up first_time_at_norm in its own module
+    monkeypatch.setattr(morse, "first_time_at_norm", broken)
+    text = """\
+[experiment]
+seed = 3
+space = free_group(2)
+
+[surgery]
+fixtures = 1
+r = 20
+big_r = 60
+"""
+    cfg = validate_config(_write(tmp_path, text))
+    with pytest.raises(TypeError, match="a bug"):
+        run_experiment(cfg, out=str(tmp_path / "out"))
 
 
 # ---------------------------------------------------------------------------

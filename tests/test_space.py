@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 import oracles
 from coarselab import space
 from coarselab.errors import DomainError
+from coarselab.relhyp import coned_dist, coned_distances_along_path
 from coarselab.space import (PathSeg, axis_ray, build_space, change_generators,
-                             distance_to_set, first_time_at_norm,
-                             is_quasi_geodesic, nearest_point_projection,
-                             self_check)
+                             distance_to_set, distances_along_path,
+                             first_time_at_norm, is_quasi_geodesic,
+                             nearest_point_projection, self_check)
 
 
 def _sample(rng, seq, k):
@@ -156,6 +157,46 @@ def test_axis_ray_dist_along_matches_pointwise(f2):
     swept = ray.dist_along(path)
     expected = [ray.dist_fn(v) for v in path.vertex_list()]
     assert swept == expected
+
+
+# name -> (space, max letters in the start, in x, and on the path); the
+# regenerated space measures distances by BFS, so its words stay short
+SWEEP_SPACES = {
+    "free_group(2)": (build_space("free_group(2)"), 6, 6, 30),
+    "grid(2)": (build_space("grid(2)"), 6, 6, 30),
+    "Z2*Z": (build_space("free_product(grid(2), free_group(1))"), 6, 6, 30),
+    "free_group(2)+regen": (change_generators(
+        build_space("free_group(2)"), [(1,), (2,), (1, 2)], radius=3)[0],
+        2, 2, 6),
+}
+
+
+def _word(sp, letters):
+    acc = sp.right_acc(sp.identity)
+    for g in letters:
+        acc.push(g)
+    return acc.value()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SPACES))
+@given(data=st.data())
+def test_distances_along_path_match_pointwise(name, data):
+    sp, n_start, n_x, n_path = SWEEP_SPACES[name]
+    gens = st.sampled_from(sp.gens)
+    start = _word(sp, data.draw(st.lists(gens, min_size=1, max_size=n_start)))
+    if start == sp.identity:
+        start = _word(sp, sp.gens[:1])
+    x = _word(sp, data.draw(st.lists(gens, max_size=n_x)))
+    path = PathSeg(sp, start=start,
+                   letters=data.draw(st.lists(gens, max_size=n_path)))
+    vs = path.vertex_list()
+    assert distances_along_path(sp, x, path) == [sp.dist(x, v) for v in vs]
+    if name == "Z2*Z":
+        assert coned_distances_along_path(sp, x, path) == \
+            [coned_dist(sp, x, v) for v in vs]
+    for g in sp.gens:
+        for v in (sp.identity, start, x):
+            assert sp.mul_gen(sp.mul_gen(v, g), sp.gen_inv(g)) == v
 
 
 def test_nearest_point_projection_is_argmin(z2):
