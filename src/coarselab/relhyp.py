@@ -24,7 +24,7 @@ from .errors import CertificationError, DomainError, PreconditionError
 from .morse import Verdict, _band_trend_fail
 from .seeds import rng_for
 from .space import (FreeProductSpace, GridSpace, PathSeg, _norms_along,
-                    distance_to_set, is_quasi_geodesic)
+                    distance_to_set, is_quasi_geodesic, syllable_oracles)
 from .sublinear import evaluate
 
 
@@ -268,6 +268,16 @@ def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0):
 # ---------------------------------------------------------------------------
 # lifts
 
+def _edge_step(sp, u, v):
+    """u^-1 v for the endpoints of one coned edge.  v is u times one
+    syllable, so all but their last syllables agree and are dropped first:
+    O(1) instead of O(|u|).  Any other pair gets the whole product."""
+    k = min(len(u), len(v)) - 1
+    if k <= 0 or u[:k] != v[:k]:
+        k = 0
+    return sp.mul(sp.inv(u[k:]), v[k:])
+
+
 def lift_coned_geodesic(sp, report, start=None):
     """Replace each shortcut edge of a coned path by a factor geodesic.
 
@@ -280,17 +290,20 @@ def lift_coned_geodesic(sp, report, start=None):
     for edge in report.edges:
         if edge[0] == "shortcut":
             _, u, v, _coset = edge
-            z = sp.mul(sp.inv(u), v)
+            z = _edge_step(sp, u, v)
             for i, e in z:
                 f = sp.factors[i]
                 for g in f.geodesic(f.identity, e).step_letters():
                     letters.append((i, g))
         else:
             _, u, v = edge
-            z = sp.mul(sp.inv(u), v)
+            z = _edge_step(sp, u, v)
             (i, e), = z
             letters.append((i, e))
     path = PathSeg(sp, start=origin, letters=letters)
+    oracles = syllable_oracles(path)
+    if oracles is not None:
+        path.dist_fn, path.dist_along = oracles
     for q0, Q0 in ((1, 0), (1.5, 2), (2, 4), (3, 8)):
         if is_quasi_geodesic(path, q0, Q0):
             path.q, path.Q = q0, Q0
@@ -343,11 +356,11 @@ def coset_runs(sp, geodesic, D):
     require_relhyp(sp)
     pers = set(peripheral_indices(sp))
     n = len(geodesic)
+    blocks = [b for b in _syllable_blocks(sp, geodesic) if b[0] in pers]
+    entries = geodesic.vertices_at(first + 1 for _, first, _ in blocks)
     runs = []
-    for i, first, last in _syllable_blocks(sp, geodesic):
-        if i not in pers:
-            continue
-        coset = coset_of(sp, geodesic.vertex(first + 1), i)
+    for (i, first, last), v in zip(blocks, entries):
+        coset = coset_of(sp, v, i)
         runs.append((max(0, first - int(D)), min(n - 1, last + int(D)), coset))
     return runs
 
@@ -408,7 +421,7 @@ def excursion_profile(sp, gamma, D0, kappa):
     rows = []
     for a, b, coset in coset_runs(sp, gamma, D0):
         # run endpoints on a geodesic realize the diameter
-        exc = sp.dist(gamma.vertex(a), gamma.vertex(b))
+        exc = gamma.dist_between(a, b)
         cn = coned_dist_to_coset(sp, (), coset)
         ratio = exc / evaluate(kappa, cn)
         rows.append((coset, exc, cn, ratio))

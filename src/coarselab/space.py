@@ -74,6 +74,33 @@ class PathSeg:
             acc.push(g)
         return acc.value()
 
+    def vertices_at(self, indices):
+        """Yield vertex i for each i of the non-decreasing `indices`, all
+        from one sweep of the letters (each `vertex(i)` replays i letters)."""
+        if self._vertices is not None:
+            for i in indices:
+                yield self._vertices[i]
+            return
+        acc = self.sp.right_acc(self.start)
+        done = 0
+        for i in indices:
+            if i < done:
+                raise DomainError("vertices_at needs non-decreasing indices")
+            for g in self.letters[done:i]:
+                acc.push(g)
+            done = i
+            yield acc.value()
+
+    def dist_between(self, a, b):
+        """d(vertex a, vertex b) for a <= b; on a letter path this is the
+        norm of the letters between them, so nothing before a is replayed."""
+        if self.letters is None:
+            return self.sp.dist(self._vertices[a], self._vertices[b])
+        acc = self.sp.right_acc()
+        for g in self.letters[a:b]:
+            acc.push(g)
+        return acc.norm
+
     def vertex_list(self):
         """Materialize all vertices (use sparingly on long paths)."""
         if self._vertices is None:
@@ -1057,12 +1084,11 @@ def axis_ray(sp, length, gen=None):
     """The ray g, g^2, ..., g^length as a PathSeg with fast distance oracles.
 
     `gen` defaults to the first generator.  The returned path carries
-    ``dist_fn(x)`` (exact distance from a vertex to the ray prefix) for
-    free groups, grids and free products whose chosen generator spans a
-    free-group factor, and ``dist_along(path)`` (the same for every vertex
-    of a unit-speed path in one linear sweep) for the free groups and free
-    products among them.  On grids dist_fn is O(d) per vertex, so calling
-    it per vertex is already linear.
+    ``dist_fn(x)`` (exact distance from a vertex to the ray prefix) on free
+    groups, grids and free products, and ``dist_along(path)`` (the same for
+    every vertex of a path, without a sweep over the ray per vertex) on the
+    free groups and free products among them.  On grids dist_fn is O(d)
+    per vertex, so calling it per vertex is already linear.
     """
     if not sp.is_group:
         raise DomainError("axis_ray needs a group space")
@@ -1110,40 +1136,7 @@ def axis_ray(sp, length, gen=None):
         return seg
 
     if isinstance(sp, FreeProductSpace):
-        fi, fe = g
-        factor = sp.factors[fi]
-        if not (isinstance(factor, FreeGroupSpace) and factor.k == 1
-                and fe == (1,)):
-            return seg  # no closed form; generic sweeps still apply
-
-        def head_excess(first_syl, _L=length):
-            """Distance saved by entering the axis through the head syllable."""
-            if first_syl is None:
-                return 0
-            i, e = first_syl
-            if i != fi or e[0] != 1:
-                return 0
-            return min(len(e), _L)
-
-        def dist_fn(x, _L=length):
-            first = x[0] if x else None
-            return sp.norm(x) - head_excess(first, _L)
-
-        def dist_along(path, _L=length):
-            acc = sp.right_acc(path.start)
-            letters = (path.letters if path.letters is not None
-                       else path.step_letters())
-            first = acc.stack[0] if acc.stack else None
-            out = [acc.norm - head_excess((first[0], first[1]) if first else None, _L)]
-            for gg in letters:
-                acc.push(gg)
-                s = acc.stack
-                first = (s[0][0], s[0][1]) if s else None
-                out.append(acc.norm - head_excess(first, _L))
-            return out
-
-        seg.dist_fn = dist_fn
-        seg.dist_along = dist_along
+        seg.dist_fn, seg.dist_along = syllable_oracles(seg)
         return seg
 
     if isinstance(sp, GridSpace):
@@ -1163,3 +1156,72 @@ def axis_ray(sp, length, gen=None):
         return seg
 
     return seg
+
+
+
+def syllable_oracles(Z):
+    """(dist_fn, dist_along) in closed form for a free-product path from o
+    that reads one normal-form word s_1 ... s_m syllable by syllable, each
+    syllable along a factor geodesic (axis rays and the lifts of relhyp
+    do); None for any other path.
+
+    Let x = u_1 ... u_k in normal form share exactly c leading syllables
+    with s.  Every vertex of Z outside the stretch of s_{c+1} is at least
+    as far from x as the vertex s_1 ... s_c, which is at distance
+    ||x|| - (|s_1| + ... + |s_c|).  Inside that stretch a vertex
+    s_1 ... s_c p is closer only when u_{c+1} lies in the same factor, by
+    ||u_{c+1}|| - min_p d(p, u_{c+1}) over the factor geodesic's vertices
+    p.  Along a path the shared prefix moves only at the top syllable, so
+    each vertex costs one scan of a single syllable of Z, not a sweep of Z.
+    """
+    sp = Z.sp
+    if not isinstance(sp, FreeProductSpace) or Z.letters is None \
+            or Z.start != sp.identity:
+        return None
+    syllables, stretches, before = [], [], [0]
+    for i, g in Z.letters:
+        f = sp.factors[i]
+        if not syllables or syllables[-1][0] != i:
+            syllables.append((i, f.identity))
+            stretches.append([f.identity])
+            before.append(before[-1])
+        e = f.mul(syllables[-1][1], g)
+        if f.norm(e) != len(stretches[-1]):
+            return None  # this syllable is not read along a geodesic
+        syllables[-1] = (i, e)
+        stretches[-1].append(e)
+        before[-1] += 1
+    s = tuple(syllables)
+    m = len(s)
+
+    def dist_along(path):
+        acc = sp.right_acc(path.start)
+        stack = acc.stack  # [factor, element, norm] per syllable of x
+        c = 0  # how many leading syllables x shares with s
+        while c < min(len(stack), m) and (stack[c][0], stack[c][1]) == s[c]:
+            c += 1
+
+        def dist():
+            d = acc.norm - before[c]
+            if c < len(stack) and c < m and stack[c][0] == s[c][0]:
+                i, e, n = stack[c]
+                d += min(sp.factors[i].dist(p, e) for p in stretches[c]) - n
+            return d
+
+        out = [dist()]
+        for g in (path.letters if path.letters is not None
+                  else path.step_letters()):
+            acc.push(g)
+            # a push changes only the top syllable
+            n = len(stack)
+            c = min(c, n - 1) if n else 0
+            if n and c == n - 1 and n <= m \
+                    and (stack[-1][0], stack[-1][1]) == s[n - 1]:
+                c = n
+            out.append(dist())
+        return out
+
+    def dist_fn(x):
+        return dist_along(PathSeg(sp, start=x, letters=()))[0]
+
+    return dist_fn, dist_along

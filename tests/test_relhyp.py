@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from coarselab import relhyp, sublinear
@@ -19,7 +21,7 @@ from coarselab.relhyp import (ConedBallOracle, PeripheralCoset, big_projection,
                               require_relhyp)
 from coarselab.relhyp import \
     test_excursion_contracting as check_excursion_contracting
-from coarselab.space import PathSeg
+from coarselab.space import PathSeg, build_space, syllable_oracles
 
 K1 = sublinear.by_tag("1")
 KLOG = sublinear.by_tag("log")
@@ -217,6 +219,41 @@ def test_lift_between_offset_points(zz):
     path, _ = lift_coned_geodesic(zz, rep)
     assert path.vertex(0) == x and path.endpoint() == y
     assert len(path) - 1 == zz.dist(x, y)
+
+
+ZZ = build_space("free_product(grid(2), free_group(1))")
+
+
+@given(data=st.data())
+def test_lift_distance_oracles_match_pointwise(data):
+    gens = st.sampled_from(ZZ.gens)
+    w = ZZ.identity
+    for g in data.draw(st.lists(gens, max_size=40)):
+        w = ZZ.mul_gen(w, g)
+    lift, _ = lift_coned_geodesic(ZZ, coned_distance(ZZ, (), w))
+    # start on or near the lift so that x shares syllables with it, follow
+    # the lift for a while, stray, and come back the same way
+    k = data.draw(st.integers(0, len(lift) - 1))
+    x = lift.vertex(k)
+    for g in data.draw(st.lists(gens, max_size=4)):
+        x = ZZ.mul_gen(x, g)
+    follow = lift.letters[k:k + data.draw(st.integers(0, 30))]
+    stray = data.draw(st.lists(gens, max_size=10))
+    back = [ZZ.gen_inv(g) for g in reversed(follow + stray)]
+    path = PathSeg(ZZ, start=x, letters=follow + stray + back)
+    zs = lift.vertex_list()
+    expected = [min(ZZ.dist(v, z) for z in zs) for v in path.vertex_list()]
+    assert lift.dist_along(path) == expected
+    assert [lift.dist_fn(v) for v in path.vertex_list()] == expected
+
+
+def test_syllable_oracles_need_geodesic_syllables_from_o(zz, f2):
+    a, a_inv = zz.parse_word("a")[0], (0, (-1, 0))
+    assert syllable_oracles(PathSeg(zz, letters=[a, a_inv])) is None
+    assert syllable_oracles(
+        PathSeg(zz, start=zz.parse_word("t"), letters=[a])) is None
+    assert syllable_oracles(PathSeg(f2, letters=[(1,)])) is None
+    assert syllable_oracles(PathSeg(zz, letters=[a, a])) is not None
 
 
 # ---------------------------------------------------------------------------

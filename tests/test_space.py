@@ -79,6 +79,21 @@ def test_pathseg_needs_a_vertex(f2):
         PathSeg(f2, vertices=[])
 
 
+def test_pathseg_one_sweep_lookups(zz):
+    start = zz.parse_word("t a")
+    letters = [(0, (1, 0)), (1, (1,)), (0, (0, 1)), (0, (0, 1)), (1, (-1,)),
+               (1, (-1,))]
+    vs = PathSeg(zz, start=start, letters=letters).vertex_list()
+    pairs = [(a, b) for a in range(len(vs)) for b in range(a, len(vs))]
+    for seg in (PathSeg(zz, start=start, letters=letters),
+                PathSeg(zz, vertices=vs)):
+        assert list(seg.vertices_at([0, 2, 2, 6])) == [vs[0], vs[2], vs[2], vs[6]]
+        assert [seg.dist_between(a, b) for a, b in pairs] == \
+            [zz.dist(vs[a], vs[b]) for a, b in pairs]
+    with pytest.raises(DomainError):
+        list(PathSeg(zz, start=start, letters=letters).vertices_at([3, 1]))
+
+
 def test_first_time_at_norm(f2):
     seg = PathSeg(f2, start=(), letters=[(1,), (1,), (-1,), (1,), (1,)])
     assert first_time_at_norm(seg, 2) == 2
