@@ -221,34 +221,48 @@ def _straight_vertex(sp, rng, steps, start=None):
     return v
 
 
-def _insert_detours(sp, letters, rng, depth, n_detours):
-    """Insert out-and-back excursions of the given depth into a letter path."""
-    out = list(letters)
-    for _ in range(n_detours):
-        pos = rng.randrange(len(out) + 1)
-        g = rng.choice(sp.gens)
-        ginv = sp.gen_inv(g)
-        excursion = [g] * depth + [ginv] * depth
-        out[pos:pos] = excursion
-    return out
+def _insert_detours(sp, base, rng, depth, n_detours, q):
+    """`base` with out-and-back excursions of the given depth inserted at
+    distinct positions, never inside one another.  Group paths go out along
+    one generator; other paths take a walk that does not backtrack and
+    retrace it.
 
-
-def _insert_detours_vertices(sp, vertices, rng, depth, n_detours):
-    """Vertex-form detour insertion for spaces without generator letters."""
-    out = list(vertices)
+    For x, y on excursions whose base positions are P apart, d(x, y) >=
+    P - h_x - h_y (h the height of each above its base vertex), and the
+    path from x to y is P plus the other excursions between them plus the
+    steps of their own, so each end costs at most depth (1 + 1/q) of slack,
+    at a tip.  With depth <= qQ/2 the (q, Q) lower bound thus holds for
+    every pair once P >= 2 depth q / (q - 1); a drawn position closer than
+    that to an earlier one is dropped, and for q = 1 only the first
+    excursion stays.
+    """
+    spacing = math.ceil(2 * depth * q / (q - 1)) if q > 1 else math.inf
+    items = base.step_letters() if sp.is_group else base.vertex_list()
+    sites = {}
     for _ in range(n_detours):
-        pos = rng.randrange(len(out))
-        v = out[pos]
-        exc = []
-        cur, prev = v, None
-        for _ in range(depth):
-            options = [w for w in sp.sorted_neighbors(cur) if w != prev]
-            if not options:
-                options = sp.sorted_neighbors(cur)
-            prev, cur = cur, rng.choice(options)
-            exc.append(cur)
-        out[pos + 1:pos + 1] = exc + exc[:-1][::-1] + [v]
-    return out
+        if sp.is_group:
+            pos = rng.randrange(len(items) + 1)
+            g = rng.choice(sp.gens)
+            exc = [g] * depth + [sp.gen_inv(g)] * depth
+        else:
+            pos = rng.randrange(len(items))
+            v = cur = items[pos]
+            walk, prev = [], None
+            for _ in range(depth):
+                options = [w for w in sp.sorted_neighbors(cur) if w != prev]
+                if not options:
+                    options = sp.sorted_neighbors(cur)
+                prev, cur = cur, rng.choice(options)
+                walk.append(cur)
+            exc, pos = walk + walk[:-1][::-1] + [v], pos + 1
+        if all(abs(pos - p) >= spacing for p in sites):
+            sites[pos] = exc
+    out = list(items)
+    for pos in sorted(sites, reverse=True):
+        out[pos:pos] = sites[pos]
+    if sp.is_group:
+        return PathSeg(sp, start=sp.basepoint, letters=out)
+    return PathSeg(sp, vertices=out)
 
 
 def probe_family(sp, target, q, Q, count, seed):
@@ -257,10 +271,10 @@ def probe_family(sp, target, q, Q, count, seed):
 
     Kinds rotate deterministically with the probe index: the lexicographic
     geodesic, detour insertions (depth limited by floor(qQ/2), which is what
-    an out-and-back excursion can afford), and L-shapes through a random
-    waypoint.  Every probe is checked by is_quasi_geodesic before it is
-    returned; a probe that cannot be certified after the retry budget raises
-    GenerationError.
+    an out-and-back excursion can afford, and spaced so that no two add
+    up), and L-shapes through a random waypoint.  Every probe is checked by
+    is_quasi_geodesic before it is returned; a probe that cannot be
+    certified after the retry budget raises GenerationError.
     """
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
@@ -280,14 +294,7 @@ def probe_family(sp, target, q, Q, count, seed):
                 base = sp.geodesic(sp.basepoint, goal)
                 depth = rng.randint(1, max_depth)
                 n_det = rng.randint(1, max(1, len(base) // 40 + 1))
-                if sp.is_group:
-                    letters = _insert_detours(sp, base.step_letters(), rng,
-                                              depth, n_det)
-                    cand = PathSeg(sp, start=sp.basepoint, letters=letters)
-                else:
-                    verts = _insert_detours_vertices(sp, base.vertex_list(),
-                                                     rng, depth, n_det)
-                    cand = PathSeg(sp, vertices=verts)
+                cand = _insert_detours(sp, base, rng, depth, n_det, q)
             else:
                 # L-shape: geodesic through a waypoint off the direct route
                 budget = max(1, min(int((q - 1) * sp.norm(goal) / 2 + Q), 40))

@@ -305,10 +305,10 @@ def lift_coned_geodesic(sp, report, start=None):
     if oracles is not None:
         path.dist_fn, path.dist_along = oracles
     for q0, Q0 in ((1, 0), (1.5, 2), (2, 4), (3, 8)):
-        if is_quasi_geodesic(path, q0, Q0):
+        check = is_quasi_geodesic(path, q0, Q0)
+        if check:
             path.q, path.Q = q0, Q0
             return path, (q0, Q0)
-    check = is_quasi_geodesic(path, 3, 8)
     raise CertificationError(
         "lift failed certification at (3, 8)", witness=check.witness)
 

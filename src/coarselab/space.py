@@ -22,7 +22,10 @@ x^-1 * (path start) covers every vertex of a letter path.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -37,16 +40,17 @@ class PathSeg:
 
     For group spaces a unit-speed path is stored as a start vertex plus a
     letter sequence (one generator per edge); vertices are materialized on
-    demand.  General paths store their vertices outright.  The optional
-    (q, Q) fields are a quasi-geodesic certificate attached by the checker.
+    demand.  General paths store their vertices outright; either way
+    consecutive vertices are at distance at most 1.  The optional (q, Q)
+    fields are a quasi-geodesic certificate attached by the caller once
+    is_quasi_geodesic has checked every pair of vertices.
     """
 
     def __init__(self, sp, vertices=None, start=None, letters=None,
-                 q=None, Q=None, is_graph_path=True):
+                 q=None, Q=None):
         self.sp = sp
         self.q = q
         self.Q = Q
-        self.is_graph_path = is_graph_path
         self._norms = None
         if letters is not None:
             if start is None:
@@ -132,10 +136,10 @@ class PathSeg:
         """The sub-path on the first n_vertices vertices."""
         if self._vertices is not None:
             return PathSeg(self.sp, vertices=self._vertices[:n_vertices],
-                           q=self.q, Q=self.Q, is_graph_path=self.is_graph_path)
+                           q=self.q, Q=self.Q)
         return PathSeg(self.sp, start=self.start,
                        letters=self.letters[:n_vertices - 1],
-                       q=self.q, Q=self.Q, is_graph_path=self.is_graph_path)
+                       q=self.q, Q=self.Q)
 
     def step_letters(self):
         """Generator letters along the path (derived for vertex-form paths)."""
@@ -883,64 +887,217 @@ class QGCheck:
         return self.ok
 
 
-def is_quasi_geodesic(path, q, Q, pair_budget=250_000, anchors=64):
-    """Check (1/q)|s-t| - Q <= d(path(s), path(t)) <= q|s-t| + Q.
+def path_metric(path):
+    """The metric on the vertices of `path` as a vectorized kernel:
+    dist(s, t) maps index arrays s, t to the array of d(v_s, v_t).
 
-    Exhaustive over all index pairs while n(n-1)/2 fits the pair budget.
-    Longer unit-speed paths on group spaces are checked by anchor sweeps:
-    every pair (s, t) with s in an evenly spaced anchor set is verified via
-    an O(length) incremental sweep, plus all adjacent pairs.  That keeps
-    certification honest at scale without the quadratic blowup; small paths
-    (every example in the test suite) are always checked exactly.
+    Free groups and free products read the path into a tree once
+    (_PathTree); grids take l^1 norms of coordinate differences; every
+    other space asks sp.dist pair by pair.
+    """
+    sp = path.sp
+    if isinstance(sp, (FreeGroupSpace, FreeProductSpace)):
+        return _PathTree(path).dist
+    if isinstance(sp, GridSpace):
+        if path.letters is not None:
+            xs = np.cumsum(np.array([path.start, *path.letters],
+                                    dtype=np.int64), axis=0)
+        else:
+            xs = np.array(path.vertex_list(), dtype=np.int64)
+        return lambda s, t: np.abs(xs[s] - xs[t]).sum(axis=1)
+    vs = path.vertex_list()
+    return lambda s, t: np.array(
+        [sp.dist(vs[i], vs[j]) for i, j in zip(s.tolist(), t.tolist())],
+        dtype=np.int64)
+
+
+class _PathTree:
+    """The vertices a free-group or free-product path visits, as a tree
+    rooted at the path start.
+
+    Write u_t = v_0^-1 v_t.  A node is a normal-form prefix of some u_t,
+    one free-group letter (weight 1) or one whole grid syllable (weight its
+    l^1 norm) longer than its parent.  Every prefix of a vertex the path
+    reaches is reached before it (the Cayley graph is a tree of factor
+    graphs glued at cut points), so for the nodes a, b of v_s, v_t
+
+        d(v_s, v_t) = depth(a) + depth(b) - 2 depth(lca(a, b)),
+
+    depths weighted, except where the children of the LCA towards a and b
+    are two grid syllables x, y of one factor: the factor route between
+    them is |x - y|_1, not |x|_1 + |y|_1.  Weights are positive, so the
+    LCA is the shallowest node of the Euler tour between a and b (Bender
+    and Farach-Colton, "The LCA problem revisited", 2000), read off sparse
+    tables; the tour steps just before its first and just after its last
+    visit there are the two children.  The least depth along the path
+    itself is no LCA: a path can climb above it and come back.
+    """
+
+    def __init__(self, path):
+        sp = path.sp
+        factors = (sp,) if isinstance(sp, FreeGroupSpace) else sp.factors
+        grid = [isinstance(f, GridSpace) for f in factors]
+        parent, factor, elem, depth = [0], [-1], [None], [0]
+        child = {}
+        cur = 0
+        at = [cur]  # node of each path vertex
+        for g in path.step_letters():
+            i, e = (0, g) if len(factors) == 1 else g
+            base = cur
+            if grid[i]:
+                if factor[cur] == i:
+                    base = parent[cur]
+                    e = tuple(a + b for a, b in zip(elem[cur], e))
+                if not any(e):
+                    cur = base
+                    at.append(cur)
+                    continue
+            else:
+                (e,) = e
+                if factor[cur] == i and elem[cur] == -e:
+                    cur = parent[cur]
+                    at.append(cur)
+                    continue
+            cur = child.get((base, i, e))
+            if cur is None:
+                cur = child[(base, i, e)] = len(parent)
+                parent.append(base)
+                factor.append(i)
+                elem.append(e)
+                depth.append(depth[base]
+                             + (sum(map(abs, e)) if grid[i] else 1))
+            at.append(cur)
+
+        # Euler tour of the node tree, children in age order (a node is
+        # always younger than its parent): a node's subtree takes 2 size - 1
+        # steps from its first visit, then the tour is back at its parent.
+        # Flat arrays, and no lookup table, keep the peak memory down.
+        del child
+        at = np.array(at, dtype=np.int64)
+        n_nodes = len(parent)
+        size = array("q", [1]) * n_nodes
+        for v in range(n_nodes - 1, 0, -1):
+            size[parent[v]] += size[v]
+        first, free = array("q", [0]) * n_nodes, array("q", [1]) * n_nodes
+        for v in range(1, n_nodes):
+            u = parent[v]
+            first[v] = first[u] + free[u]
+            free[u] += 2 * size[v]
+        del free
+        parent, size, first = np.array(parent), np.array(size), np.array(first)
+        node_depth = np.array(depth, dtype=np.int64)
+        self.tour = np.empty(2 * len(parent) - 1, dtype=np.int64)
+        self.tour[first] = np.arange(len(parent))
+        self.tour[first[1:] + 2 * size[1:] - 1] = parent[1:]
+        self.key = node_depth[self.tour]
+        self.lg = np.zeros(len(self.tour) + 1, dtype=np.int64)
+        for k in range(1, len(self.tour).bit_length()):
+            self.lg[1 << k:] += 1
+        self.left = _argmin_table(self.key, leftmost=True)
+        self.pos = first[at]
+        self.vdepth = node_depth[at]
+        self.swaps = any(grid[i] for i in set(factor[1:]))
+        if self.swaps:
+            self.right = _argmin_table(self.key, leftmost=False)
+            self.node_depth = node_depth
+            self.grid_node = np.array([i >= 0 and grid[i] for i in factor])
+            self.factor = np.array(factor, dtype=np.int64)
+            dims = max(f.d for f, is_grid in zip(factors, grid) if is_grid)
+            self.coords = np.zeros((len(parent), dims), dtype=np.int64)
+            for v, (i, e) in enumerate(zip(factor, elem)):
+                if i >= 0 and grid[i]:
+                    self.coords[v, :len(e)] = e
+
+    def _argmin(self, table, leftmost, lo, hi):
+        k = self.lg[hi - lo + 1]
+        a, b = table[k, lo], table[k, hi - (1 << k) + 1]
+        ka, kb = self.key[a], self.key[b]
+        return np.where(ka <= kb if leftmost else ka < kb, a, b)
+
+    def dist(self, s, t):
+        ps, pt = self.pos[s], self.pos[t]
+        lo, hi = np.minimum(ps, pt), np.maximum(ps, pt)
+        p = self._argmin(self.left, True, lo, hi)
+        d = self.vdepth[s] + self.vdepth[t] - 2 * self.key[p]
+        if self.swaps:
+            r = self._argmin(self.right, False, lo, hi)
+            a, b = self.tour[p - 1], self.tour[np.minimum(r + 1, hi)]
+            sw = (p > lo) & (r < hi) & (self.factor[a] == self.factor[b]) \
+                & self.grid_node[a]
+            if sw.any():
+                a, b, lca = a[sw], b[sw], self.key[p[sw]]
+                d[sw] += np.abs(self.coords[a] - self.coords[b]).sum(axis=1) \
+                    - (self.node_depth[a] + self.node_depth[b] - 2 * lca)
+        return d
+
+
+def _argmin_table(key, leftmost):
+    """Sparse table: row k, column i holds the position of the least key in
+    key[i : i + 2^k] (the leftmost or the rightmost one on ties)."""
+    m = len(key)
+    table = np.zeros((m.bit_length(), m), dtype=np.int32)
+    table[0] = np.arange(m)
+    k, h = 1, 1
+    while 2 * h <= m:
+        a, b = table[k - 1, :m - 2 * h + 1], table[k - 1, h:m - h + 1]
+        ka, kb = key[a], key[b]
+        table[k, :m - 2 * h + 1] = np.where(ka <= kb if leftmost else ka < kb,
+                                            a, b)
+        k, h = k + 1, 2 * h
+    return table
+
+
+def is_quasi_geodesic(path, q, Q):
+    """Check (1/q)|s-t| - Q <= d(path(s), path(t)) <= q|s-t| + Q over every
+    pair of vertices, exactly, at any length.
+
+    Consecutive vertices must be at most 1 apart (DomainError otherwise),
+    so d(v_s, v_t) <= t - s and the upper bound always holds; the margin is
+    the least lo(s, t) = d(v_s, v_t) - ((t - s)/q - Q) over s < t, and the
+    witness (s, t, d) of a failure is the lexicographically first pair
+    attaining it, as an all-pairs loop would report.
+
+    A geodesic path (d(v_0, v_{n-1}) = n - 1) has d = t - s for every
+    pair, so its least slack is at t - s = 1.  Otherwise, since
+    lo(s, t + j) >= lo(s, t) - j(1 + 1/q), all anchors s advance together
+    in numpy rounds, each jumping to the first t whose bound can still
+    reach the least slack seen so far.  A skipped pair is strictly above
+    that, so no pair that could tie the minimum is missed, and a round
+    holds one pair per anchor.
     """
     if q < 1 or Q < 0:
         raise DomainError(f"need q >= 1 and Q >= 0, got ({q}, {Q})")
-    sp = path.sp
     n = len(path)
     if n <= 1:
         return QGCheck(True, margin=float("inf"))
+    dist = path_metric(path)
+    S = np.arange(n - 1)
+    T = S + 1
+    d = dist(S, T)
+    if d.max() > 1:
+        s = int(np.argmax(d > 1))
+        raise DomainError(f"path vertices {s} and {s + 1} are "
+                          f"{int(d[s])} apart")
+    if dist(S[:1], np.array([n - 1]))[0] == n - 1:
+        return QGCheck(True, margin=float(1 - (1 / q - Q)))
 
-    worst = [float("inf"), None]  # margin, witness
-
-    def consider(s, t, d):
-        gap = abs(s - t)
-        hi = q * gap + Q - d
-        lo = d - (gap / q - Q)
-        m = min(hi, lo)
-        if m < worst[0]:
-            worst[0] = m
-            worst[1] = (s, t, d)
-
-    exhaustive = n * (n - 1) // 2 <= pair_budget
-    if sp.is_group and path.letters is not None:
-        letters = path.letters
-        if exhaustive:
-            starts = range(n - 1)
-        else:
-            step = max(1, (n - 1) // anchors)
-            starts = sorted(set(range(0, n - 1, step)) | {n - 2})
-        for s in starts:
-            acc = sp.right_acc(sp.identity)
-            for t in range(s + 1, n):
-                acc.push(letters[t - 1])
-                consider(s, t, acc.norm)
-    else:
-        vs = path.vertex_list()
-        if exhaustive:
-            pairs = itertools.combinations(range(n), 2)
-        else:
-            step = max(1, (n - 1) // anchors)
-            anchor_set = sorted(set(range(0, n, step)) | {n - 1})
-            pairs = ((s, t) for s in anchor_set for t in range(s + 1, n))
-        for s, t in pairs:
-            consider(s, t, sp.dist(vs[s], vs[t]))
-        # adjacency is always checked on graph paths
-        if path.is_graph_path:
-            for s in range(n - 1):
-                consider(s, s + 1, sp.dist(vs[s], vs[s + 1]))
-
-    ok = worst[0] >= -1e-9
-    return QGCheck(ok, witness=None if ok else worst[1], margin=worst[0])
+    worst, witness = float("inf"), None
+    reach = 1 + 1 / q
+    while True:
+        lo = d - ((T - S) / q - Q)
+        i = int(np.argmin(lo))
+        if lo[i] < worst or lo[i] == worst and (S[i], T[i]) < witness[:2]:
+            worst = float(lo[i])
+            witness = (int(S[i]), int(T[i]), int(d[i]))
+        T = T + np.maximum(1, np.ceil((lo - worst) / reach - 1e-9)
+                           ).astype(np.int64)
+        keep = T < n
+        S, T = S[keep], T[keep]
+        if not S.size:
+            break
+        d = dist(S, T)
+    ok = worst >= -1e-9
+    return QGCheck(ok, witness=None if ok else witness, margin=worst)
 
 
 def first_time_at_norm(path, r):

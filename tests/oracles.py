@@ -42,6 +42,24 @@ def bfs_dist(sp, x, y, cap=10 ** 6):
     raise RuntimeError("not connected")
 
 
+def all_pairs_quasi_geodesic(sp, vertices, q, Q):
+    """(ok, margin, witness) of the (q, Q)-quasi-geodesic inequalities over
+    every index pair s < t, in order, keeping the first pair of least slack.
+
+    Distances come from sp.dist (pinned to BFS by test_space); the point
+    here is the exhaustive loop, not the metric.
+    """
+    worst, witness = float("inf"), None
+    for s in range(len(vertices)):
+        for t in range(s + 1, len(vertices)):
+            d = sp.dist(vertices[s], vertices[t])
+            slack = min(q * (t - s) + Q - d, d - ((t - s) / q - Q))
+            if slack < worst:
+                worst, witness = slack, (s, t, d)
+    ok = worst >= -1e-9
+    return ok, worst, None if ok else witness
+
+
 # ---------------------------------------------------------------------------
 # free-product cosets, reimplemented from the definition
 

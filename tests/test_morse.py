@@ -18,6 +18,7 @@ from coarselab.morse import (MorseGauge, Verdict, _band_trend_fail,
 # aliased so pytest does not collect the library entry points as tests
 from coarselab.morse import test_kappa_contracting as check_contracting
 from coarselab.morse import test_kappa_morse as check_morse
+from coarselab.seeds import rng_for
 from coarselab.space import PathSeg, axis_ray, is_quasi_geodesic
 
 K1 = sublinear.by_tag("1")
@@ -145,6 +146,39 @@ def test_probe_family_certified_and_ends_on_target(f2):
         assert is_quasi_geodesic(beta, beta.q, beta.Q).ok
     # some probe must genuinely deviate from the geodesic
     assert any(len(b) > 13 for b in fam)
+
+
+def test_stacked_detours_are_not_certified(f2):
+    # probe 1 of probe_family(f2, axis_ray(f2, 700).vertex(690), 2.0, 4, 6,
+    # seed=3) as it was built when detours could land next to each other:
+    # two depth-3 detours make vertices 482 and 494 coincide, 12 steps
+    # apart, against d >= 12/2 - 4.  Anchor sampling certified this path.
+    base = f2.geodesic((), axis_ray(f2, 700).vertex(690))
+    rng = rng_for(3, 1)
+    depth = rng.randint(1, 4)
+    letters = base.step_letters()
+    for _ in range(rng.randint(1, len(base) // 40 + 1)):
+        pos = rng.randrange(len(letters) + 1)
+        g = rng.choice(f2.gens)
+        letters[pos:pos] = [g] * depth + [f2.gen_inv(g)] * depth
+    path = PathSeg(f2, start=(), letters=letters)
+    assert len(path) == 709
+    check = is_quasi_geodesic(path, 2.0, 4)
+    assert not check.ok
+    assert check.margin == -2.0
+    assert check.witness == (482, 494, 0)
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3])
+def test_spaced_detours_certify(f2, q):
+    Q = 4
+    depth = int(q * Q / 2)
+    base = f2.geodesic((), axis_ray(f2, 300).vertex(300))
+    for seed in range(20):
+        path = morse._insert_detours(f2, base, rng_for(seed), depth, 12, q)
+        if q == 1:
+            assert len(path) == len(base) + 2 * depth
+        assert is_quasi_geodesic(path, q, Q).ok
 
 
 def test_probe_family_geodesic_constants_give_single_geodesic(f2):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -118,6 +119,63 @@ def test_quasi_geodesic_rejects_bad_constants(f2):
     seg = f2.geodesic((), (1,))
     with pytest.raises(DomainError):
         is_quasi_geodesic(seg, 0.5, 0)
+
+
+# name -> (space, most steps on a path); loopy paths are walks from a ray
+# vertex, the regenerated space measures distances by BFS
+QG_SPACES = {
+    "free_group(2)": (build_space("free_group(2)"), 40),
+    "grid(2)": (build_space("grid(2)"), 40),
+    "Z2*Z": (build_space("free_product(grid(2), free_group(1))"), 40),
+    "F2*Z": (build_space("free_product(free_group(2), grid(1))"), 40),
+    "loopy_ray(6)": (build_space("loopy_ray(6)"), 40),
+    "grid(2)+regen": (change_generators(
+        build_space("grid(2)"), [(1, 0), (0, 1), (1, 1)], radius=3)[0], 12),
+}
+QG_CONSTANTS = st.tuples(st.sampled_from([1, 1.25, 1.5, 2, 3]),
+                         st.sampled_from([0, 0.5, 1, 2, 4]))
+
+
+@pytest.mark.parametrize("name", sorted(QG_SPACES))
+@given(data=st.data())
+def test_quasi_geodesic_matches_all_pairs(name, data):
+    sp, steps = QG_SPACES[name]
+    if sp.is_group:
+        # few generators, so that paths come back and branch off again
+        k = data.draw(st.integers(2, len(sp.gens)))
+        gens = st.sampled_from(sp.gens[:k])
+        start = _word(sp, data.draw(st.lists(st.sampled_from(sp.gens),
+                                             max_size=4)))
+        path = PathSeg(sp, start=start,
+                       letters=data.draw(st.lists(gens, max_size=steps)))
+        if data.draw(st.booleans()):
+            path = PathSeg(sp, vertices=path.vertex_list())
+    else:
+        vs = [("r", data.draw(st.integers(0, 30)))]
+        for _ in range(data.draw(st.integers(0, steps))):
+            vs.append(data.draw(st.sampled_from(sp.sorted_neighbors(vs[-1]))))
+        path = PathSeg(sp, vertices=vs)
+    vs = path.vertex_list()
+    s, t = np.divmod(np.arange(len(vs) ** 2), len(vs))
+    assert space.path_metric(path)(s, t).tolist() == \
+        [sp.dist(vs[i], vs[j]) for i, j in zip(s.tolist(), t.tolist())]
+    for q, Q in [(1, 0)] + data.draw(st.lists(QG_CONSTANTS, min_size=1,
+                                              max_size=4)):
+        got = is_quasi_geodesic(path, q, Q)
+        assert (got.ok, got.margin, got.witness) == \
+            oracles.all_pairs_quasi_geodesic(sp, vs, q, Q)
+
+
+@pytest.mark.parametrize("spec, vertices", [
+    ("grid(2)", [(0, 0), (1, 0), (3, 0)]),
+    ("free_group(2)", [(), (1,), (1, 1, 1)]),
+    ("free_product(grid(2), free_group(1))", [(), ((0, (1, 0)),),
+                                              ((0, (1, 2)),)]),
+    ("loopy_ray(6)", [("r", 0), ("r", 1), ("r", 3)]),
+])
+def test_quasi_geodesic_rejects_jumps(spec, vertices):
+    with pytest.raises(DomainError):
+        is_quasi_geodesic(PathSeg(build_space(spec), vertices=vertices), 2, 4)
 
 
 # ---------------------------------------------------------------------------
