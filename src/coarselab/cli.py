@@ -348,7 +348,7 @@ def _run_excursion(sp, cfg, seed, jobs, out_dir, regen):
                                               cfg["kappa"])
         extra = {"E": E}
         randwalk.write_excursion_csv(os.path.join(out_dir, "excursion.csv"),
-                                     sp, gamma, constants.D0, cfg["kappa"])
+                                     rows)
     return _record("excursion", v, cfg["expect"], extra=extra)
 
 
@@ -357,10 +357,12 @@ def _run_walk(sp, cfg, seed, jobs, out_dir, regen):
     paths = randwalk.sample_paths(sp, mu, cfg["n"], cfg["count"], seed)
     stat = cfg["statistic"]
     extra = {"statistic": stat, "n": cfg["n"], "count": cfg["count"]}
+    # replays every walk once; the statistics below read the cached stats
+    randwalk.ensemble_stats(paths, jobs=jobs)
     randwalk.write_walk_stats_csv(os.path.join(out_dir, "walk_stats.csv"),
-                                  paths, jobs=jobs)
+                                  paths)
     if stat == "drift":
-        rep = randwalk.drift(paths, jobs=jobs)
+        rep = randwalk.drift(paths)
         ok = cfg["lo"] <= rep.ell <= cfg["hi"] and rep.subadditive
         v = morse.Verdict(ok, test="drift", margin=rep.ell,
                           parameters={"ci": list(rep.ci),
@@ -368,12 +370,12 @@ def _run_walk(sp, cfg, seed, jobs, out_dir, regen):
                           seed=seed, space=sp.kind)
         extra["ell"] = rep.ell
     elif stat == "progress_tail":
-        ell = cfg["ell"] if cfg["ell"] > 0 else randwalk.drift(paths, jobs=jobs).ell
-        rows, v = randwalk.progress_tail(paths, ell, cfg["fraction"], jobs=jobs)
+        ell = cfg["ell"] if cfg["ell"] > 0 else randwalk.drift(paths).ell
+        rows, v = randwalk.progress_tail(paths, ell, cfg["fraction"])
         extra["ell"] = ell
     elif stat == "peripheral_growth":
-        rows, v = randwalk.peripheral_projection_growth(
-            paths, jobs=jobs, lo=2, hi=cfg["n"])
+        rows, v = randwalk.peripheral_projection_growth(paths, lo=2,
+                                                        hi=cfg["n"])
     elif stat == "tracking":
         proxies = [randwalk.limit_ray_proxy(sp, p) for p in paths]
         rows, v1, v2 = randwalk.tracking_profile(paths, proxies, jobs=jobs)

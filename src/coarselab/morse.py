@@ -28,8 +28,8 @@ from . import space as _sp
 from .errors import (CertificationError, DomainError, GenerationError,
                      Inconclusive, NotSublinear, PreconditionError)
 from .seeds import derive_seed, rng_for
-from .space import (PathSeg, distance_to_set, first_time_at_norm,
-                    is_quasi_geodesic)
+from .space import (PathSeg, distance_to_set, distances_to_set,
+                    first_time_at_norm, is_quasi_geodesic)
 from .sublinear import TOL, estimation_constant, evaluate, small_compared
 
 #: octave-over-octave growth slope (log2) above which a ratio counts as
@@ -119,13 +119,9 @@ def in_kappa_neighborhood(sp, x, Z, m, kappa):
 
 def _neighborhood_margins(sp, path, Z, m, kappa):
     """(worst margin, index) of the N_kappa(Z, m) condition along a path."""
-    if hasattr(Z, "dist_along"):
-        ds = Z.dist_along(path)
-    else:
-        ds = [distance_to_set(sp, x, Z) for x in path.vertex_list()]
     norms = path.norms()
     worst, worst_i = math.inf, None
-    for i, (d, nv) in enumerate(zip(ds, norms)):
+    for i, (d, nv) in enumerate(zip(distances_to_set(sp, path, Z), norms)):
         margin = m * evaluate(kappa, nv) - d
         if margin < worst:
             worst, worst_i = margin, i

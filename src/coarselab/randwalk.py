@@ -7,8 +7,10 @@ sums, maxima, or quantiles over index-ordered results.
 
 Paths are deliberately lightweight: a SamplePath stores its seed and
 replays the walk on demand, keeping only dyadic-checkpoint summaries in
-memory.  A 10^4-path ensemble at length 2^12 replays in well under a
-minute per statistics pass.
+memory.  One statistics pass over 400 paths of length 2^12 replays in
+about 1.6 s on free_group(2) and 4.1 s on free_product(grid(2),
+free_group(1)) (one core, Python 3.11), so a 10^4-path ensemble takes
+about 40 s and 100 s.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import relhyp as _rh
 from .errors import DomainError, Inconclusive
 from .morse import Verdict, _band_trend_fail
 from .seeds import derive_seed
-from .space import PathSeg, distances_along_path
+from .space import PathSeg, distance_to_set, distances_along_path
 
 PROB_TOL = 1e-12
 
@@ -132,7 +134,6 @@ class SamplePath:
             for g in letters[i]:
                 acc.push(g)
             yield k, acc
-        self._final_acc = acc
 
     def positions_at(self, indices):
         """w_k for each requested index, in one replay."""
@@ -216,12 +217,12 @@ class DriftReport:
     subadditive: bool
 
 
-def drift(paths, jobs=1, batches=30):
+def drift(paths, batches=30):
     """Escape-rate estimate at the final index with a batch-means CI and a
     subadditivity sanity check across dyadic prefixes."""
     if len(paths) < 30:
         raise DomainError(f"need >= 30 paths for a drift estimate, got {len(paths)}")
-    stats = ensemble_stats(paths, jobs=jobs)
+    stats = ensemble_stats(paths)
     n = paths[0].length
     finals = [s.norms[n] / n for s in stats]
     ell = sum(finals) / len(finals)
@@ -239,7 +240,7 @@ def drift(paths, jobs=1, batches=30):
                        dyadic_means=dyadic, subadditive=ok)
 
 
-def progress_tail(paths, ell, fraction, jobs=1):
+def progress_tail(paths, ell, fraction):
     """Empirical P(d(o, w_n) < fraction * ell * n) per dyadic n, with a
     verdict that the log-probabilities decay linearly in n.
 
@@ -249,7 +250,7 @@ def progress_tail(paths, ell, fraction, jobs=1):
     """
     if not 0 < fraction < 1:
         raise DomainError(f"need 0 < fraction < 1, got {fraction}")
-    stats = ensemble_stats(paths, jobs=jobs)
+    stats = ensemble_stats(paths)
     ks = stats[0].checkpoints
     rows = []
     for k in ks:
@@ -319,8 +320,8 @@ def _quantile(sorted_vals, q):
     return sorted_vals[i]
 
 
-def peripheral_projection_growth(paths, jobs=1, lo=2 ** 7, hi=2 ** 13,
-                                 quantile=0.99, alpha=0.05):
+def peripheral_projection_growth(paths, lo=2 ** 7, hi=2 ** 13, quantile=0.99,
+                                 alpha=0.05):
     """0.99-quantile of sup_P d_P(o, w_n) per dyadic n, judged against log n.
 
     The verdict passes iff the quantile / log n sequence shows no
@@ -330,7 +331,7 @@ def peripheral_projection_growth(paths, jobs=1, lo=2 ** 7, hi=2 ** 13,
     """
     sp = paths[0].sp
     _rh.require_relhyp(sp)
-    stats = ensemble_stats(paths, jobs=jobs)
+    stats = ensemble_stats(paths)
     ks = [k for k in stats[0].checkpoints if lo <= k <= hi and k >= 2]
     if not ks:
         raise DomainError(f"no dyadic checkpoints in [{lo}, {hi}]")
@@ -391,7 +392,7 @@ def limit_ray_proxy(sp, path, N=None):
     else:
         seg = sp.geodesic(sp.identity, wN)
         consts = (1, 0)
-        stability = min(distances_along_path(sp, wHalf, seg))
+        stability = distance_to_set(sp, wHalf, seg)
     return RayProxy(path_seg=seg, constants=consts, horizon=N,
                     stability=max(0.0, float(stability)))
 
@@ -533,9 +534,9 @@ def excursion_of_walk_ray(sp, paths, kappa, constants=None, jobs=1,
 def _excursion_worker(item):
     sp, path, kappa, constants = item
     out = []
+    pos = path.positions_at({path.length, path.length // 2})
     for N in (path.length, path.length // 2):
-        pos = path.positions_at({N})[N]
-        report = _rh.coned_distance(sp, (), pos)
+        report = _rh.coned_distance(sp, (), pos[N])
         seg, _ = _rh.lift_coned_geodesic(sp, report, start=sp.identity)
         _, E, _ = _rh.excursion_profile(sp, seg, constants.D0, kappa)
         out.append(E)
@@ -553,9 +554,9 @@ def _write_csv(fh, header_cols, rows):
         fh.write(",".join(str(c) for c in row) + "\n")
 
 
-def write_walk_stats_csv(path, paths, jobs=1):
+def write_walk_stats_csv(path, paths):
     """walk_stats.csv: one row per (path, dyadic n)."""
-    stats = ensemble_stats(paths, jobs=jobs)
+    stats = ensemble_stats(paths)
     rows = []
     for i, s in enumerate(stats):
         for k in s.checkpoints:
@@ -564,10 +565,10 @@ def write_walk_stats_csv(path, paths, jobs=1):
         _write_csv(fh, ("path_id", "n", "dist", "coned_dist"), rows)
 
 
-def write_excursion_csv(path, sp, gamma, D0, kappa):
-    rows_raw, _, _ = _rh.excursion_profile(sp, gamma, D0, kappa)
-    rows = [(f"P{c.factor}@{_rh.coned_norm(sp, c.rep)}", exc, cn, f"{ratio:.6f}")
-            for c, exc, cn, ratio in rows_raw]
+def write_excursion_csv(path, rows):
+    """excursion.csv from the rows of relhyp.excursion_profile."""
+    rows = [(f"P{c.factor}@{cn}", exc, cn, f"{ratio:.6f}")
+            for c, exc, cn, ratio in rows]
     with open(path, "w") as fh:
         _write_csv(fh, ("coset_id", "excursion", "coned_norm", "ratio"), rows)
 

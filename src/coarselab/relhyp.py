@@ -24,7 +24,7 @@ from .errors import CertificationError, DomainError, PreconditionError
 from .morse import Verdict, _band_trend_fail
 from .seeds import rng_for
 from .space import (FreeProductSpace, GridSpace, PathSeg, _norms_along,
-                    distance_to_set, is_quasi_geodesic, syllable_oracles)
+                    distance_to_set, geodesic_dist_along, is_quasi_geodesic)
 from .sublinear import evaluate
 
 
@@ -95,9 +95,10 @@ def coned_norm(sp, v):
 class ConedMetricReport:
     """d_Ghat value plus one realizing path, edge by edge.
 
-    Each entry is ("edge", u, v) for an ordinary Cayley edge or
-    ("shortcut", u, v, coset) for a coset shortcut; the number of entries
-    equals the reported distance.
+    Each entry is ("edge", u, v, g) for an ordinary Cayley edge, v = u g
+    for the generator g, or ("shortcut", u, v, coset, syllable) for a coset
+    shortcut, v = u (syllable); the number of entries equals the reported
+    distance.
     """
 
     value: int
@@ -114,12 +115,12 @@ def coned_distance(sp, x, y):
         f = sp.factors[i]
         if i in pers and f.norm(e) > 1:
             nxt = sp.mul(cur, ((i, e),))
-            edges.append(("shortcut", cur, nxt, coset_of(sp, nxt, i)))
+            edges.append(("shortcut", cur, nxt, coset_of(sp, nxt, i), (i, e)))
             cur = nxt
         else:
             for g in f.geodesic(f.identity, e).step_letters():
                 nxt = sp.mul_gen(cur, (i, g))
-                edges.append(("edge", cur, nxt))
+                edges.append(("edge", cur, nxt, (i, g)))
                 cur = nxt
     value = coned_norm(sp, z)
     assert len(edges) == value
@@ -268,42 +269,25 @@ def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0):
 # ---------------------------------------------------------------------------
 # lifts
 
-def _edge_step(sp, u, v):
-    """u^-1 v for the endpoints of one coned edge.  v is u times one
-    syllable, so all but their last syllables agree and are dropped first:
-    O(1) instead of O(|u|).  Any other pair gets the whole product."""
-    k = min(len(u), len(v)) - 1
-    if k <= 0 or u[:k] != v[:k]:
-        k = 0
-    return sp.mul(sp.inv(u[k:]), v[k:])
-
-
 def lift_coned_geodesic(sp, report, start=None):
     """Replace each shortcut edge of a coned path by a factor geodesic.
 
     Returns (PathSeg, (q0, Q0)) where the constants are the smallest pair
     on a fixed ladder that certifies the lift; in free products normal-form
-    lifts are genuine geodesics, so (1, 0) is the expected outcome.
+    lifts are genuine geodesics, so (1, 0) is the expected outcome.  A lift
+    from o carries the closed-form `dist_along` of geodesic_dist_along.
     """
     letters = []
     origin = start if start is not None else (report.edges[0][1] if report.edges else ())
     for edge in report.edges:
         if edge[0] == "shortcut":
-            _, u, v, _coset = edge
-            z = _edge_step(sp, u, v)
-            for i, e in z:
-                f = sp.factors[i]
-                for g in f.geodesic(f.identity, e).step_letters():
-                    letters.append((i, g))
+            i, e = edge[4]
+            f = sp.factors[i]
+            letters.extend((i, g) for g in f.geodesic(f.identity, e).step_letters())
         else:
-            _, u, v = edge
-            z = _edge_step(sp, u, v)
-            (i, e), = z
-            letters.append((i, e))
+            letters.append(edge[3])
     path = PathSeg(sp, start=origin, letters=letters)
-    oracles = syllable_oracles(path)
-    if oracles is not None:
-        path.dist_fn, path.dist_along = oracles
+    path.dist_along = geodesic_dist_along(path)
     for q0, Q0 in ((1, 0), (1.5, 2), (2, 4), (3, 8)):
         check = is_quasi_geodesic(path, q0, Q0)
         if check:
@@ -395,7 +379,8 @@ def deep_components(sp, geodesic, D, R, t=3.0):
 
 def excursion_ray(sp, syllable_count, sizes, direction=(1, 0)):
     """Fixture ray: k-th peripheral syllable of size sizes(k), separated by
-    single free-factor letters.  Requires the default grid*free layout."""
+    single free-factor letters.  Requires the default grid*free layout.
+    The ray carries the closed-form `dist_along` of geodesic_dist_along."""
     require_relhyp(sp)
     pers = peripheral_indices(sp)
     i = pers[0]
@@ -406,7 +391,9 @@ def excursion_ray(sp, syllable_count, sizes, direction=(1, 0)):
     for k in range(1, syllable_count + 1):
         letters.extend([(i, step)] * max(0, int(sizes(k))))
         letters.append((free, fgen))
-    return PathSeg(sp, letters=letters, q=1, Q=0)
+    ray = PathSeg(sp, letters=letters, q=1, Q=0)
+    ray.dist_along = geodesic_dist_along(ray)
+    return ray
 
 
 def excursion_profile(sp, gamma, D0, kappa):
@@ -422,7 +409,9 @@ def excursion_profile(sp, gamma, D0, kappa):
     for a, b, coset in coset_runs(sp, gamma, D0):
         # run endpoints on a geodesic realize the diameter
         exc = gamma.dist_between(a, b)
-        cn = coned_dist_to_coset(sp, (), coset)
+        # d_Ghat(o, P) is the coned norm of the minimal representative,
+        # whose last syllable is never in P's factor
+        cn = coned_norm(sp, coset.rep)
         ratio = exc / evaluate(kappa, cn)
         rows.append((coset, exc, cn, ratio))
     E = max((r[3] for r in rows), default=0.0)

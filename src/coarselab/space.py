@@ -44,6 +44,11 @@ class PathSeg:
     consecutive vertices are at distance at most 1.  The optional (q, Q)
     fields are a quasi-geodesic certificate attached by the caller once
     is_quasi_geodesic has checked every pair of vertices.
+
+    `dist_along` is the path's closed-form distance hook as a target Z:
+    dist_along(path) is the list of d(v, Z) over the vertices v of `path`.
+    It is None unless the builder of the path attached one (axis rays, ray
+    prefixes, lifts, excursion rays); distances_to_set reads it.
     """
 
     def __init__(self, sp, vertices=None, start=None, letters=None,
@@ -51,6 +56,7 @@ class PathSeg:
         self.sp = sp
         self.q = q
         self.Q = Q
+        self.dist_along = None
         self._norms = None
         if letters is not None:
             if start is None:
@@ -697,7 +703,7 @@ class LoopyRaySpace(GraphSpace):
         """The underlying geodesic ray gamma up to position `length`."""
         seg = PathSeg(self, vertices=[("r", k) for k in range(length + 1)],
                       q=1, Q=0)
-        seg.dist_fn = lambda v: self._dist_to_ray(v, length)
+        seg.dist_along = _pointwise(lambda v: self._dist_to_ray(v, length))
         return seg
 
     def neighbors(self, v):
@@ -767,12 +773,7 @@ class LoopyRaySpace(GraphSpace):
         return min(c + p for p, c in self._portals(v))
 
     def _dist_to_ray(self, v, length):
-        best = None
-        for p, c in self._portals(v):
-            d = c + max(0, p - length)
-            if best is None or d < best:
-                best = d
-        return best
+        return min(c + max(0, p - length) for p, c in self._portals(v))
 
     def vertex_key(self, v):
         return (self.norm(v), v)
@@ -853,15 +854,31 @@ def distances_along_path(sp, x, path):
     return [sp.dist(x, v) for v in vs]
 
 
+def distances_to_set(sp, path, Z):
+    """d(v, Z) for every vertex v of the PathSeg `path`, exactly.
+
+    A PathSeg target with a `dist_along` hook answers in closed form;
+    any other target (a PathSeg without one, or an iterable of vertices)
+    costs one distances_along_path sweep of Z per vertex.
+    """
+    if isinstance(Z, PathSeg):
+        if Z.dist_along is not None:
+            return Z.dist_along(path)
+    else:
+        Z = list(Z)
+        if not Z:
+            raise DomainError("empty projection target")
+    return [min(distances_along_path(sp, x, Z)) for x in path.vertex_list()]
+
+
 def distance_to_set(sp, x, Z):
-    """Exact d(x, Z); honors a closed-form `dist_fn` on PathSeg targets."""
-    fn = getattr(Z, "dist_fn", None)
-    if fn is not None:
-        return fn(x)
-    ds = distances_along_path(sp, x, Z)
-    if not ds:
-        raise DomainError("empty projection target")
-    return min(ds)
+    """Exact d(x, Z): distances_to_set on the one-vertex path at x."""
+    return distances_to_set(sp, PathSeg(sp, vertices=[x]), Z)[0]
+
+
+def _pointwise(dist):
+    """A `dist_along` hook from a per-vertex closed form d(v, Z)."""
+    return lambda path: [dist(v) for v in path.vertex_list()]
 
 
 def nearest_point_projection(sp, x, Z):
@@ -1235,108 +1252,101 @@ def self_check(sp, radius=4, cap=DEFAULT_BALL_CAP, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# axis rays with fast distance oracles
+# axis rays and closed-form distances to geodesics from o
 
 def axis_ray(sp, length, gen=None):
-    """The ray g, g^2, ..., g^length as a PathSeg with fast distance oracles.
+    """The ray g, g^2, ..., g^length as a PathSeg with a closed-form
+    `dist_along` hook.
 
-    `gen` defaults to the first generator.  The returned path carries
-    ``dist_fn(x)`` (exact distance from a vertex to the ray prefix) on free
-    groups, grids and free products, and ``dist_along(path)`` (the same for
-    every vertex of a path, without a sweep over the ray per vertex) on the
-    free groups and free products among them.  On grids dist_fn is O(d)
-    per vertex, so calling it per vertex is already linear.
+    `gen` defaults to the first generator.  On grids the hook applies the
+    O(d) per-vertex distance to the axis segment; on free groups and free
+    products it is geodesic_dist_along.  Other group spaces get no hook.
     """
     if not sp.is_group:
         raise DomainError("axis_ray needs a group space")
     g = gen if gen is not None else sp.gens[0]
     seg = PathSeg(sp, start=sp.identity, letters=[g] * length, q=1, Q=0)
-
-    if isinstance(sp, FreeGroupSpace):
-        letter = g[0]
-
-        def dist_fn(x, _l=letter, _L=length):
-            m = 0
-            for c in x:
-                if c != _l:
-                    break
-                m += 1
-            return len(x) - min(m, _L)
-
-        def dist_along(path, _l=letter, _L=length):
-            out = []
-            stack = []
-            m = 0  # leading run of _l in the current reduced word
-            start = path.start
-            letters = ([(c,) for c in start] + list(path.letters)
-                       if path.letters is not None
-                       else [(c,) for c in start] + path.step_letters())
-            base = len(start)
-            for k, gg in enumerate(letters):
-                c = gg[0]
-                if stack and stack[-1] == -c:
-                    stack.pop()
-                    if len(stack) < m:
-                        m = len(stack)
-                else:
-                    if len(stack) == m and c == _l:
-                        m += 1
-                    stack.append(c)
-                if k >= base - 1:
-                    out.append(len(stack) - min(m, _L))
-            if base == 0:
-                out.insert(0, 0)
-            return out
-
-        seg.dist_fn = dist_fn
-        seg.dist_along = dist_along
-        return seg
-
-    if isinstance(sp, FreeProductSpace):
-        seg.dist_fn, seg.dist_along = syllable_oracles(seg)
-        return seg
-
     if isinstance(sp, GridSpace):
         axis = next(i for i, c in enumerate(g) if c != 0)
         sign = 1 if g[axis] > 0 else -1
 
-        def dist_fn(x, _L=length):
+        def dist(x):
             along = x[axis] * sign
             off = sum(abs(c) for i, c in enumerate(x) if i != axis)
-            if along < 0:
-                return off - along
-            if along > _L:
-                return off + along - _L
-            return off
+            return off + max(0, -along, along - length)
 
-        seg.dist_fn = dist_fn
-        return seg
-
+        seg.dist_along = _pointwise(dist)
+    else:
+        seg.dist_along = geodesic_dist_along(seg)
     return seg
 
 
+def geodesic_dist_along(Z):
+    """A closed-form `dist_along` hook for a letter path Z from o that is a
+    geodesic in one of two ways, or None for any other path:
 
-def syllable_oracles(Z):
-    """(dist_fn, dist_along) in closed form for a free-product path from o
-    that reads one normal-form word s_1 ... s_m syllable by syllable, each
-    syllable along a factor geodesic (axis rays and the lifts of relhyp
-    do); None for any other path.
+      * on a free group, Z reads one reduced word s;
+      * on a free product, Z reads one normal-form word s_1 ... s_m
+        syllable by syllable, each syllable along a factor geodesic (axis
+        rays, excursion rays and the lifts of relhyp do).
 
-    Let x = u_1 ... u_k in normal form share exactly c leading syllables
-    with s.  Every vertex of Z outside the stretch of s_{c+1} is at least
-    as far from x as the vertex s_1 ... s_c, which is at distance
-    ||x|| - (|s_1| + ... + |s_c|).  Inside that stretch a vertex
-    s_1 ... s_c p is closer only when u_{c+1} lies in the same factor, by
-    ||u_{c+1}|| - min_p d(p, u_{c+1}) over the factor geodesic's vertices
-    p.  Along a path the shared prefix moves only at the top syllable, so
-    each vertex costs one scan of a single syllable of Z, not a sweep of Z.
+    Along a path, each space's own loop keeps how many leading letters or
+    syllables x shares with s at the top of x's stack: a push moves only it.
     """
     sp = Z.sp
-    if not isinstance(sp, FreeProductSpace) or Z.letters is None \
-            or Z.start != sp.identity:
+    if not isinstance(sp, (FreeGroupSpace, FreeProductSpace)) \
+            or Z.letters is None or Z.start != sp.identity:
         return None
+    if isinstance(sp, FreeGroupSpace):
+        s = tuple(c for (c,) in Z.letters)
+        if any(a == -b for a, b in zip(s, s[1:])):
+            return None  # the word is not reduced
+        return _tree_dist_along(s)
+    return _syllable_dist_along(sp, Z.letters)
+
+
+def _tree_dist_along(s):
+    """Free groups: the vertices of Z are the prefixes of s, and the one
+    nearest to x is the longest prefix c that x shares with s, so
+    d(x, Z) = |x| - |c|."""
+    m = len(s)
+
+    def dist_along(path):
+        stack = list(path.start)
+        c = 0
+        for a, b in zip(stack, s):
+            if a != b:
+                break
+            c += 1
+        out = [len(stack) - c]
+        for (letter,) in path.step_letters():
+            if stack and stack[-1] == -letter:
+                stack.pop()
+                if c > len(stack):
+                    c = len(stack)
+            else:
+                if c == len(stack) and c < m and s[c] == letter:
+                    c += 1
+                stack.append(letter)
+            out.append(len(stack) - c)
+        return out
+
+    return dist_along
+
+
+def _syllable_dist_along(sp, letters):
+    """Free products.  Let x = u_1 ... u_k in normal form share exactly c
+    leading syllables with s.  Every vertex of Z outside the stretch of
+    s_{c+1} is at least as far from x as the vertex s_1 ... s_c, which is
+    at distance ||x|| - (|s_1| + ... + |s_c|).  Inside that stretch a
+    vertex s_1 ... s_c p is closer only when u_{c+1} lies in the same
+    factor, by ||u_{c+1}|| - min_p d(p, u_{c+1}) over the factor
+    geodesic's vertices p.  So each vertex of a path costs one scan of a
+    single syllable of Z, not a sweep of Z.  None when a syllable is not
+    read along a factor geodesic.
+    """
     syllables, stretches, before = [], [], [0]
-    for i, g in Z.letters:
+    for i, g in letters:
         f = sp.factors[i]
         if not syllables or syllables[-1][0] != i:
             syllables.append((i, f.identity))
@@ -1344,7 +1354,7 @@ def syllable_oracles(Z):
             before.append(before[-1])
         e = f.mul(syllables[-1][1], g)
         if f.norm(e) != len(stretches[-1]):
-            return None  # this syllable is not read along a geodesic
+            return None
         syllables[-1] = (i, e)
         stretches[-1].append(e)
         before[-1] += 1
@@ -1354,8 +1364,10 @@ def syllable_oracles(Z):
     def dist_along(path):
         acc = sp.right_acc(path.start)
         stack = acc.stack  # [factor, element, norm] per syllable of x
-        c = 0  # how many leading syllables x shares with s
-        while c < min(len(stack), m) and (stack[c][0], stack[c][1]) == s[c]:
+        c = 0
+        for (i, e, _), syl in zip(stack, s):
+            if (i, e) != syl:
+                break
             c += 1
 
         def dist():
@@ -1366,10 +1378,8 @@ def syllable_oracles(Z):
             return d
 
         out = [dist()]
-        for g in (path.letters if path.letters is not None
-                  else path.step_letters()):
+        for g in path.step_letters():
             acc.push(g)
-            # a push changes only the top syllable
             n = len(stack)
             c = min(c, n - 1) if n else 0
             if n and c == n - 1 and n <= m \
@@ -1378,7 +1388,4 @@ def syllable_oracles(Z):
             out.append(dist())
         return out
 
-    def dist_fn(x):
-        return dist_along(PathSeg(sp, start=x, letters=()))[0]
-
-    return dist_fn, dist_along
+    return dist_along

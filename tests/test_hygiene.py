@@ -41,3 +41,47 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_attributes(sources):
+    """(file, line, name) of each private attribute ``obj._x`` that some
+    source stores and no source reads.
+
+    `sources` maps a file name to its text.  A store is an assignment
+    target ``obj._x = ...`` (augmented, annotated and tuple targets
+    included); a read is an attribute load ``obj._x`` anywhere, or the
+    string ``"_x"`` passed to ``getattr`` or ``hasattr``.  Dunder names are
+    exempt.
+    """
+    stored, read = [], set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.append((name, node.lineno, node.attr))
+                elif isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("getattr", "hasattr")
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return [(name, line, attr) for name, line, attr in stored
+            if attr.startswith("_") and not attr.startswith("__")
+            and attr not in read]
+
+
+def test_checker_flags_an_unread_private_attribute():
+    src = ("class A:\n"
+           "    def __init__(self):\n"
+           "        self._a, self._b = 1, 2\n"
+           "        self._c = 3\n"
+           "        self.d = 4\n"
+           "    def f(self):\n"
+           "        return self._a + getattr(self, '_c')\n")
+    assert unread_private_attributes({"a.py": src}) == [("a.py", 3, "_b")]
+
+
+def test_every_stored_private_attribute_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_attributes(sources) == []

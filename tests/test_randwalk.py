@@ -3,7 +3,7 @@ import math
 import pytest
 
 from coarselab import randwalk as rw
-from coarselab import sublinear
+from coarselab import relhyp, sublinear
 from coarselab.errors import DomainError, Inconclusive
 from coarselab.space import FreeGroupSpace, FreeProductSpace, GridSpace
 
@@ -280,10 +280,10 @@ def test_walk_stats_csv(tmp_path, f2_paths):
 
 
 def test_excursion_csv(tmp_path, zz):
-    ray = __import__("coarselab.relhyp", fromlist=["excursion_ray"]) \
-        .excursion_ray(zz, 12, lambda k: int(math.log2(1 + k)))
+    ray = relhyp.excursion_ray(zz, 12, lambda k: int(math.log2(1 + k)))
+    rows, _, _ = relhyp.excursion_profile(zz, ray, 0, KLOG)
     out = tmp_path / "excursion.csv"
-    rw.write_excursion_csv(str(out), zz, ray, 0, KLOG)
+    rw.write_excursion_csv(str(out), rows)
     lines = _read_csv(out)
     assert lines[1] == "coset_id,excursion,coned_norm,ratio"
     assert len(lines) == 2 + 12

@@ -21,7 +21,8 @@ from coarselab.relhyp import (ConedBallOracle, PeripheralCoset, big_projection,
                               require_relhyp)
 from coarselab.relhyp import \
     test_excursion_contracting as check_excursion_contracting
-from coarselab.space import PathSeg, build_space, syllable_oracles
+from coarselab.space import (PathSeg, build_space, distance_to_set,
+                             geodesic_dist_along)
 
 K1 = sublinear.by_tag("1")
 KLOG = sublinear.by_tag("log")
@@ -224,6 +225,13 @@ def test_lift_between_offset_points(zz):
 ZZ = build_space("free_product(grid(2), free_group(1))")
 
 
+def _word(sp, letters):
+    w = sp.identity
+    for g in letters:
+        w = sp.mul_gen(w, g)
+    return w
+
+
 @given(data=st.data())
 def test_lift_distance_oracles_match_pointwise(data):
     gens = st.sampled_from(ZZ.gens)
@@ -244,16 +252,31 @@ def test_lift_distance_oracles_match_pointwise(data):
     zs = lift.vertex_list()
     expected = [min(ZZ.dist(v, z) for z in zs) for v in path.vertex_list()]
     assert lift.dist_along(path) == expected
-    assert [lift.dist_fn(v) for v in path.vertex_list()] == expected
+    assert [distance_to_set(ZZ, v, lift) for v in path.vertex_list()] == expected
 
 
-def test_syllable_oracles_need_geodesic_syllables_from_o(zz, f2):
+def test_geodesic_dist_along_needs_a_geodesic_from_o(zz, f2, z2):
     a, a_inv = zz.parse_word("a")[0], (0, (-1, 0))
-    assert syllable_oracles(PathSeg(zz, letters=[a, a_inv])) is None
-    assert syllable_oracles(
+    assert geodesic_dist_along(PathSeg(zz, letters=[a, a_inv])) is None
+    assert geodesic_dist_along(
         PathSeg(zz, start=zz.parse_word("t"), letters=[a])) is None
-    assert syllable_oracles(PathSeg(f2, letters=[(1,)])) is None
-    assert syllable_oracles(PathSeg(zz, letters=[a, a])) is not None
+    assert geodesic_dist_along(PathSeg(f2, letters=[(1,), (-1,)])) is None
+    assert geodesic_dist_along(PathSeg(f2, start=(2,), letters=[(1,)])) is None
+    assert geodesic_dist_along(PathSeg(z2, letters=[(1, 0)])) is None
+    assert geodesic_dist_along(PathSeg(zz, letters=[a, a])) is not None
+    assert geodesic_dist_along(PathSeg(f2, letters=[(1,), (2,)])) is not None
+
+
+@given(data=st.data())
+def test_lift_passes_through_every_report_vertex(data):
+    gens = st.sampled_from(ZZ.gens)
+    x, y = (_word(ZZ, data.draw(st.lists(gens, max_size=30))) for _ in "xy")
+    report = coned_distance(ZZ, x, y)
+    lift, _ = lift_coned_geodesic(ZZ, report, start=x)
+    visited = iter(lift.vertex_list())
+    # the report's vertices, from x to y, form a subsequence of the lift's
+    for v in [x] + [edge[2] for edge in report.edges]:
+        assert any(w == v for w in visited), v
 
 
 # ---------------------------------------------------------------------------

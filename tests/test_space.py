@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -11,7 +11,8 @@ from coarselab.errors import DomainError
 from coarselab.relhyp import coned_dist, coned_distances_along_path
 from coarselab.space import (PathSeg, axis_ray, build_space, change_generators,
                              distance_to_set, distances_along_path,
-                             first_time_at_norm, is_quasi_geodesic,
+                             distances_to_set, first_time_at_norm,
+                             geodesic_dist_along, is_quasi_geodesic,
                              nearest_point_projection, self_check)
 
 
@@ -212,24 +213,52 @@ def test_free_product_norm_example(zz):
                                   "free_product(grid(2), free_group(1))"])
 def test_axis_ray_distance_oracles(spec):
     sp = build_space(spec)
-    # the free-product closed form needs the axis in a free-group factor
-    gen = (1, (1,)) if spec.startswith("free_product") else None
-    ray = axis_ray(sp, 12, gen=gen)
+    ray = axis_ray(sp, 12)
+    assert ray.dist_along is not None
     verts = sorted(oracles.bfs_ball(sp, sp.basepoint, 4), key=sp.vertex_key)
     ray_pts = ray.vertex_list()
     rng = random.Random(3)
     for x in _sample(rng, verts, 50):
         brute = min(sp.dist(x, p) for p in ray_pts)
-        assert ray.dist_fn(x) == brute
         assert distance_to_set(sp, x, ray) == brute
 
 
-def test_axis_ray_dist_along_matches_pointwise(f2):
-    ray = axis_ray(f2, 10)
-    path = PathSeg(f2, start=(2, 2), letters=[(1,), (1,), (-2,), (1,), (2,)])
-    swept = ray.dist_along(path)
-    expected = [ray.dist_fn(v) for v in path.vertex_list()]
-    assert swept == expected
+GEODESIC_SPACES = {
+    "free_group(2)": build_space("free_group(2)"),
+    "Z2*Z": build_space("free_product(grid(2), free_group(1))"),
+    "F2*Z": build_space("free_product(free_group(2), grid(1))"),
+}
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_axis_ray_dist_along_matches_pointwise(data):
+    """The closed-form hook of a normal-form geodesic from o (a geodesic to
+    a random element, or an axis ray along any generator, grid-factor ones
+    included) against the brute-force minimum over the target."""
+    sp = GEODESIC_SPACES[data.draw(st.sampled_from(sorted(GEODESIC_SPACES)))]
+    gens = st.sampled_from(sp.gens)
+    if data.draw(st.booleans()):
+        Z = axis_ray(sp, data.draw(st.integers(0, 12)), gen=data.draw(gens))
+    else:
+        Z = sp.geodesic(sp.identity,
+                        _word(sp, data.draw(st.lists(gens, max_size=20))))
+        Z.dist_along = geodesic_dist_along(Z)
+    assert Z.dist_along is not None
+    zs = Z.vertex_list()
+    # start near vertex k of Z, step onto it, walk back along Z towards o
+    # (which shortens the prefix shared with Z), then stray
+    k = data.draw(st.integers(0, len(zs) - 1))
+    off = data.draw(st.lists(gens, max_size=5))
+    back = Z.letters[data.draw(st.integers(0, k)):k]
+    letters = [sp.gen_inv(g) for g in reversed(off)] \
+        + [sp.gen_inv(g) for g in reversed(back)] \
+        + data.draw(st.lists(gens, max_size=20))
+    path = PathSeg(sp, start=_word(sp, Z.letters[:k] + off), letters=letters)
+    vs = path.vertex_list()
+    expected = [min(sp.dist(v, z) for z in zs) for v in vs]
+    assert distances_to_set(sp, path, Z) == expected
+    assert distances_to_set(sp, PathSeg(sp, vertices=vs), Z) == expected
 
 
 # name -> (space, max letters in the start, in x, and on the path); the
@@ -315,7 +344,7 @@ def test_loopy_ray_prefix_distances(loopy):
     ray = loopy.ray_prefix(60)
     x = loopy.apex(5)
     brute = min(oracles.bfs_dist(loopy, x, ("r", k)) for k in range(0, 61))
-    assert ray.dist_fn(x) == brute == 25
+    assert distance_to_set(loopy, x, ray) == brute == 25
 
 
 # ---------------------------------------------------------------------------
