@@ -439,13 +439,9 @@ def _random_pairs(sp, count, radius, seed):
     pairs = []
     for i in range(count):
         rng = rng_for(seed, 13, i)
-        pts = []
-        for _ in range(2):
-            acc = sp.right_acc(sp.identity)
-            for _ in range(rng.randint(0, radius)):
-                acc.push(rng.choice(sp.gens))
-            pts.append(acc.value())
-        pairs.append(tuple(pts))
+        pairs.append(tuple(
+            morse._random_walk_vertex(sp, rng, rng.randint(0, radius))
+            for _ in range(2)))
     return pairs
 
 

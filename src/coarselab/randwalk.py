@@ -8,15 +8,18 @@ sums, maxima, or quantiles over index-ordered results.
 Paths are deliberately lightweight: a SamplePath stores its seed and
 replays the walk on demand, keeping only dyadic-checkpoint summaries in
 memory.  One statistics pass over 400 paths of length 2^12 replays in
-about 1.6 s on free_group(2) and 4.1 s on free_product(grid(2),
-free_group(1)) (one core, Python 3.11), so a 10^4-path ensemble takes
-about 40 s and 100 s.
+about 0.45 s on free_group(2) and 2.6 s on free_product(grid(2),
+free_group(1)) (one core, Python 3.11, shared 2-core host), so a
+10^4-path ensemble takes about 11 s and 65 s.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -113,41 +116,32 @@ class SamplePath:
         self.seed = seed
         self._stats = None
 
-    def _rng(self):
-        import random
-        return random.Random(self.seed)
-
-    def _walk(self):
-        """Yield (step index, accumulator) after each step, 1-based."""
+    def _replay(self, indices):
+        """Step the walk once, yielding its accumulator at each of the
+        non-decreasing step `indices` (0 is the identity)."""
         sp = self.sp
-        rng = self._rng()
+        draw = random.Random(self.seed).random
         letters = _step_letters(sp, self.mu)
-        cum = []
-        tot = 0.0
-        for _, p in self.mu.support:
-            tot += p
-            cum.append(tot)
+        # a draw past the last running sum (rounding) takes the last element
+        letters.append(letters[-1])
+        cum = list(itertools.accumulate(p for _, p in self.mu.support))
         acc = sp.right_acc(sp.identity)
-        for k in range(1, self.length + 1):
-            i = bisect.bisect_left(cum, rng.random())
-            i = min(i, len(cum) - 1)
-            for g in letters[i]:
-                acc.push(g)
-            yield k, acc
+        push = acc.push
+        k = 0
+        for target in indices:
+            for _ in range(target - k):
+                for g in letters[bisect.bisect_left(cum, draw())]:
+                    push(g)
+            k = target
+            yield acc
 
     def positions_at(self, indices):
         """w_k for each requested index, in one replay."""
-        want = set(indices)
-        out = {}
-        if 0 in want:
-            out[0] = self.sp.identity
-        for k, acc in self._walk():
-            if k in want:
-                out[k] = acc.value()
-        missing = want - set(out)
-        if missing:
-            raise DomainError(f"indices beyond the path length: {sorted(missing)}")
-        return out
+        ks = sorted(set(indices))
+        bad = [k for k in ks if not 0 <= k <= self.length]
+        if bad:
+            raise DomainError(f"indices outside [0, {self.length}]: {bad}")
+        return {k: acc.value() for k, acc in zip(ks, self._replay(ks))}
 
     def stats(self):
         """Dyadic-checkpoint norms (and peripheral data on relhyp spaces)."""
@@ -155,16 +149,12 @@ class SamplePath:
             return self._stats
         sp = self.sp
         ks = _dyadic_checkpoints(self.length)
-        want = set(ks)
-        relhyp = isinstance(sp, _rh.FreeProductSpace) and \
-            bool(_rh.peripheral_indices(sp))
-        pers = set(_rh.peripheral_indices(sp)) if relhyp else set()
+        pers = _rh.peripheral_indices(sp) \
+            if isinstance(sp, _rh.FreeProductSpace) else ()
         norms, coned, maxp = {}, {}, {}
-        for k, acc in self._walk():
-            if k not in want:
-                continue
+        for k, acc in zip(ks, self._replay(ks)):
             norms[k] = acc.norm
-            if relhyp:
+            if pers:
                 c = 0
                 m = 0
                 for i, e, nrm in acc.stack:
@@ -191,16 +181,9 @@ def sample_paths(sp, mu, n, count, seed):
     return [SamplePath(sp, mu, n, derive_seed(seed, i)) for i in range(count)]
 
 
-def _stats_worker(path):
-    return path.stats()
-
-
 def ensemble_stats(paths, jobs=1):
     """PathStats for every path, index-ordered (identical for any jobs)."""
-    if jobs <= 1:
-        return [p.stats() for p in paths]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        stats = list(ex.map(_stats_worker, paths, chunksize=32))
+    stats = _map_jobs(SamplePath.stats, paths, jobs)
     for p, s in zip(paths, stats):
         p._stats = s
     return stats
@@ -406,6 +389,9 @@ def tracking_profile(paths, proxies, jobs=1, threshold=0.05):
     """
     if len(paths) != len(proxies):
         raise DomainError("need one proxy per path")
+    N = max((proxy.horizon for proxy in proxies), default=0)
+    if N < 2:
+        raise DomainError(f"no dyadic checkpoint n <= N/2 at horizon N = {N}")
     per_band = {}
     items = list(zip(paths, proxies))
     results = _map_jobs(_tracking_worker, items, jobs)
@@ -492,8 +478,7 @@ def direction_cell(sp, v):
 
 def hitting_histogram(sp, paths, jobs=1):
     """Empirical distribution of proxy-ray initial cells; sums to 1."""
-    items = [(sp, p) for p in paths]
-    cells = _map_jobs(_hitting_worker, items, jobs)
+    cells = _map_jobs(_hitting_worker, paths, jobs)
     hist = {}
     for c in cells:
         hist[c] = hist.get(c, 0) + 1
@@ -501,10 +486,9 @@ def hitting_histogram(sp, paths, jobs=1):
     return {c: hist[c] / total for c in sorted(hist)}
 
 
-def _hitting_worker(item):
-    sp, path = item
+def _hitting_worker(path):
     w = path.positions_at({path.length})[path.length]
-    return direction_cell(sp, w)
+    return direction_cell(path.sp, w)
 
 
 def excursion_of_walk_ray(sp, paths, kappa, constants=None, jobs=1,
@@ -518,8 +502,8 @@ def excursion_of_walk_ray(sp, paths, kappa, constants=None, jobs=1,
     """
     _rh.require_relhyp(sp)
     constants = constants if constants is not None else _rh.default_constants(sp)
-    items = [(sp, p, kappa, constants) for p in paths]
-    results = _map_jobs(_excursion_worker, items, jobs)
+    results = _map_jobs(functools.partial(_excursion_worker, kappa, constants),
+                        paths, jobs)
     full = sorted(r[0] for r in results)
     half = sorted(r[1] for r in results)
     qf = _quantile(full, quantile)
@@ -531,8 +515,8 @@ def excursion_of_walk_ray(sp, paths, kappa, constants=None, jobs=1,
                                      "q_half": qh, "kappa": kappa.tag})
 
 
-def _excursion_worker(item):
-    sp, path, kappa, constants = item
+def _excursion_worker(kappa, constants, path):
+    sp = path.sp
     out = []
     pos = path.positions_at({path.length, path.length // 2})
     for N in (path.length, path.length // 2):

@@ -5,7 +5,12 @@ deliberately avoiding the closed-form norm/distance/projection code under
 test.  Slow on purpose.
 """
 
+import bisect
+import itertools
+import random
 from collections import deque
+
+from coarselab.space import FreeProductSpace
 
 
 def bfs_ball(sp, center, radius):
@@ -58,6 +63,28 @@ def all_pairs_quasi_geodesic(sp, vertices, q, Q):
                 worst, witness = slack, (s, t, d)
     ok = worst >= -1e-9
     return ok, worst, None if ok else witness
+
+
+# ---------------------------------------------------------------------------
+# random walks, stepped by group multiplication
+
+def walk_positions(sp, mu, n, seed):
+    """[w_0, ..., w_n] of the walk with step measure mu seeded by `seed`.
+
+    One random.Random(seed) draw per step picks a support element by
+    bisect_left on the running sums of the probabilities, and one sp.mul
+    multiplies it on the right.  A free-product generator letter is the
+    one-syllable element it spells.
+    """
+    rng = random.Random(seed)
+    elements = [(e,) if isinstance(sp, FreeProductSpace) and e in sp.gens
+                else e for e, _ in mu.support]
+    sums = list(itertools.accumulate(p for _, p in mu.support))
+    out = [sp.identity]
+    for _ in range(n):
+        i = min(bisect.bisect_left(sums, rng.random()), len(sums) - 1)
+        out.append(sp.mul(out[-1], elements[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,27 @@ def test_module_errors_are_recorded_not_raised(tmp_path):
     assert "DomainError" in by_name["distance_formula"]["error"]
 
 
+def test_tracking_without_a_checkpoint_records_the_error(tmp_path):
+    # at n = 1 no dyadic checkpoint lies at or below N/2
+    text = """\
+[experiment]
+seed = 11
+space = free_group(2)
+
+[walk]
+statistic = tracking
+n = 1
+count = 4
+"""
+    out = tmp_path / "out"
+    assert main(["walk", "--config", _write(tmp_path, text),
+                 "--out", str(out)]) == 1
+    (rec,) = json.loads((out / "summary.json").read_text())["results"]
+    assert rec["section"] == "walk" and not rec["ok"]
+    assert rec["error"].startswith("DomainError: ")
+    assert "horizon N = 1" in rec["error"]
+
+
 @pytest.mark.parametrize("exc", [GenerationError, CertificationError,
                                  NotSublinear])
 def test_section_errors_still_write_the_summary(tmp_path, monkeypatch, exc):

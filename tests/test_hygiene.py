@@ -85,3 +85,51 @@ def test_checker_flags_an_unread_private_attribute():
 def test_every_stored_private_attribute_is_read():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_attributes(sources) == []
+
+
+def unreferenced_private_definitions(sources):
+    """(file, line, name) of each private function, method or class that
+    some source defines and no source references.
+
+    `sources` maps a file name to its text.  A definition is a ``def``,
+    ``async def`` or ``class`` statement at any depth whose name starts
+    with one underscore; a reference is a bare name or an attribute
+    ``obj._x`` read anywhere.  Dunder names are exempt.
+    """
+    defined, referenced = [], set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((name, node.lineno, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                referenced.add(node.attr)
+    return [(name, line, fn) for name, line, fn in defined
+            if fn.startswith("_") and not fn.startswith("__")
+            and fn not in referenced]
+
+
+def test_checker_flags_an_unreferenced_private_definition():
+    src = ("def _used():\n"
+           "    pass\n"
+           "def _unused():\n"
+           "    _other = 1\n"
+           "class _Box:\n"
+           "    def __init__(self):\n"
+           "        self._walk = None\n"
+           "    def _walk(self):\n"
+           "        pass\n"
+           "    def _step(self):\n"
+           "        return _used()\n"
+           "def public():\n"
+           "    return _Box()._step()\n")
+    assert unreferenced_private_definitions({"a.py": src}) == [
+        ("a.py", 3, "_unused"), ("a.py", 8, "_walk")]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

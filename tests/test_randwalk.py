@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import oracles
 from coarselab import randwalk as rw
 from coarselab import relhyp, sublinear
 from coarselab.errors import DomainError, Inconclusive
@@ -79,6 +80,48 @@ def test_ensemble_stats_identical_across_jobs(f2_paths):
 def test_positions_beyond_length_rejected(f2_paths):
     with pytest.raises(DomainError):
         f2_paths[0].positions_at({512})
+
+
+def _walk_case(name, f2, zz):
+    if name == "free_group":
+        return f2, rw.uniform_generator_measure(f2)
+    if name == "free_product":
+        return zz, rw.uniform_generator_measure(zz)
+    # non-uniform, with a two-syllable element that is not a generator
+    return zz, rw.StepMeasure((((0, (1, 0)), 0.15), ((1, (1,)), 0.25),
+                               (((0, (2, -1)), (1, (1,))), 0.35),
+                               ((1, (-1,)), 0.25)))
+
+
+@pytest.mark.parametrize("case", ["free_group", "free_product", "non_uniform"])
+def test_replay_matches_the_reference_walk(case, f2, zz):
+    sp, mu = _walk_case(case, f2, zz)
+    pers = relhyp.peripheral_indices(sp) if sp is zz else ()
+    n = 300
+    for p in rw.sample_paths(sp, mu, n, 4, seed=3):
+        ref = oracles.walk_positions(sp, mu, n, p.seed)
+        assert p.positions_at(range(n + 1)) == dict(enumerate(ref))
+        s = p.stats()
+        ks = s.checkpoints
+        assert s.norms == {k: sp.norm(ref[k]) for k in ks}
+        if not pers:
+            assert s.coned == {} and s.max_peripheral == {}
+            continue
+        assert s.coned == {k: relhyp.coned_norm(sp, ref[k]) for k in ks}
+        assert s.max_peripheral == {
+            k: max((sp.factors[i].norm(e) for i, e in ref[k] if i in pers),
+                   default=0)
+            for k in ks}
+
+
+def test_positions_at_edge_indices(f2):
+    p = rw.sample_paths(f2, rw.uniform_generator_measure(f2), 16, 1, seed=0)[0]
+    assert p.positions_at({0}) == {0: f2.identity}
+    assert p.positions_at({0, 16}) == {0: f2.identity,
+                                       16: p.positions_at({16})[16]}
+    for bad in ({-1}, {17}):
+        with pytest.raises(DomainError):
+            p.positions_at(bad)
 
 
 def test_sample_paths_validation(f2):
@@ -211,6 +254,14 @@ def test_tracking_profile_free_group(f2, f2_paths):
     assert rows[-1][1] <= 0.05
     with pytest.raises(DomainError):
         rw.tracking_profile(paths, proxies[:-1])
+
+
+def test_tracking_profile_needs_a_checkpoint_below_half_the_horizon(f2):
+    paths = rw.sample_paths(f2, rw.uniform_generator_measure(f2), 1, 3,
+                            seed=0)
+    proxies = [rw.limit_ray_proxy(f2, p) for p in paths]
+    with pytest.raises(DomainError, match="horizon N = 1"):
+        rw.tracking_profile(paths, proxies)
 
 
 # ---------------------------------------------------------------------------
