@@ -178,6 +178,28 @@ def test_reruns_are_byte_identical(tmp_path):
         assert a == b, name
 
 
+@pytest.mark.parametrize("statistic", ["tracking", "excursion"])
+def test_jobs_leave_the_output_bytes_unchanged(tmp_path, statistic):
+    text = f"""\
+[experiment]
+seed = 11
+space = free_product(grid(2), free_group(1))
+
+[walk]
+statistic = {statistic}
+n = 256
+count = 40
+"""
+    path = _write(tmp_path, text)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        main(["run", "--config", path, "--jobs", jobs, "--out", str(out)])
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "summary.json" in outs[0]
+    assert outs[1] == outs[0]
+
+
 # ---------------------------------------------------------------------------
 # surgery fixtures
 
