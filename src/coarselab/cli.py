@@ -64,7 +64,7 @@ SCHEMA = {
         "seed": (_int, None),
         "space": (_str, None),
         "out": (_str, "results"),
-        "jobs": (_int, 1),
+        "jobs": (_int, 1),      # accepted; has no effect (single-process)
         "tests": (_str, ""),
     },
     "morse": {
@@ -313,7 +313,7 @@ def _record(name, verdict=None, expect="pass", extra=None, error=None):
     return rec
 
 
-def _run_morse(sp, cfg, seed, jobs, out_dir, regen):
+def _run_morse(sp, cfg, seed, out_dir, regen):
     Z = _make_target(sp, cfg["target"], cfg["length"])
     if cfg["gauge"] == "derive":
         gauge = morse.derived_gauge(cfg["c1"], cfg["c2"], cfg["d1"], cfg["d2"],
@@ -326,7 +326,7 @@ def _run_morse(sp, cfg, seed, jobs, out_dir, regen):
     return _record("morse", v, cfg["expect"])
 
 
-def _run_contract(sp, cfg, seed, jobs, out_dir, regen):
+def _run_contract(sp, cfg, seed, out_dir, regen):
     Z = _make_target(sp, cfg["target"], cfg["length"])
     proj = _target_projection(sp, Z)
     consts, v = morse.test_kappa_contracting(sp, Z, proj, cfg["kappa"],
@@ -335,7 +335,7 @@ def _run_contract(sp, cfg, seed, jobs, out_dir, regen):
                    extra={"C1": consts.C1, "C2": consts.C2})
 
 
-def _run_excursion(sp, cfg, seed, jobs, out_dir, regen):
+def _run_excursion(sp, cfg, seed, out_dir, regen):
     relhyp.require_relhyp(sp)
     gamma = relhyp.excursion_ray(sp, cfg["syllables"], _sizes_fn(cfg["sizes"]))
     constants = relhyp.default_constants(sp)
@@ -352,13 +352,13 @@ def _run_excursion(sp, cfg, seed, jobs, out_dir, regen):
     return _record("excursion", v, cfg["expect"], extra=extra)
 
 
-def _run_walk(sp, cfg, seed, jobs, out_dir, regen):
+def _run_walk(sp, cfg, seed, out_dir, regen):
     mu = _step_measure(sp, cfg["support"])
     paths = randwalk.sample_paths(sp, mu, cfg["n"], cfg["count"], seed)
     stat = cfg["statistic"]
     extra = {"statistic": stat, "n": cfg["n"], "count": cfg["count"]}
     # replays every walk once; the statistics below read the cached stats
-    randwalk.ensemble_stats(paths, jobs=jobs)
+    randwalk.ensemble_stats(paths)
     randwalk.write_walk_stats_csv(os.path.join(out_dir, "walk_stats.csv"),
                                   paths)
     if stat == "drift":
@@ -378,7 +378,7 @@ def _run_walk(sp, cfg, seed, jobs, out_dir, regen):
                                                         hi=cfg["n"])
     elif stat == "tracking":
         proxies = [randwalk.limit_ray_proxy(sp, p) for p in paths]
-        rows, v1, v2 = randwalk.tracking_profile(paths, proxies, jobs=jobs)
+        rows, v1, v2 = randwalk.tracking_profile(paths, proxies)
         randwalk.write_tracking_csv(os.path.join(out_dir, "tracking.csv"), rows)
         v = morse.Verdict(bool(v1) and bool(v2), test="tracking",
                           margin=min(v1.margin, v2.margin),
@@ -386,20 +386,20 @@ def _run_walk(sp, cfg, seed, jobs, out_dir, regen):
                                       "log2": v2.to_json()},
                           seed=seed, space=sp.kind)
     elif stat == "hitting":
-        hist = randwalk.hitting_histogram(sp, paths, jobs=jobs)
+        hist = randwalk.hitting_histogram(paths)
         v = morse.Verdict(abs(sum(hist.values()) - 1.0) < 1e-9, test="hitting",
                           parameters={"histogram": hist}, seed=seed,
                           space=sp.kind)
         extra["histogram"] = hist
     elif stat == "excursion":
         kappa = sublinear.by_tag("log")
-        _, v = randwalk.excursion_of_walk_ray(sp, paths, kappa, jobs=jobs)
+        _, v = randwalk.excursion_of_walk_ray(sp, paths, kappa)
     else:
         raise ConfigError(f"unknown walk statistic {stat!r}")
     return _record("walk", v, cfg["expect"], extra=extra)
 
 
-def _run_gauge(sp, cfg, seed, jobs, out_dir, regen):
+def _run_gauge(sp, cfg, seed, out_dir, regen):
     der = morse.derive_gauge(cfg["q"], cfg["big_q"], cfg["c1"], cfg["c2"],
                              cfg["d1"], cfg["d2"], cfg["kappa"])
     v = morse.Verdict(True, test="gauge", margin=der.m_Z,
@@ -410,7 +410,7 @@ def _run_gauge(sp, cfg, seed, jobs, out_dir, regen):
     return _record("gauge", v, "pass", extra={"m_Z": der.m_Z})
 
 
-def _run_surgery(sp, cfg, seed, jobs, out_dir, regen):
+def _run_surgery(sp, cfg, seed, out_dir, regen):
     if not sp.is_group:
         raise ConfigError("surgery needs a group space")
     seeds = load_surgery_fixtures(out_dir, sp, cfg["fixtures"], seed,
@@ -445,7 +445,7 @@ def _random_pairs(sp, count, radius, seed):
     return pairs
 
 
-def _run_distance_formula(sp, cfg, seed, jobs, out_dir, regen):
+def _run_distance_formula(sp, cfg, seed, out_dir, regen):
     relhyp.require_relhyp(sp)
     pairs = _random_pairs(sp, cfg["pairs"], cfg["radius"], seed)
     fit = relhyp.fit_distance_formula(sp, pairs, cfg["k"])
@@ -477,10 +477,13 @@ _RUNNERS = {
 def run_experiment(config, tests=None, seed=None, jobs=None, out=None,
                    regen_fixtures=False):
     """Run the selected sections and write `summary.json`; returns
-    (summary dict, exit code)."""
+    (summary dict, exit code).
+
+    `jobs`, like `--jobs` and the config's `jobs` key, is accepted and has
+    no effect: every section runs in this one process.
+    """
     sp = space.build_space(config.space_spec)
     seed = config.seed if seed is None else seed
-    jobs = config.jobs if jobs is None else jobs
     out_dir = config.out if out is None else out
     os.makedirs(out_dir, exist_ok=True)
     results = []
@@ -491,7 +494,7 @@ def run_experiment(config, tests=None, seed=None, jobs=None, out=None,
             continue
         runner = _RUNNERS[name]
         try:
-            results.append(runner(sp, cfg, seed, jobs, out_dir, regen_fixtures))
+            results.append(runner(sp, cfg, seed, out_dir, regen_fixtures))
         except (Inconclusive, PreconditionError, DomainError, ConfigError,
                 GenerationError, CertificationError, NotSublinear) as e:
             results.append(_record(name, expect=cfg.get("expect", "pass"),
@@ -529,7 +532,8 @@ def _parser():
         sp = sub.add_parser(cmd)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=None)
+        sp.add_argument("--jobs", type=int, default=None,
+                        help="accepted for old scripts; has no effect")
         sp.add_argument("--out", default=None)
         sp.add_argument("--regen-fixtures", action="store_true")
         sp.set_defaults(section=names[cmd])

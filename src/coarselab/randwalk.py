@@ -1,16 +1,18 @@
 """Seeded random walks on the built-in groups, with desk-scale statistics.
 
 Walks are generated from per-path derived seeds, so every statistic is
-bit-reproducible for a fixed (config, seed) regardless of worker count:
-path i always uses the same RNG stream, and all aggregations are either
-sums, maxima, or quantiles over index-ordered results.
+bit-reproducible for a fixed (config, seed): path i always uses the same
+RNG stream, and all aggregations are either sums, maxima, or quantiles over
+index-ordered results.
 
 Paths are deliberately lightweight: a SamplePath stores its seed and
 replays the walk on demand, keeping only dyadic-checkpoint summaries in
-memory.  One statistics pass over 400 paths of length 2^12 replays in
-about 0.45 s on free_group(2) and 2.6 s on free_product(grid(2),
-free_group(1)) (one core, Python 3.11, shared 2-core host), so a
-10^4-path ensemble takes about 11 s and 65 s.
+memory.  On free products of grids and free_group(1) the replay steps
+integer vectors instead of normal-form tuples.  One statistics pass over
+400 paths of length 2^12 replays in about 0.6 s on free_group(2) and
+0.85 s on free_product(grid(2), free_group(1)) (best of 3, one core,
+Python 3.11, shared 2-core host), so a 10^4-path ensemble takes about
+15 s and 21 s.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import relhyp as _rh
@@ -66,20 +67,44 @@ def uniform_generator_measure(sp):
     return StepMeasure.uniform(sp.gens)
 
 
-def _step_letters(sp, mu):
-    """Letter spelling of each support element (an element may be a word in
-    the generators, e.g. a squared generator)."""
-    out = []
-    for e, p in mu.support:
-        if e in sp.gens:
-            out.append([e])
-        else:
-            seg = sp.geodesic(sp.identity, e)
-            letters = seg.step_letters()
-            if not letters:
-                raise DomainError("identity element in step support")
-            out.append(letters)
-    return out
+@functools.lru_cache(maxsize=8)
+def _step_table(sp, mu):
+    """What a replay draws from, built once per (space, measure) and shared
+    by every path of an ensemble: (running sums of the probabilities, one
+    step per support element, flat encoding or None).
+
+    A step is the element's letters (an element may be a word in the
+    generators, e.g. a squared generator).  On a free product of grids and
+    free_group(1) (`flat_widths`) it is instead the element's normal form
+    as (factor, coordinate, delta) pieces, one per nonzero coordinate of
+    each syllable, and the encoding is (zero vector per factor, peripheral
+    flag per factor plus False for the identity's factor -1).  The last
+    step is listed twice: a draw past the last running sum (rounding)
+    takes it.
+    """
+    cum = tuple(itertools.accumulate(p for _, p in mu.support))
+    steps = []
+    for e, _ in mu.support:
+        letters = (e,) if e in sp.gens else \
+            tuple(sp.geodesic(sp.identity, e).step_letters())
+        if not letters:
+            raise DomainError("identity element in step support")
+        steps.append(letters)
+    widths = sp.flat_widths() if isinstance(sp, _rh.FreeProductSpace) else None
+    flat = None
+    if widths is not None:
+        for n, letters in enumerate(steps):
+            acc = sp.right_acc()
+            for g in letters:
+                acc.push(g)
+            syllables = map(sp.flat_syllable, acc.value())
+            steps[n] = tuple((i, j, d) for i, v in syllables
+                             for j, d in enumerate(v) if d)
+        pers = _rh.peripheral_indices(sp)
+        flat = (tuple((0,) * w for w in widths),
+                tuple(i in pers for i in range(len(widths))) + (False,))
+    steps.append(steps[-1])
+    return cum, tuple(steps), flat
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +144,65 @@ class SamplePath:
     def _replay(self, indices):
         """Step the walk once, yielding its accumulator at each of the
         non-decreasing step `indices` (0 is the identity)."""
-        sp = self.sp
+        cum, steps, _ = _step_table(self.sp, self.mu)
         draw = random.Random(self.seed).random
-        letters = _step_letters(sp, self.mu)
-        # a draw past the last running sum (rounding) takes the last element
-        letters.append(letters[-1])
-        cum = list(itertools.accumulate(p for _, p in self.mu.support))
-        acc = sp.right_acc(sp.identity)
+        acc = self.sp.right_acc()
         push = acc.push
         k = 0
         for target in indices:
             for _ in range(target - k):
-                for g in letters[bisect.bisect_left(cum, draw())]:
+                for g in steps[bisect.bisect_left(cum, draw())]:
                     push(g)
             k = target
             yield acc
+
+    def _flat_replay(self, indices):
+        """`_replay` on integer vectors, for a flat step table: yields
+        (norm, coned norm, max peripheral norm, stack, top) at each index,
+        with the same draws.
+
+        The top syllable is kept in locals: factor f, coordinate list c and
+        norm tn, and mx, nb, cb are the max peripheral norm, the norm and
+        the coned norm of the syllables under it.  `stack` holds the
+        syllables under the top as (f, c, tn, mx, nb, cb) entries, so a pop
+        restores all six and a checkpoint reads its statistics off the top
+        without scanning the stack.  The stack and the top are live: read
+        them before resuming.
+        """
+        cum, steps, (zeros, per) = _step_table(self.sp, self.mu)
+        draw = random.Random(self.seed).random
+        bisect_left = bisect.bisect_left
+        stack = []
+        push, pop = stack.append, stack.pop
+        f, c, tn = -1, None, 0     # the identity, as an empty factor -1
+        mx = nb = cb = 0
+        k = 0
+        for target in indices:
+            for _ in range(target - k):
+                for g, j, d in steps[bisect_left(cum, draw())]:
+                    if g == f:
+                        x = c[j]
+                        y = x + d
+                        c[j] = y
+                        tn += abs(y) - abs(x)
+                        if not tn:
+                            f, c, tn, mx, nb, cb = pop()
+                    else:
+                        push((f, c, tn, mx, nb, cb))
+                        nb += tn
+                        if per[f]:
+                            cb += 1
+                            if tn > mx:
+                                mx = tn
+                        else:
+                            cb += tn
+                        f, c, tn = g, [*zeros[g]], abs(d)
+                        c[j] = d
+            k = target
+            if per[f]:
+                yield nb + tn, cb + 1, max(mx, tn), stack, (f, c)
+            else:
+                yield nb + tn, cb + tn, mx, stack, (f, c)
 
     def positions_at(self, indices):
         """w_k for each requested index, in one replay."""
@@ -141,7 +210,14 @@ class SamplePath:
         bad = [k for k in ks if not 0 <= k <= self.length]
         if bad:
             raise DomainError(f"indices outside [0, {self.length}]: {bad}")
-        return {k: acc.value() for k, acc in zip(ks, self._replay(ks))}
+        sp = self.sp
+        if _step_table(sp, self.mu)[2] is None:
+            return {k: acc.value() for k, acc in zip(ks, self._replay(ks))}
+        out = {}
+        for k, (*_, stack, top) in zip(ks, self._flat_replay(ks)):
+            out[k] = tuple(sp.unflat_syllable(i, v)
+                           for i, v, *_ in (*stack, top) if i >= 0)
+        return out
 
     def stats(self):
         """Dyadic-checkpoint norms (and peripheral data on relhyp spaces)."""
@@ -152,20 +228,19 @@ class SamplePath:
         pers = _rh.peripheral_indices(sp) \
             if isinstance(sp, _rh.FreeProductSpace) else ()
         norms, coned, maxp = {}, {}, {}
-        for k, acc in zip(ks, self._replay(ks)):
-            norms[k] = acc.norm
-            if pers:
-                c = 0
-                m = 0
-                for i, e, nrm in acc.stack:
-                    if i in pers:
-                        c += 1
-                        if nrm > m:
-                            m = nrm
-                    else:
-                        c += nrm
-                coned[k] = c
-                maxp[k] = m
+        if _step_table(sp, self.mu)[2] is not None:
+            for k, (n, c, m, *_) in zip(ks, self._flat_replay(ks)):
+                norms[k] = n
+                if pers:
+                    coned[k], maxp[k] = c, m
+        else:
+            for k, acc in zip(ks, self._replay(ks)):
+                norms[k] = acc.norm
+                if pers:
+                    w = acc.value()
+                    coned[k] = _rh.coned_norm(sp, w)
+                    maxp[k] = max((sp.syllable_norm(syl) for syl in w
+                                   if syl[0] in pers), default=0)
         self._stats = PathStats(checkpoints=ks, norms=norms, coned=coned,
                                 max_peripheral=maxp)
         return self._stats
@@ -173,20 +248,16 @@ class SamplePath:
 
 def sample_paths(sp, mu, n, count, seed):
     """`count` independent length-n walks; path i is seeded by a mix of
-    (seed, i) so regeneration and parallel scheduling cannot reorder RNG
-    streams."""
+    (seed, i) so regeneration cannot reorder RNG streams."""
     if n < 1 or count < 1:
         raise DomainError("need n >= 1 and count >= 1")
-    _step_letters(sp, mu)  # validate support against the space up front
+    _step_table(sp, mu)  # validate support against the space up front
     return [SamplePath(sp, mu, n, derive_seed(seed, i)) for i in range(count)]
 
 
-def ensemble_stats(paths, jobs=1):
-    """PathStats for every path, index-ordered (identical for any jobs)."""
-    stats = _map_jobs(SamplePath.stats, paths, jobs)
-    for p, s in zip(paths, stats):
-        p._stats = s
-    return stats
+def ensemble_stats(paths):
+    """PathStats for every path, index-ordered; each path keeps its own."""
+    return [p.stats() for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +451,7 @@ def limit_ray_proxy(sp, path, N=None):
                     stability=max(0.0, float(stability)))
 
 
-def tracking_profile(paths, proxies, jobs=1, threshold=0.05):
+def tracking_profile(paths, proxies, threshold=0.05):
     """Distance from w_n to the proxy ray at dyadic n <= N/2, per path.
 
     Returns rows (n, median d/n, median d/log^2 n) and two verdicts: the
@@ -393,10 +464,8 @@ def tracking_profile(paths, proxies, jobs=1, threshold=0.05):
     if N < 2:
         raise DomainError(f"no dyadic checkpoint n <= N/2 at horizon N = {N}")
     per_band = {}
-    items = list(zip(paths, proxies))
-    results = _map_jobs(_tracking_worker, items, jobs)
-    for pairs in results:
-        for n, d in pairs:
+    for path, proxy in zip(paths, proxies):
+        for n, d in _tracking_distances(path, proxy):
             per_band.setdefault(n, []).append(d)
     rows = []
     for n in sorted(per_band):
@@ -413,8 +482,7 @@ def tracking_profile(paths, proxies, jobs=1, threshold=0.05):
     return rows, v1, v2
 
 
-def _tracking_worker(item):
-    path, proxy = item
+def _tracking_distances(path, proxy):
     sp = path.sp
     N = proxy.horizon
     ks = [k for k in _dyadic_checkpoints(path.length) if k <= N // 2]
@@ -429,13 +497,6 @@ def _tracking_worker(item):
         prefix = seg.prefix(max(cut, 2))
         out.append((k, min(distances_along_path(sp, x, prefix))))
     return out
-
-
-def _map_jobs(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items, chunksize=8))
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +537,19 @@ def direction_cell(sp, v):
     return f"g:{g}"
 
 
-def hitting_histogram(sp, paths, jobs=1):
+def hitting_histogram(paths):
     """Empirical distribution of proxy-ray initial cells; sums to 1."""
-    cells = _map_jobs(_hitting_worker, paths, jobs)
     hist = {}
-    for c in cells:
+    for path in paths:
+        w = path.positions_at({path.length})[path.length]
+        c = direction_cell(path.sp, w)
         hist[c] = hist.get(c, 0) + 1
     total = sum(hist.values())
     return {c: hist[c] / total for c in sorted(hist)}
 
 
-def _hitting_worker(path):
-    w = path.positions_at({path.length})[path.length]
-    return direction_cell(path.sp, w)
-
-
-def excursion_of_walk_ray(sp, paths, kappa, constants=None, jobs=1,
-                          quantile=0.95, stability_factor=1.5):
+def excursion_of_walk_ray(sp, paths, kappa, constants=None, quantile=0.95,
+                          stability_factor=1.5):
     """Fitted excursion constants E_gamma of walk limit-ray proxies.
 
     Computes the excursion profile of each path's proxy at horizons N and
@@ -502,8 +559,7 @@ def excursion_of_walk_ray(sp, paths, kappa, constants=None, jobs=1,
     """
     _rh.require_relhyp(sp)
     constants = constants if constants is not None else _rh.default_constants(sp)
-    results = _map_jobs(functools.partial(_excursion_worker, kappa, constants),
-                        paths, jobs)
+    results = [_walk_ray_excursions(path, kappa, constants) for path in paths]
     full = sorted(r[0] for r in results)
     half = sorted(r[1] for r in results)
     qf = _quantile(full, quantile)
@@ -515,7 +571,7 @@ def excursion_of_walk_ray(sp, paths, kappa, constants=None, jobs=1,
                                      "q_half": qh, "kappa": kappa.tag})
 
 
-def _excursion_worker(kappa, constants, path):
+def _walk_ray_excursions(path, kappa, constants):
     sp = path.sp
     out = []
     pos = path.positions_at({path.length, path.length // 2})

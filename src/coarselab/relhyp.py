@@ -141,53 +141,6 @@ def coned_dist_to_coset(sp, v, P):
     return d
 
 
-class ConedBallOracle:
-    """BFS oracle for d_Ghat on a finite ball, for cross-validation.
-
-    The coned graph restricted to a G-ball around the base point: ordinary
-    Cayley edges plus, per peripheral factor, complete adjacency within
-    each coset (a shortcut is one edge to any coset mate).  Coned geodesics
-    between x and y travel through normal-form prefixes, so a ball of
-    radius ||x|| + ||y|| contains some realizing path and the restricted
-    BFS is exact for such pairs.
-    """
-
-    def __init__(self, sp, radius, cap=2_000_000):
-        require_relhyp(sp)
-        self.sp = sp
-        self.radius = radius
-        self.vertices = set(sp.ball((), radius, cap=cap))
-        self._cosets = {}
-        for i in peripheral_indices(sp):
-            groups = {}
-            for v in self.vertices:
-                groups.setdefault(coset_of(sp, v, i), []).append(v)
-            self._cosets[i] = groups
-
-    def distances_from(self, x):
-        sp = self.sp
-        if x not in self.vertices:
-            raise DomainError("source outside the oracle ball")
-        dist = {x: 0}
-        frontier = [x]
-        spent = set()   # cosets already fully expanded
-        while frontier:
-            nxt = []
-            for v in frontier:
-                moves = [sp.mul_gen(v, g) for g in sp.gens]
-                for i, groups in self._cosets.items():
-                    P = coset_of(sp, v, i)
-                    if (i, P) not in spent:
-                        spent.add((i, P))
-                        moves.extend(groups.get(P, ()))
-                for w in moves:
-                    if w in self.vertices and w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
-
 # ---------------------------------------------------------------------------
 # coset projections and peripheral distances
 

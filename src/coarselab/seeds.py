@@ -2,7 +2,7 @@
 
 Every sampled family (probes, walk paths, pair samples) derives one child
 seed per index from the run seed via an integer mix, so results are
-bit-reproducible regardless of worker count or iteration order.  Python's
+bit-reproducible regardless of iteration order.  Python's
 `hash` is avoided on purpose: string hashing is salted per process.
 """
 

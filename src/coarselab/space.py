@@ -629,6 +629,29 @@ class FreeProductSpace(GroupSpace):
         return self._RightAcc(self, start if start is not None else (),
                               costs if costs is not None else self._word_costs)
 
+    # Flat encoding: when every factor is a grid or free_group(1), a factor
+    # element is an integer vector whose l^1 norm is its word norm -- the
+    # grid coordinates, or the signed length n of the word a^n in F_1 = Z.
+
+    def flat_widths(self):
+        """Per-factor vector widths of the flat encoding, or None when some
+        factor is a free group of rank >= 2."""
+        if not all(isinstance(f, GridSpace) or f.k == 1 for f in self.factors):
+            return None
+        return tuple(f.d if isinstance(f, GridSpace) else 1 for f in self.factors)
+
+    def flat_syllable(self, syl):
+        """(i, e) -> (i, integer vector of e)."""
+        i, e = syl
+        return i, e if isinstance(self.factors[i], GridSpace) else (sum(e),)
+
+    def unflat_syllable(self, i, v):
+        """(i, integer vector) -> the syllable (i, e)."""
+        if isinstance(self.factors[i], GridSpace):
+            return i, tuple(v)
+        (n,) = v
+        return i, (1,) * n if n > 0 else (-1,) * -n
+
     def geodesic(self, x, y):
         z = self.mul(self.inv(x), y)
         letters = []
@@ -1229,26 +1252,6 @@ class _RegeneratedSpace(GroupSpace):
                 raise DomainError("distance search too deep")
         self._norm_memo[v] = best
         return best
-
-
-def self_check(sp, radius=4, cap=DEFAULT_BALL_CAP, rng=None):
-    """Light invariant audit on a small ball: symmetry of the neighbor
-    relation, metric axioms on sampled triples, and norm consistency."""
-    import random
-    rng = rng or random.Random(0)
-    b = sp.ball(sp.basepoint, radius, cap=cap)
-    verts = sorted(b, key=sp.vertex_key)
-    for v in verts:
-        for w in sp.neighbors(v):
-            assert v in sp.neighbors(w), f"asymmetric edge {v!r} ~ {w!r}"
-        assert sp.norm(v) == b[v], f"norm mismatch at {v!r}"
-    for _ in range(200):
-        x, y, z = (rng.choice(verts) for _ in range(3))
-        dxy, dyx = sp.dist(x, y), sp.dist(y, x)
-        assert dxy == dyx, f"asymmetric metric on {x!r}, {y!r}"
-        assert sp.dist(x, z) <= dxy + sp.dist(y, z), "triangle inequality"
-        assert (dxy == 0) == (x == y)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import itertools
 import random
 from collections import deque
 
-from coarselab.space import FreeProductSpace
+from coarselab.errors import DomainError
+from coarselab.relhyp import coset_of, peripheral_indices, require_relhyp
+from coarselab.space import DEFAULT_BALL_CAP, FreeProductSpace
 
 
 def bfs_ball(sp, center, radius):
@@ -45,6 +47,25 @@ def bfs_dist(sp, x, y, cap=10 ** 6):
         if len(seen) > cap:
             raise RuntimeError("bfs_dist cap exceeded")
     raise RuntimeError("not connected")
+
+
+def self_check(sp, radius=4, cap=DEFAULT_BALL_CAP, rng=None):
+    """Light invariant audit on a small ball: symmetry of the neighbor
+    relation, metric axioms on sampled triples, and norm consistency."""
+    rng = rng or random.Random(0)
+    b = sp.ball(sp.basepoint, radius, cap=cap)
+    verts = sorted(b, key=sp.vertex_key)
+    for v in verts:
+        for w in sp.neighbors(v):
+            assert v in sp.neighbors(w), f"asymmetric edge {v!r} ~ {w!r}"
+        assert sp.norm(v) == b[v], f"norm mismatch at {v!r}"
+    for _ in range(200):
+        x, y, z = (rng.choice(verts) for _ in range(3))
+        dxy, dyx = sp.dist(x, y), sp.dist(y, x)
+        assert dxy == dyx, f"asymmetric metric on {x!r}, {y!r}"
+        assert sp.dist(x, z) <= dxy + sp.dist(y, z), "triangle inequality"
+        assert (dxy == 0) == (x == y)
+    return True
 
 
 def all_pairs_quasi_geodesic(sp, vertices, q, Q):
@@ -110,6 +131,53 @@ def coset_key(v, i):
 def coset_members(sp, i, prefix, universe):
     """All universe vertices lying in the coset prefix * factor_i."""
     return [v for v in universe if coset_key(v, i) == (i, prefix)]
+
+
+class ConedBallOracle:
+    """BFS oracle for d_Ghat on a finite ball, for cross-validation.
+
+    The coned graph restricted to a G-ball around the base point: ordinary
+    Cayley edges plus, per peripheral factor, complete adjacency within
+    each coset (a shortcut is one edge to any coset mate).  Coned geodesics
+    between x and y travel through normal-form prefixes, so a ball of
+    radius ||x|| + ||y|| contains some realizing path and the restricted
+    BFS is exact for such pairs.
+    """
+
+    def __init__(self, sp, radius, cap=2_000_000):
+        require_relhyp(sp)
+        self.sp = sp
+        self.radius = radius
+        self.vertices = set(sp.ball((), radius, cap=cap))
+        self._cosets = {}
+        for i in peripheral_indices(sp):
+            groups = {}
+            for v in self.vertices:
+                groups.setdefault(coset_of(sp, v, i), []).append(v)
+            self._cosets[i] = groups
+
+    def distances_from(self, x):
+        sp = self.sp
+        if x not in self.vertices:
+            raise DomainError("source outside the oracle ball")
+        dist = {x: 0}
+        frontier = [x]
+        spent = set()   # cosets already fully expanded
+        while frontier:
+            nxt = []
+            for v in frontier:
+                moves = [sp.mul_gen(v, g) for g in sp.gens]
+                for i, groups in self._cosets.items():
+                    P = coset_of(sp, v, i)
+                    if (i, P) not in spent:
+                        spent.add((i, P))
+                        moves.extend(groups.get(P, ()))
+                for w in moves:
+                    if w in self.vertices and w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        return dist
 
 
 def naive_coned_dist(sp, x, y, universe, peripherals):

@@ -133,3 +133,47 @@ def test_checker_flags_an_unreferenced_private_definition():
 def test_every_private_definition_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+# the program runs in one process, and numpy serves only array arithmetic:
+# walks draw from random.Random, whose stream the outputs are pinned to
+FORBIDDEN_IMPORTS = ("concurrent.futures", "multiprocessing", "numpy.random")
+
+
+def forbidden_imports(source, forbidden=FORBIDDEN_IMPORTS):
+    """(line, module) of each import of a forbidden module or of a name from
+    it: ``import m``, ``import m.sub``, ``from m import x`` and, for a
+    forbidden ``pkg.m``, ``from pkg import m``."""
+    def hit(name):
+        return next((m for m in forbidden
+                     if name == m or name.startswith(m + ".")), None)
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        for m in dict.fromkeys(filter(None, map(hit, names))):
+            out.append((node.lineno, m))
+    return out
+
+
+def test_checker_flags_a_forbidden_import():
+    src = ("import concurrent.futures\n"
+           "from multiprocessing import Pool\n"
+           "from numpy import random\n"
+           "import numpy as np\n"
+           "from numpy.random import default_rng\n"
+           "from concurrent import futures\n"
+           "from .numpy import random\n")
+    assert forbidden_imports(src) == [
+        (1, "concurrent.futures"), (2, "multiprocessing"), (3, "numpy.random"),
+        (5, "numpy.random"), (6, "concurrent.futures")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_pools_or_numpy_random(path):
+    assert forbidden_imports(path.read_text()) == []

@@ -71,12 +71,6 @@ def test_norm_bounded_by_step_count(f2_paths):
             assert s.norms[k] <= k
 
 
-def test_ensemble_stats_identical_across_jobs(f2_paths):
-    one = rw.ensemble_stats(f2_paths, jobs=1)
-    two = rw.ensemble_stats(f2_paths, jobs=2)
-    assert one == two
-
-
 def test_positions_beyond_length_rejected(f2_paths):
     with pytest.raises(DomainError):
         f2_paths[0].positions_at({512})
@@ -87,16 +81,36 @@ def _walk_case(name, f2, zz):
         return f2, rw.uniform_generator_measure(f2)
     if name == "free_product":
         return zz, rw.uniform_generator_measure(zz)
-    # non-uniform, with a two-syllable element that is not a generator
-    return zz, rw.StepMeasure((((0, (1, 0)), 0.15), ((1, (1,)), 0.25),
-                               (((0, (2, -1)), (1, (1,))), 0.35),
-                               ((1, (-1,)), 0.25)))
+    if name == "non_uniform":
+        # a two-syllable element that is not a generator
+        return zz, rw.StepMeasure((((0, (1, 0)), 0.15), ((1, (1,)), 0.25),
+                                   (((0, (2, -1)), (1, (1,))), 0.35),
+                                   ((1, (-1,)), 0.25)))
+    if name == "pop_heavy":
+        # an element and its inverse, drawn equally often, cancel whole
+        # syllables; the grid steps in between leave partial cancellations
+        x = ((0, (2, -1)), (1, (1,)))
+        return zz, rw.StepMeasure(((x, 0.35), (zz.inv(x), 0.35),
+                                   ((0, (0, 1)), 0.15), ((0, (0, -1)), 0.15)))
+    if name == "three_factors":
+        # grid(1) is a free factor, not a peripheral one
+        sp = FreeProductSpace([GridSpace(2), FreeGroupSpace(1), GridSpace(1)])
+        return sp, rw.uniform_generator_measure(sp)
+    # a free_group(2) factor is not flat, so this walk is stepped letter by
+    # letter on the syllable accumulator
+    sp = FreeProductSpace([FreeGroupSpace(2), GridSpace(2)])
+    return sp, rw.uniform_generator_measure(sp)
 
 
-@pytest.mark.parametrize("case", ["free_group", "free_product", "non_uniform"])
+@pytest.mark.parametrize("case", ["free_group", "free_product", "non_uniform",
+                                  "pop_heavy", "three_factors", "non_flat"])
 def test_replay_matches_the_reference_walk(case, f2, zz):
     sp, mu = _walk_case(case, f2, zz)
-    pers = relhyp.peripheral_indices(sp) if sp is zz else ()
+    # the integer-vector replay serves free products of grids and F_1
+    flat = rw._step_table(sp, mu)[2] is not None
+    assert flat == (case not in ("free_group", "non_flat"))
+    pers = relhyp.peripheral_indices(sp) \
+        if isinstance(sp, FreeProductSpace) else ()
     n = 300
     for p in rw.sample_paths(sp, mu, n, 4, seed=3):
         ref = oracles.walk_positions(sp, mu, n, p.seed)
@@ -279,7 +293,7 @@ def test_direction_cells(f2, zz):
 def test_hitting_histogram_free_group_is_near_uniform(f2):
     paths = rw.sample_paths(f2, rw.uniform_generator_measure(f2), 64, 200,
                             seed=1)
-    hist = rw.hitting_histogram(f2, paths)
+    hist = rw.hitting_histogram(paths)
     assert set(hist) == {"a", "A", "b", "B"}
     assert sum(hist.values()) == pytest.approx(1.0)
     for p in hist.values():
@@ -289,7 +303,7 @@ def test_hitting_histogram_free_group_is_near_uniform(f2):
 def test_hitting_histogram_point_mass(f2):
     paths = rw.sample_paths(f2, rw.StepMeasure.point_mass((1,)), 16, 10,
                             seed=1)
-    assert rw.hitting_histogram(f2, paths) == {"a": 1.0}
+    assert rw.hitting_histogram(paths) == {"a": 1.0}
 
 
 # ---------------------------------------------------------------------------

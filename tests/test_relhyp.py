@@ -9,8 +9,8 @@ import oracles
 from coarselab import relhyp, sublinear
 from coarselab.errors import (CertificationError, DomainError,
                               PreconditionError)
-from coarselab.relhyp import (ConedBallOracle, PeripheralCoset, big_projection,
-                              coned_dist, coned_dist_to_coset, coned_distance,
+from coarselab.relhyp import (PeripheralCoset, big_projection, coned_dist,
+                              coned_dist_to_coset, coned_distance,
                               coned_nearest_index, coned_norm, coset_of,
                               coset_projection, coset_runs, deep_components,
                               default_constants, excursion_profile,
@@ -107,7 +107,7 @@ def test_coned_dist_matches_naive_bfs(zz):
 
 
 def test_coned_ball_oracle_matches_naive_bfs(zz):
-    orc = ConedBallOracle(zz, 6)
+    orc = oracles.ConedBallOracle(zz, 6)
     universe = sorted(orc.vertices, key=zz.vertex_key)
     pool = sorted(oracles.bfs_ball(zz, (), 3), key=zz.vertex_key)
     pers = oracles.grid_factor_indices(zz)

@@ -13,7 +13,7 @@ from coarselab.space import (PathSeg, axis_ray, build_space, change_generators,
                              distance_to_set, distances_along_path,
                              distances_to_set, first_time_at_norm,
                              geodesic_dist_along, is_quasi_geodesic,
-                             nearest_point_projection, self_check)
+                             nearest_point_projection)
 
 
 def _sample(rng, seq, k):
@@ -25,7 +25,7 @@ def _sample(rng, seq, k):
                                   "loopy_ray(12)",
                                   "free_product(grid(2), free_group(1))"])
 def test_self_check(spec):
-    assert self_check(build_space(spec))
+    assert oracles.self_check(build_space(spec))
 
 
 @pytest.mark.parametrize("spec", ["free_group(2)", "grid(2)", "loopy_ray(12)",
