@@ -165,15 +165,13 @@ def peripheral_distances(sp, x, y):
     with a peripheral syllable, and d_P equals that syllable's norm.
     """
     pers = set(peripheral_indices(sp))
-    z = sp.mul(sp.inv(x), y)
     out = {}
-    prefix = x
-    for syl in z:
+    prefix = list(x)   # the running product x * (syllables so far)
+    for syl in sp.mul(sp.inv(x), y):
         i, e = syl
         if i in pers:
-            P = coset_of(sp, prefix, i)
-            out[P] = sp.factors[i].norm(e)
-        prefix = sp.mul(prefix, (syl,))
+            out[coset_of(sp, tuple(prefix), i)] = sp.factors[i].norm(e)
+        sp._push_syllable(prefix, syl)
     return out
 
 
@@ -195,6 +193,12 @@ def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0):
     M is minimized first (any additive slack up to `additive_cap` may be
     spent), then A is the least additive constant valid for that M; both
     are closed-form maxima over the per-pair constraints.
+
+    Each pair costs one product z = x^-1 y and one pass over its
+    syllables, which give all three terms: d_G(x, y) is the sum of their
+    norms, d_Ghat(x, y) the sum of their coned costs, and the d_P(x, y) > 0
+    are the norms of the peripheral ones (one coset each, as in
+    peripheral_distances).
     """
     require_relhyp(sp)
     K0 = constants.K0 if constants is not None else 1
@@ -202,11 +206,15 @@ def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0):
         raise PreconditionError(f"K = {K} below the configured K0 = {K0}")
     if len(pairs) < 2:
         raise DomainError("sample too small for a distance-formula fit")
+    pers = set(peripheral_indices(sp))
+    costs = _coned_costs(sp)
     rows = []
     for x, y in pairs:
-        d = sp.dist(x, y)
-        S = sum(v for v in peripheral_distances(sp, x, y).values() if v >= K)
-        S += coned_dist(sp, x, y)
+        d = S = 0
+        for i, e in sp.mul(sp.inv(x), y):
+            n = sp.factors[i].norm(e)
+            d += n
+            S += costs[i](e) + (n if i in pers and n >= K else 0)
         rows.append((x, y, d, S))
     M = 1.0
     for _, _, d, S in rows:
@@ -289,17 +297,34 @@ def _syllable_blocks(sp, path):
 
 def coset_runs(sp, geodesic, D):
     """(start, end, coset) vertex ranges of gamma inside N_D(P), one per
-    peripheral syllable block, fattened by D on both sides."""
+    peripheral syllable block, fattened by D on both sides.
+
+    The coset of a block is that of the vertex after its first letter.
+    When the letter blocks spell the syllables of the endpoint's normal
+    form after those of the start (lifts, axis rays and excursion rays
+    do), that vertex is the endpoint's normal form cut before the block's
+    syllable, plus one letter; so every representative is a prefix slice
+    of the one endpoint tuple, and the letters are swept once.  This holds
+    exactly when the endpoint has len(start) + (number of blocks)
+    syllables.  Any other path keeps the per-block route: one forward
+    sweep that builds the whole vertex after each block's first letter,
+    whose cost grows with the square of the syllable count.
+    """
     require_relhyp(sp)
     pers = set(peripheral_indices(sp))
     n = len(geodesic)
-    blocks = [b for b in _syllable_blocks(sp, geodesic) if b[0] in pers]
-    entries = geodesic.vertices_at(first + 1 for _, first, _ in blocks)
-    runs = []
-    for (i, first, last), v in zip(blocks, entries):
-        coset = coset_of(sp, v, i)
-        runs.append((max(0, first - int(D)), min(n - 1, last + int(D)), coset))
-    return runs
+    blocks = _syllable_blocks(sp, geodesic)
+    nf = geodesic.endpoint()
+    base = len(nf) - len(blocks)
+    peripheral = [(k, b) for k, b in enumerate(blocks) if b[0] in pers]
+    if base == len(geodesic.start):
+        cosets = [PeripheralCoset(factor=i, rep=nf[:base + k])
+                  for k, (i, _, _) in peripheral]
+    else:
+        entries = geodesic.vertices_at(first + 1 for _, (_, first, _) in peripheral)
+        cosets = [coset_of(sp, v, i) for (_, (i, _, _)), v in zip(peripheral, entries)]
+    return [(max(0, first - int(D)), min(n - 1, last + int(D)), coset)
+            for (_, (_, first, last)), coset in zip(peripheral, cosets)]
 
 
 def deep_components(sp, geodesic, D, R, t=3.0):
@@ -357,14 +382,27 @@ def excursion_profile(sp, gamma, D0, kappa):
     excursion / kappa(coned norm)); E_gamma is the max ratio and the
     verdict passes iff the ratio envelope is stable across dyadic bands of
     the coned norm.
+
+    d_Ghat(o, P) is the coned norm of P's minimal representative, whose
+    last syllable is never in P's factor.  The representatives of
+    coset_runs on a normal-form path are growing prefixes of one tuple, so
+    one running sum of coned syllable costs over it prices them all; a
+    representative that does not extend the previous one (the fallback
+    route of coset_runs) restarts the sum.
     """
+    costs = _coned_costs(sp)
+    prev, sums = (), [0]   # sums[k]: coned norm of prev[:k]
     rows = []
     for a, b, coset in coset_runs(sp, gamma, D0):
         # run endpoints on a geodesic realize the diameter
         exc = gamma.dist_between(a, b)
-        # d_Ghat(o, P) is the coned norm of the minimal representative,
-        # whose last syllable is never in P's factor
-        cn = coned_norm(sp, coset.rep)
+        rep = coset.rep
+        if rep[:len(prev)] != prev:
+            prev, sums = (), [0]
+        for i, e in rep[len(prev):]:
+            sums.append(sums[-1] + costs[i](e))
+        prev = rep
+        cn = sums[len(rep)]
         ratio = exc / evaluate(kappa, cn)
         rows.append((coset, exc, cn, ratio))
     E = max((r[3] for r in rows), default=0.0)

@@ -11,8 +11,10 @@ import random
 from collections import deque
 
 from coarselab.errors import DomainError
-from coarselab.relhyp import coset_of, peripheral_indices, require_relhyp
+from coarselab.relhyp import (coned_norm, coset_of, peripheral_indices,
+                              require_relhyp)
 from coarselab.space import DEFAULT_BALL_CAP, FreeProductSpace
+from coarselab.sublinear import evaluate
 
 
 def bfs_ball(sp, center, radius):
@@ -131,6 +133,40 @@ def coset_key(v, i):
 def coset_members(sp, i, prefix, universe):
     """All universe vertices lying in the coset prefix * factor_i."""
     return [v for v in universe if coset_key(v, i) == (i, prefix)]
+
+
+def coset_runs_by_block(sp, path, D):
+    """relhyp.coset_runs by its definition: one run per maximal block of
+    peripheral letters, fattened by D and clipped to the path, whose coset
+    is that of the vertex after the block's first letter.  Every such
+    vertex is replayed from the start of the path."""
+    pers = set(peripheral_indices(sp))
+    letters = path.step_letters()
+    n = len(path)
+    runs = []
+    first = 0
+    while first < len(letters):
+        i = letters[first][0]
+        last = first
+        while last < len(letters) and letters[last][0] == i:
+            last += 1
+        if i in pers:
+            runs.append((max(0, first - int(D)), min(n - 1, last + int(D)),
+                         coset_of(sp, path.vertex(first + 1), i)))
+        first = last
+    return runs
+
+
+def excursion_rows_by_block(sp, path, D0, kappa):
+    """The rows of relhyp.excursion_profile by their definition: the
+    distance between the ends of each run of coset_runs_by_block, and the
+    coned norm of its coset representative from relhyp.coned_norm."""
+    rows = []
+    for a, b, coset in coset_runs_by_block(sp, path, D0):
+        exc = sp.dist(path.vertex(a), path.vertex(b))
+        cn = coned_norm(sp, coset.rep)
+        rows.append((coset, exc, cn, exc / evaluate(kappa, cn)))
+    return rows
 
 
 class ConedBallOracle:

@@ -177,3 +177,42 @@ def test_checker_flags_a_forbidden_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_process_pools_or_numpy_random(path):
     assert forbidden_imports(path.read_text()) == []
+
+
+# failures are caught by their documented type, so an unexpected error
+# surfaces as itself instead of as a wrong verdict
+CATCH_ALL = ("Exception", "BaseException")
+
+
+def catch_all_handlers(source):
+    """(line, caught) of each handler that catches every exception: a bare
+    ``except:`` (caught is ``""``), or ``Exception`` or ``BaseException``
+    by name or attribute, alone or in a tuple."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            out.append((node.lineno, ""))
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        for t in types:
+            name = getattr(t, "id", None) or getattr(t, "attr", None)
+            if name in CATCH_ALL:
+                out.append((node.lineno, name))
+    return out
+
+
+def test_checker_flags_a_catch_all_handler():
+    src = ("try:\n    pass\nexcept:\n    pass\n"
+           "try:\n    pass\nexcept Exception:\n    pass\n"
+           "try:\n    pass\nexcept (KeyError, builtins.BaseException) as e:\n    pass\n"
+           "try:\n    pass\nexcept (KeyError, ValueError):\n    pass\n"
+           "try:\n    pass\nexcept errors.DomainError:\n    pass\n")
+    assert catch_all_handlers(src) == [
+        (3, ""), (7, "Exception"), (11, "BaseException")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_exceptions_are_caught_by_type(path):
+    assert catch_all_handlers(path.read_text()) == []

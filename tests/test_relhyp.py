@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from coarselab import relhyp, sublinear
+from coarselab import randwalk, relhyp, sublinear
 from coarselab.errors import (CertificationError, DomainError,
                               PreconditionError)
 from coarselab.relhyp import (PeripheralCoset, big_projection, coned_dist,
@@ -21,7 +21,8 @@ from coarselab.relhyp import (PeripheralCoset, big_projection, coned_dist,
                               require_relhyp)
 from coarselab.relhyp import \
     test_excursion_contracting as check_excursion_contracting
-from coarselab.space import (PathSeg, build_space, distance_to_set,
+from coarselab.space import (FreeGroupSpace, FreeProductSpace, GridSpace,
+                             PathSeg, build_space, distance_to_set,
                              geodesic_dist_along)
 
 K1 = sublinear.by_tag("1")
@@ -190,6 +191,46 @@ def test_distance_formula_bounds_hold_and_are_stable(zz):
         assert S / fit2.M - fit2.A <= d <= fit2.M * S + fit2.A
 
 
+def _syllable_heavy_vertex(sp, rng, syllables):
+    """Runs of one repeated generator, up to 12 letters long, so that
+    peripheral syllables reach every clip K of the test below."""
+    acc = sp.right_acc(sp.identity)
+    for _ in range(syllables):
+        g = rng.choice(sp.gens)
+        for _ in range(rng.randint(1, 12)):
+            acc.push(g)
+    return acc.value()
+
+
+@pytest.mark.parametrize("spec", ["free_product(grid(2), free_group(1))",
+                                  "free_product(grid(2), free_group(1), grid(1))"])
+def test_distance_formula_terms_match_their_definitions(spec):
+    sp = build_space(spec)
+    rng = random.Random(12)
+    pairs = []
+    for _ in range(40):
+        x = _syllable_heavy_vertex(sp, rng, rng.randint(0, 8))
+        pairs.append((x, _syllable_heavy_vertex(sp, rng, rng.randint(0, 8))))
+        pairs.append((x, x))
+        # a long shared prefix, diverging inside or after its last syllable
+        common = _syllable_heavy_vertex(sp, rng, 12)
+        pairs.append((sp.mul(common, _syllable_heavy_vertex(sp, rng, 2)),
+                      sp.mul(common, _syllable_heavy_vertex(sp, rng, 2))))
+    for K in (1, 5, 10):
+        fit = fit_distance_formula(sp, pairs, K)
+        assert fit.residuals == [
+            (x, y, sp.dist(x, y),
+             sum(v for v in peripheral_distances(sp, x, y).values() if v >= K)
+             + coned_dist(sp, x, y))
+            for x, y in pairs]
+    norms = []
+    for x, y in pairs:
+        for P, v in peripheral_distances(sp, x, y).items():
+            assert peripheral_distance(sp, x, y, P) == v > 0
+            norms.append(v)
+    assert min(norms) < 5 and max(norms) >= 10
+
+
 def test_distance_formula_preconditions(zz, f2, consts):
     rng = random.Random(4)
     pairs = [((), _random_vertex(zz, rng, 5)) for _ in range(10)]
@@ -338,6 +379,67 @@ def test_excursion_profile_peripheral_free_ray(zz):
     taxis = PathSeg(zz, letters=[(1, (1,))] * 40, q=1, Q=0)
     rows, E, v = excursion_profile(zz, taxis, 0, K1)
     assert v and rows == [] and E == 0.0
+
+
+def _assert_runs_and_rows_by_block(sp, path):
+    for D in (0, 1, 3):
+        assert coset_runs(sp, path, D) == oracles.coset_runs_by_block(sp, path, D)
+    rows, _, _ = excursion_profile(sp, path, 0, KLOG)
+    assert rows == oracles.excursion_rows_by_block(sp, path, 0, KLOG)
+
+
+def test_coset_runs_of_an_excursion_ray_match_the_block_definition(zz):
+    # size 0 puts two t letters in one block
+    ray = excursion_ray(zz, 30, lambda k: (k * 7) % 5)
+    _assert_runs_and_rows_by_block(zz, ray)
+
+
+def test_coset_runs_of_a_walk_ray_lift_match_the_block_definition(zz):
+    mu = randwalk.uniform_generator_measure(zz)
+    for p in randwalk.sample_paths(zz, mu, 600, 3, seed=5):
+        w = p.positions_at({p.length})[p.length]
+        seg, _ = lift_coned_geodesic(zz, coned_distance(zz, (), w),
+                                     start=zz.identity)
+        _assert_runs_and_rows_by_block(zz, seg)
+
+
+def test_coset_runs_of_an_offset_lift_match_the_block_definition(zz):
+    pairs = [
+        # x ends in t, so x and x^-1 y do not share a boundary factor
+        (zz.parse_word("a a b t"), zz.parse_word("a a b t a b b b t t A A")),
+        # x^-1 y opens in x's last factor: the lift's first block merges
+        # into x's last syllable
+        (zz.parse_word("t a a b"), zz.parse_word("t a a b a b t a a a")),
+        # ... and cancels it partly on the way
+        (zz.parse_word("t a a"), zz.parse_word("t b b t")),
+    ]
+    rng = random.Random(9)
+    pairs += [(_random_vertex(zz, rng, rng.randint(1, 40)),
+               _random_vertex(zz, rng, rng.randint(1, 40))) for _ in range(20)]
+    merged = 0
+    for x, y in pairs:
+        z = zz.mul(zz.inv(x), y)
+        merged += bool(x and z and x[-1][0] == z[0][0])
+        seg, _ = lift_coned_geodesic(zz, coned_distance(zz, x, y))
+        assert seg.start == x
+        _assert_runs_and_rows_by_block(zz, seg)
+    assert 2 <= merged < len(pairs)
+
+
+def test_coset_runs_of_a_letter_path_off_normal_form_match_the_block_definition(zz):
+    # the t T block cancels, so the blocks around it spell one syllable
+    a, A, b, t, T = (0, (1, 0)), (0, (-1, 0)), (0, (0, 1)), (1, (1,)), (1, (-1,))
+    paths = [PathSeg(zz, letters=[a, a, t, T, b, A, t, t, T, a, b])]
+    rng = random.Random(10)
+    # two peripheral factors, and grid(1) as a free one
+    three = FreeProductSpace([GridSpace(2), FreeGroupSpace(1), GridSpace(3)])
+    for sp in (zz, three):
+        for k in range(6):
+            start = _random_vertex(sp, rng, 8) if k % 2 else sp.identity
+            letters = [rng.choice(sp.gens) for _ in range(rng.randint(20, 120))]
+            paths.append(PathSeg(sp, start=start, letters=letters))
+    for path in paths:
+        _assert_runs_and_rows_by_block(path.sp, path)
 
 
 # ---------------------------------------------------------------------------
