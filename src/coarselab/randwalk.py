@@ -7,12 +7,14 @@ index-ordered results.
 
 Paths are deliberately lightweight: a SamplePath stores its seed and
 replays the walk on demand, keeping only dyadic-checkpoint summaries in
-memory.  On free products of grids and free_group(1) the replay steps
-integer vectors instead of normal-form tuples.  One statistics pass over
-400 paths of length 2^12 replays in about 0.6 s on free_group(2) and
-0.85 s on free_product(grid(2), free_group(1)) (best of 3, one core,
-Python 3.11, shared 2-core host), so a 10^4-path ensemble takes about
-15 s and 21 s.
+memory.  A replay draws all its steps in one batch, from the same stream
+as one random() call per step.  On free products of grids and
+free_group(1) it folds each run of steps in one factor into one integer
+vector instead of pushing normal-form letters.  One statistics pass over
+400 paths of length 2^12 replays in about 0.4 s on free_group(2) and
+0.6 s on free_product(grid(2), free_group(1)) (best of 3, one core,
+Python 3.11, numpy 2.4, shared 2-core host), so a 10^4-path ensemble
+takes about 10 s and 15 s.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import relhyp as _rh
 from .errors import DomainError, Inconclusive
@@ -71,16 +75,16 @@ def uniform_generator_measure(sp):
 def _step_table(sp, mu):
     """What a replay draws from, built once per (space, measure) and shared
     by every path of an ensemble: (running sums of the probabilities, one
-    step per support element, flat encoding or None).
+    step per support element, flat table or None).
 
     A step is the element's letters (an element may be a word in the
     generators, e.g. a squared generator).  On a free product of grids and
-    free_group(1) (`flat_widths`) it is instead the element's normal form
-    as (factor, coordinate, delta) pieces, one per nonzero coordinate of
-    each syllable, and the encoding is (zero vector per factor, peripheral
-    flag per factor plus False for the identity's factor -1).  The last
-    step is listed twice: a draw past the last running sum (rounding)
-    takes it.
+    free_group(1) (`flat_widths`) the flat table is (rows, row count per
+    step, first row per step, factor widths, peripheral flag per factor
+    plus False for the identity's factor -1): one integer row per syllable
+    of each step's normal form, in order, holding the factor and the
+    vector padded to the widest factor.  The last step is listed twice: a
+    draw past the last running sum (rounding) takes it.
     """
     cum = tuple(itertools.accumulate(p for _, p in mu.support))
     steps = []
@@ -90,21 +94,43 @@ def _step_table(sp, mu):
         if not letters:
             raise DomainError("identity element in step support")
         steps.append(letters)
+    steps.append(steps[-1])
     widths = sp.flat_widths() if isinstance(sp, _rh.FreeProductSpace) else None
     flat = None
     if widths is not None:
-        for n, letters in enumerate(steps):
+        pad = max(widths)
+        rows, counts = [], []
+        for letters in steps:
             acc = sp.right_acc()
             for g in letters:
                 acc.push(g)
-            syllables = map(sp.flat_syllable, acc.value())
-            steps[n] = tuple((i, j, d) for i, v in syllables
-                             for j, d in enumerate(v) if d)
+            syllables = [sp.flat_syllable(syl) for syl in acc.value()]
+            rows += [(i, *v, *(0,) * (pad - len(v))) for i, v in syllables]
+            counts.append(len(syllables))
+        rows, counts = np.array(rows), np.array(counts)
+        firsts = np.cumsum(counts) - counts
+        for a in (rows, counts, firsts):
+            a.flags.writeable = False
         pers = _rh.peripheral_indices(sp)
-        flat = (tuple((0,) * w for w in widths),
+        flat = (rows, counts, firsts, widths,
                 tuple(i in pers for i in range(len(widths))) + (False,))
-    steps.append(steps[-1])
     return cum, tuple(steps), flat
+
+
+def _draws(seed, m, cum):
+    """Step-table indices of the first m draws of random.Random(seed).random(),
+    by bisect_left on the running sums `cum`, as one int array.
+
+    One getrandbits(64 m) call yields the 2m 32-bit words that m random()
+    calls would consume, least significant first; random() turns words
+    (a, b) into ((a >> 5) 2^26 + (b >> 6)) 2^-53, which float64 computes
+    exactly.  searchsorted(side="left") is bisect_left, so a draw past the
+    last running sum gives len(cum), the repeated last step.
+    """
+    bits = random.Random(seed).getrandbits(64 * m)
+    w = np.frombuffer(bits.to_bytes(8 * m, "little"), "<u4")
+    u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    return np.searchsorted(cum, u, side="left")
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +171,13 @@ class SamplePath:
         """Step the walk once, yielding its accumulator at each of the
         non-decreasing step `indices` (0 is the identity)."""
         cum, steps, _ = _step_table(self.sp, self.mu)
-        draw = random.Random(self.seed).random
+        draws = _draws(self.seed, indices[-1] if indices else 0, cum).tolist()
         acc = self.sp.right_acc()
         push = acc.push
         k = 0
         for target in indices:
-            for _ in range(target - k):
-                for g in steps[bisect.bisect_left(cum, draw())]:
+            for s in draws[k:target]:
+                for g in steps[s]:
                     push(g)
             k = target
             yield acc
@@ -161,43 +187,60 @@ class SamplePath:
         (norm, coned norm, max peripheral norm, stack, top) at each index,
         with the same draws.
 
-        The top syllable is kept in locals: factor f, coordinate list c and
-        norm tn, and mx, nb, cb are the max peripheral norm, the norm and
-        the coned norm of the syllables under it.  `stack` holds the
-        syllables under the top as (f, c, tn, mx, nb, cb) entries, so a pop
-        restores all six and a checkpoint reads its statistics off the top
-        without scanning the stack.  The stack and the top are live: read
-        them before resuming.
+        The draws are expanded into the table's syllable rows and cut into
+        runs wherever the factor changes and at every requested index; a
+        run is one element of one factor, summed by numpy.  Merging a run
+        into a top syllable of its factor (popping it if the sum is
+        trivial), pushing it if it is not trivial, or else skipping it
+        leaves the normal form that stepping letter by letter leaves at
+        every run end: within a run a pop always exposes another factor.
+
+        The top syllable is kept in locals: factor f, padded coordinate
+        list c and norm tn, and mx, nb, cb are the max peripheral norm, the
+        norm and the coned norm of the syllables under it.  `stack` holds
+        the syllables under the top as (f, c, tn, mx, nb, cb) entries, so a
+        pop restores all six and a checkpoint reads its statistics off the
+        top without scanning the stack.  The stack is live: read it before
+        resuming.
         """
-        cum, steps, (zeros, per) = _step_table(self.sp, self.mu)
-        draw = random.Random(self.seed).random
-        bisect_left = bisect.bisect_left
+        cum, _, (rows, counts, firsts, _, per) = _step_table(self.sp, self.mu)
+        d = _draws(self.seed, indices[-1] if indices else 0, cum)
+        n = counts[d]
+        at = np.concatenate(([0], np.cumsum(n)))   # first row of each step
+        r = rows[np.arange(at[-1]) - np.repeat(at[:-1] - firsts[d], n)]
+        fac = r[:, 0]
+        new_run = np.ones(len(r), bool)
+        np.not_equal(fac[1:], fac[:-1], out=new_run[1:])
+        at = at[indices]
+        new_run[at[at < len(r)]] = True
+        starts = np.flatnonzero(new_run)
+        sums = np.add.reduceat(r[:, 1:], starts)
+        runs = zip(fac[starts].tolist(), sums.tolist(),
+                   np.abs(sums).sum(1).tolist())
         stack = []
         push, pop = stack.append, stack.pop
         f, c, tn = -1, None, 0     # the identity, as an empty factor -1
         mx = nb = cb = 0
         k = 0
-        for target in indices:
-            for _ in range(target - k):
-                for g, j, d in steps[bisect_left(cum, draw())]:
-                    if g == f:
-                        x = c[j]
-                        y = x + d
-                        c[j] = y
-                        tn += abs(y) - abs(x)
-                        if not tn:
-                            f, c, tn, mx, nb, cb = pop()
+        for target in np.searchsorted(starts, at).tolist():
+            for g, v, rn in itertools.islice(runs, target - k):
+                if not rn:
+                    continue
+                if g == f:
+                    c = [x + y for x, y in zip(c, v)]
+                    tn = sum(map(abs, c))
+                    if not tn:
+                        f, c, tn, mx, nb, cb = pop()
+                else:
+                    push((f, c, tn, mx, nb, cb))
+                    nb += tn
+                    if per[f]:
+                        cb += 1
+                        if tn > mx:
+                            mx = tn
                     else:
-                        push((f, c, tn, mx, nb, cb))
-                        nb += tn
-                        if per[f]:
-                            cb += 1
-                            if tn > mx:
-                                mx = tn
-                        else:
-                            cb += tn
-                        f, c, tn = g, [*zeros[g]], abs(d)
-                        c[j] = d
+                        cb += tn
+                    f, c, tn = g, v, rn
             k = target
             if per[f]:
                 yield nb + tn, cb + 1, max(mx, tn), stack, (f, c)
@@ -211,11 +254,13 @@ class SamplePath:
         if bad:
             raise DomainError(f"indices outside [0, {self.length}]: {bad}")
         sp = self.sp
-        if _step_table(sp, self.mu)[2] is None:
+        flat = _step_table(sp, self.mu)[2]
+        if flat is None:
             return {k: acc.value() for k, acc in zip(ks, self._replay(ks))}
+        widths = flat[3]
         out = {}
         for k, (*_, stack, top) in zip(ks, self._flat_replay(ks)):
-            out[k] = tuple(sp.unflat_syllable(i, v)
+            out[k] = tuple(sp.unflat_syllable(i, v[:widths[i]])
                            for i, v, *_ in (*stack, top) if i >= 0)
         return out
 
@@ -429,11 +474,11 @@ def limit_ray_proxy(sp, path, N=None):
     relhyp = isinstance(sp, _rh.FreeProductSpace) and \
         bool(_rh.peripheral_indices(sp))
     if relhyp:
-        if _rh.coned_dist(sp, (), wN) < 10:
+        report = _rh.coned_distance(sp, (), wN)
+        if report.value < 10:
             raise Inconclusive(
                 f"walk did not progress in the coned graph (d_Ghat = "
-                f"{_rh.coned_dist(sp, (), wN)} < 10)")
-        report = _rh.coned_distance(sp, (), wN)
+                f"{report.value} < 10)")
         seg, consts = _rh.lift_coned_geodesic(sp, report, start=sp.identity)
         j = 0
         while j < min(len(wN), len(wHalf)) and wN[j] == wHalf[j]:

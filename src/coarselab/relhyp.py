@@ -247,7 +247,10 @@ def lift_coned_geodesic(sp, report, start=None):
             letters.extend((i, g) for g in f.geodesic(f.identity, e).step_letters())
         else:
             letters.append(edge[3])
-    path = PathSeg(sp, start=origin, letters=letters)
+    # the report's last vertex ends the lift when both start at origin
+    end = report.edges[-1][2] if report.edges and report.edges[0][1] == origin \
+        else None
+    path = PathSeg(sp, start=origin, letters=letters, end=end)
     path.dist_along = geodesic_dist_along(path)
     for q0, Q0 in ((1, 0), (1.5, 2), (2, 4), (3, 8)):
         check = is_quasi_geodesic(path, q0, Q0)

@@ -49,15 +49,19 @@ class PathSeg:
     dist_along(path) is the list of d(v, Z) over the vertices v of `path`.
     It is None unless the builder of the path attached one (axis rays, ray
     prefixes, lifts, excursion rays); distances_to_set reads it.
+
+    `end` is the last vertex of a letter path, when its builder knows it
+    (lifts do); otherwise the first `endpoint()` call replays the letters.
     """
 
     def __init__(self, sp, vertices=None, start=None, letters=None,
-                 q=None, Q=None):
+                 q=None, Q=None, end=None):
         self.sp = sp
         self.q = q
         self.Q = Q
         self.dist_along = None
         self._norms = None
+        self._end = end
         if letters is not None:
             if start is None:
                 start = sp.basepoint
@@ -136,7 +140,9 @@ class PathSeg:
     def endpoint(self):
         if self._vertices is not None:
             return self._vertices[-1]
-        return self.vertex(len(self.letters))
+        if self._end is None:
+            self._end = self.vertex(len(self.letters))
+        return self._end
 
     def prefix(self, n_vertices):
         """The sub-path on the first n_vertices vertices."""

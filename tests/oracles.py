@@ -91,6 +91,14 @@ def all_pairs_quasi_geodesic(sp, vertices, q, Q):
 # ---------------------------------------------------------------------------
 # random walks, stepped by group multiplication
 
+def step_draws(seed, m, cum):
+    """Step-table indices of the first m draws of random.Random(seed): one
+    random() call each, placed by bisect_left on the running sums `cum`
+    (len(cum) for a draw past the last sum)."""
+    rng = random.Random(seed)
+    return [bisect.bisect_left(cum, rng.random()) for _ in range(m)]
+
+
 def walk_positions(sp, mu, n, seed):
     """[w_0, ..., w_n] of the walk with step measure mu seeded by `seed`.
 

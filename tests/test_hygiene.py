@@ -136,7 +136,8 @@ def test_every_private_definition_is_referenced():
 
 
 # the program runs in one process, and numpy serves only array arithmetic:
-# walks draw from random.Random, whose stream the outputs are pinned to
+# walks draw from random.Random, whose stream the outputs are pinned to, in
+# one getrandbits batch per walk that numpy turns into random() values
 FORBIDDEN_IMPORTS = ("concurrent.futures", "multiprocessing", "numpy.random")
 
 

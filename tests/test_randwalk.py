@@ -96,6 +96,16 @@ def _walk_case(name, f2, zz):
         # grid(1) is a free factor, not a peripheral one
         sp = FreeProductSpace([GridSpace(2), FreeGroupSpace(1), GridSpace(1)])
         return sp, rw.uniform_generator_measure(sp)
+    if name == "same_factor_ends":
+        # a.t.b is three syllables, the first and last in one factor
+        x = ((0, (1, 0)), (1, (1,)), (0, (0, 1)))
+        return zz, rw.StepMeasure(((x, 0.25), (zz.inv(x), 0.25),
+                                   ((0, (1, 0)), 0.125), ((0, (-1, 0)), 0.125),
+                                   ((0, (0, -1)), 0.125), ((1, (-1,)), 0.125)))
+    if name == "padded":
+        # grid(2) and free_group(1) vectors are padded to grid(3)'s width
+        sp = FreeProductSpace([GridSpace(2), GridSpace(3), FreeGroupSpace(1)])
+        return sp, rw.uniform_generator_measure(sp)
     # a free_group(2) factor is not flat, so this walk is stepped letter by
     # letter on the syllable accumulator
     sp = FreeProductSpace([FreeGroupSpace(2), GridSpace(2)])
@@ -103,29 +113,65 @@ def _walk_case(name, f2, zz):
 
 
 @pytest.mark.parametrize("case", ["free_group", "free_product", "non_uniform",
-                                  "pop_heavy", "three_factors", "non_flat"])
+                                  "pop_heavy", "three_factors", "non_flat",
+                                  "same_factor_ends", "padded"])
 def test_replay_matches_the_reference_walk(case, f2, zz):
     sp, mu = _walk_case(case, f2, zz)
     # the integer-vector replay serves free products of grids and F_1
-    flat = rw._step_table(sp, mu)[2] is not None
-    assert flat == (case not in ("free_group", "non_flat"))
+    flat = rw._step_table(sp, mu)[2]
+    assert (flat is not None) == (case not in ("free_group", "non_flat"))
     pers = relhyp.peripheral_indices(sp) \
         if isinstance(sp, FreeProductSpace) else ()
-    n = 300
-    for p in rw.sample_paths(sp, mu, n, 4, seed=3):
-        ref = oracles.walk_positions(sp, mu, n, p.seed)
-        assert p.positions_at(range(n + 1)) == dict(enumerate(ref))
-        s = p.stats()
-        ks = s.checkpoints
-        assert s.norms == {k: sp.norm(ref[k]) for k in ks}
-        if not pers:
-            assert s.coned == {} and s.max_peripheral == {}
-            continue
-        assert s.coned == {k: relhyp.coned_norm(sp, ref[k]) for k in ks}
-        assert s.max_peripheral == {
-            k: max((sp.factors[i].norm(e) for i, e in ref[k] if i in pers),
+
+    def max_peripheral(w):
+        return max((sp.factors[i].norm(e) for i, e in w if i in pers),
                    default=0)
-            for k in ks}
+
+    # every index on short walks; on long ones factor runs cross the
+    # requested indices
+    for n, count in ((300, 3), (2000, 2)):
+        index_sets = [range(n + 1)] if n < 1000 else \
+            [[0, *rw._dyadic_checkpoints(n)], [0], [0, 3, 3, n // 2, n // 2, n]]
+        for p in rw.sample_paths(sp, mu, n, count, seed=3):
+            ref = oracles.walk_positions(sp, mu, n, p.seed)
+            for ks in index_sets:
+                want = [ref[k] for k in ks]
+                if flat is None:
+                    assert [acc.value() for acc in p._replay(ks)] == want
+                    continue
+                widths = flat[3]
+                got = [(norm, coned, mx, tuple(
+                           sp.unflat_syllable(i, v[:widths[i]])
+                           for i, v, *_ in (*stack, top) if i >= 0))
+                       for norm, coned, mx, stack, top in p._flat_replay(ks)]
+                assert [(norm, w) for norm, _, _, w in got] == \
+                    [(sp.norm(w), w) for w in want]
+                if pers:
+                    assert [(coned, mx) for _, coned, mx, _ in got] == \
+                        [(relhyp.coned_norm(sp, w), max_peripheral(w))
+                         for w in want]
+            assert p.positions_at(index_sets[-1]) == \
+                {k: ref[k] for k in index_sets[-1]}
+            s = p.stats()
+            ks = s.checkpoints
+            assert s.norms == {k: sp.norm(ref[k]) for k in ks}
+            if not pers:
+                assert s.coned == {} and s.max_peripheral == {}
+                continue
+            assert s.coned == {k: relhyp.coned_norm(sp, ref[k]) for k in ks}
+            assert s.max_peripheral == {k: max_peripheral(ref[k]) for k in ks}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 + 5])
+@pytest.mark.parametrize("m", [0, 1, 7, 5000])
+def test_batched_draws_match_one_draw_per_step(seed, m, zz):
+    real = rw._step_table(zz, rw.uniform_generator_measure(zz))[0]
+    # with sums stopping at 0.5, half the draws fall past the last one
+    for cum in (real, (0.25, 0.5)):
+        want = oracles.step_draws(seed, m, cum)
+        assert rw._draws(seed, m, cum).tolist() == want
+    if m == 5000:
+        assert 2 in want
 
 
 def test_positions_at_edge_indices(f2):

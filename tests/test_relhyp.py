@@ -314,6 +314,8 @@ def test_lift_passes_through_every_report_vertex(data):
     x, y = (_word(ZZ, data.draw(st.lists(gens, max_size=30))) for _ in "xy")
     report = coned_distance(ZZ, x, y)
     lift, _ = lift_coned_geodesic(ZZ, report, start=x)
+    # the endpoint handed over by the report is the one the letters reach
+    assert lift.endpoint() == lift.vertex(len(lift) - 1) == y
     visited = iter(lift.vertex_list())
     # the report's vertices, from x to y, form a subsequence of the lift's
     for v in [x] + [edge[2] for edge in report.edges]:
