@@ -196,7 +196,7 @@ class SamplePath:
         every run end: within a run a pop always exposes another factor.
 
         The top syllable is kept in locals: factor f, padded coordinate
-        list c and norm tn, and mx, nb, cb are the max peripheral norm, the
+        tuple c and norm tn, and mx, nb, cb are the max peripheral norm, the
         norm and the coned norm of the syllables under it.  `stack` holds
         the syllables under the top as (f, c, tn, mx, nb, cb) entries, so a
         pop restores all six and a checkpoint reads its statistics off the
@@ -215,7 +215,9 @@ class SamplePath:
         new_run[at[at < len(r)]] = True
         starts = np.flatnonzero(new_run)
         sums = np.add.reduceat(r[:, 1:], starts)
-        runs = zip(fac[starts].tolist(), sums.tolist(),
+        # tuples of ints, which the cyclic GC stops tracking, and so do
+        # the stack entries built from them
+        runs = zip(fac[starts].tolist(), zip(*sums.T.tolist()),
                    np.abs(sums).sum(1).tolist())
         stack = []
         push, pop = stack.append, stack.pop
@@ -227,7 +229,7 @@ class SamplePath:
                 if not rn:
                     continue
                 if g == f:
-                    c = [x + y for x, y in zip(c, v)]
+                    c = tuple([x + y for x, y in zip(c, v)])
                     tn = sum(map(abs, c))
                     if not tn:
                         f, c, tn, mx, nb, cb = pop()
