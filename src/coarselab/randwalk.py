@@ -11,10 +11,10 @@ memory.  A replay draws all its steps in one batch, from the same stream
 as one random() call per step.  On free products of grids and
 free_group(1) it folds each run of steps in one factor into one integer
 vector instead of pushing normal-form letters.  One statistics pass over
-400 paths of length 2^12 replays in about 0.4 s on free_group(2) and
-0.6 s on free_product(grid(2), free_group(1)) (best of 3, one core,
-Python 3.11, numpy 2.4, shared 2-core host), so a 10^4-path ensemble
-takes about 10 s and 15 s.
+400 paths of length 2^12 replays in 0.33-0.45 s on free_group(2) and
+0.41-0.57 s on free_product(grid(2), free_group(1)) (best of 3, three
+runs, one core, Python 3.11, numpy 2.4, shared 2-core host), so a
+10^4-path ensemble takes about 10 s and 12 s.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def _draws(seed, m, cum):
     """
     bits = random.Random(seed).getrandbits(64 * m)
     w = np.frombuffer(bits.to_bytes(8 * m, "little"), "<u4")
-    u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
-    return np.searchsorted(cum, u, side="left")
+    a, b = w[0::2] >> 5, w[1::2] >> 6
+    return np.searchsorted(cum, (a * 67108864.0 + b) * 2.0 ** -53, side="left")
 
 
 # ---------------------------------------------------------------------------
