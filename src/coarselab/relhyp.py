@@ -24,7 +24,7 @@ from .errors import CertificationError, DomainError, PreconditionError
 from .morse import Verdict, _band_trend_fail
 from .seeds import rng_for
 from .space import (FreeProductSpace, GridSpace, PathSeg, _norms_along,
-                    distance_to_set, geodesic_dist_along, is_quasi_geodesic)
+                    distance_to_set, geodesic_hook, is_quasi_geodesic)
 from .sublinear import evaluate
 
 
@@ -236,7 +236,7 @@ def lift_coned_geodesic(sp, report, start=None):
     Returns (PathSeg, (q0, Q0)) where the constants are the smallest pair
     on a fixed ladder that certifies the lift; in free products normal-form
     lifts are genuine geodesics, so (1, 0) is the expected outcome.  A lift
-    from o carries the closed-form `dist_along` of geodesic_dist_along.
+    from o carries the closed-form hook of geodesic_hook.
     """
     letters = []
     origin = start if start is not None else (report.edges[0][1] if report.edges else ())
@@ -251,7 +251,7 @@ def lift_coned_geodesic(sp, report, start=None):
     end = report.edges[-1][2] if report.edges and report.edges[0][1] == origin \
         else None
     path = PathSeg(sp, start=origin, letters=letters, end=end)
-    path.dist_along = geodesic_dist_along(path)
+    path.hook = geodesic_hook(path)
     for q0, Q0 in ((1, 0), (1.5, 2), (2, 4), (3, 8)):
         check = is_quasi_geodesic(path, q0, Q0)
         if check:
@@ -361,7 +361,7 @@ def deep_components(sp, geodesic, D, R, t=3.0):
 def excursion_ray(sp, syllable_count, sizes, direction=(1, 0)):
     """Fixture ray: k-th peripheral syllable of size sizes(k), separated by
     single free-factor letters.  Requires the default grid*free layout.
-    The ray carries the closed-form `dist_along` of geodesic_dist_along."""
+    The ray carries the closed-form hook of geodesic_hook."""
     require_relhyp(sp)
     pers = peripheral_indices(sp)
     i = pers[0]
@@ -373,7 +373,7 @@ def excursion_ray(sp, syllable_count, sizes, direction=(1, 0)):
         letters.extend([(i, step)] * max(0, int(sizes(k))))
         letters.append((free, fgen))
     ray = PathSeg(sp, letters=letters, q=1, Q=0)
-    ray.dist_along = geodesic_dist_along(ray)
+    ray.hook = geodesic_hook(ray)
     return ray
 
 

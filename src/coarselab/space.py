@@ -45,13 +45,17 @@ class PathSeg:
     fields are a quasi-geodesic certificate attached by the caller once
     is_quasi_geodesic has checked every pair of vertices.
 
-    `dist_along` is the path's closed-form distance hook as a target Z:
-    dist_along(path) is the list of d(v, Z) over the vertices v of `path`.
-    It is None unless the builder of the path attached one (axis rays, ray
-    prefixes, lifts, excursion rays); distances_to_set reads it.
+    `hook` answers for the path as a target Z in closed form, or is None
+    unless the builder of the path attached one (axis rays, ray prefixes,
+    lifts, excursion rays).  hook.dist_along(path) is the list of d(v, Z)
+    over the vertices v of `path`, read by distances_to_set.
+    hook.nearest(x) is the sorted argmin set of d(x, .) over Z, read by
+    nearest_point_projection; hook.nearest is None where there is no closed
+    form (grid axes, loopy-ray prefixes).
 
     `end` is the last vertex of a letter path, when its builder knows it
-    (lifts do); otherwise the first `endpoint()` call replays the letters.
+    (geodesics and lifts do); otherwise the first `endpoint()` call replays
+    the letters.  is_quasi_geodesic reads it to tell a geodesic path.
     """
 
     def __init__(self, sp, vertices=None, start=None, letters=None,
@@ -59,7 +63,7 @@ class PathSeg:
         self.sp = sp
         self.q = q
         self.Q = Q
-        self.dist_along = None
+        self.hook = None
         self._norms = None
         self._end = end
         if letters is not None:
@@ -400,7 +404,7 @@ class FreeGroupSpace(GroupSpace):
         while i < m and x[i] == y[i]:
             i += 1
         letters = [(-g,) for g in reversed(x[i:])] + [(g,) for g in y[i:]]
-        return PathSeg(self, start=x, letters=letters, q=1, Q=0)
+        return PathSeg(self, start=x, letters=letters, q=1, Q=0, end=y)
 
     def parse_word(self, word):
         """Letters like 'a b A c' (capitals are inverses) -> group element."""
@@ -495,7 +499,7 @@ class GridSpace(GroupSpace):
             step = [0] * self.d
             step[i] = 1 if delta > 0 else -1
             letters.extend([tuple(step)] * abs(delta))
-        return PathSeg(self, start=x, letters=letters, q=1, Q=0)
+        return PathSeg(self, start=x, letters=letters, q=1, Q=0, end=y)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +669,7 @@ class FreeProductSpace(GroupSpace):
             f = self.factors[i]
             for fg in f.geodesic(f.identity, e).step_letters():
                 letters.append((i, fg))
-        return PathSeg(self, start=x, letters=letters, q=1, Q=0)
+        return PathSeg(self, start=x, letters=letters, q=1, Q=0, end=y)
 
     def parse_word(self, word):
         """Tokens 'f<i>:<gen>' or letters a,b for factor 0 / t for factor 1
@@ -732,7 +736,7 @@ class LoopyRaySpace(GraphSpace):
         """The underlying geodesic ray gamma up to position `length`."""
         seg = PathSeg(self, vertices=[("r", k) for k in range(length + 1)],
                       q=1, Q=0)
-        seg.dist_along = _pointwise(lambda v: self._dist_to_ray(v, length))
+        seg.hook = _Pointwise(lambda v: self._dist_to_ray(v, length))
         return seg
 
     def neighbors(self, v):
@@ -886,13 +890,13 @@ def distances_along_path(sp, x, path):
 def distances_to_set(sp, path, Z):
     """d(v, Z) for every vertex v of the PathSeg `path`, exactly.
 
-    A PathSeg target with a `dist_along` hook answers in closed form;
-    any other target (a PathSeg without one, or an iterable of vertices)
-    costs one distances_along_path sweep of Z per vertex.
+    A PathSeg target with a `hook` answers in closed form; any other
+    target (a PathSeg without one, or an iterable of vertices) costs one
+    distances_along_path sweep of Z per vertex.
     """
     if isinstance(Z, PathSeg):
-        if Z.dist_along is not None:
-            return Z.dist_along(path)
+        if Z.hook is not None:
+            return Z.hook.dist_along(path)
     else:
         Z = list(Z)
         if not Z:
@@ -905,13 +909,29 @@ def distance_to_set(sp, x, Z):
     return distances_to_set(sp, PathSeg(sp, vertices=[x]), Z)[0]
 
 
-def _pointwise(dist):
-    """A `dist_along` hook from a per-vertex closed form d(v, Z)."""
-    return lambda path: [dist(v) for v in path.vertex_list()]
+class _Pointwise:
+    """A hook from a per-vertex closed form d(v, Z), with no closed-form
+    argmin."""
+
+    nearest = None
+
+    def __init__(self, dist):
+        self.dist = dist
+
+    def dist_along(self, path):
+        return [self.dist(v) for v in path.vertex_list()]
 
 
 def nearest_point_projection(sp, x, Z):
-    """The full argmin set of d(x, .) over Z, sorted deterministically."""
+    """The full argmin set of d(x, .) over Z, sorted by sp.vertex_key.
+
+    A PathSeg target whose hook has a `nearest` (geodesics from o on free
+    groups and free products) answers in closed form; any other target
+    costs one distances_along_path sweep of Z.
+    """
+    if isinstance(Z, PathSeg) and Z.hook is not None \
+            and Z.hook.nearest is not None:
+        return Z.hook.nearest(x)
     vs = enumerate_target(sp, Z)
     if not vs:
         raise DomainError("empty projection target")
@@ -1104,28 +1124,40 @@ def is_quasi_geodesic(path, q, Q):
     attaining it, as an all-pairs loop would report.
 
     A geodesic path (d(v_0, v_{n-1}) = n - 1) has d = t - s for every
-    pair, so its least slack is at t - s = 1.  Otherwise, since
-    lo(s, t + j) >= lo(s, t) - j(1 + 1/q), all anchors s advance together
-    in numpy rounds, each jumping to the first t whose bound can still
-    reach the least slack seen so far.  A skipped pair is strictly above
-    that, so no pair that could tie the minimum is missed, and a round
-    holds one pair per anchor.
+    pair, so its least slack is at t - s = 1.  On a letter path both tests
+    come before path_metric: step s has length ||g_s||, one norm per
+    distinct letter, and the end distance is one sp.dist (geodesics know
+    their endpoint), so a geodesic letter path builds no path tree.
+    Otherwise, since lo(s, t + j) >= lo(s, t) - j(1 + 1/q), all anchors s
+    advance together in numpy rounds, each jumping to the first t whose
+    bound can still reach the least slack seen so far.  A skipped pair is
+    strictly above that, so no pair that could tie the minimum is missed,
+    and a round holds one pair per anchor.
     """
     if q < 1 or Q < 0:
         raise DomainError(f"need q >= 1 and Q >= 0, got ({q}, {Q})")
     n = len(path)
     if n <= 1:
         return QGCheck(True, margin=float("inf"))
+    geodesic = QGCheck(True, margin=float(1 - (1 / q - Q)))
+    sp, letters = path.sp, path.letters
+    if letters is not None:
+        step = {g: sp.norm(sp.mul_gen(sp.identity, g)) for g in set(letters)}
+        if max(step.values()) > 1:
+            s = next(s for s, g in enumerate(letters) if step[g] > 1)
+            _raise_jump(s, step[letters[s]])
+        if sp.dist(path.start, path.endpoint()) == n - 1:
+            return geodesic
     dist = path_metric(path)
     S = np.arange(n - 1)
     T = S + 1
     d = dist(S, T)
-    if d.max() > 1:
-        s = int(np.argmax(d > 1))
-        raise DomainError(f"path vertices {s} and {s + 1} are "
-                          f"{int(d[s])} apart")
-    if dist(S[:1], np.array([n - 1]))[0] == n - 1:
-        return QGCheck(True, margin=float(1 - (1 / q - Q)))
+    if letters is None:
+        if d.max() > 1:
+            s = int(np.argmax(d > 1))
+            _raise_jump(s, int(d[s]))
+        if dist(S[:1], np.array([n - 1]))[0] == n - 1:
+            return geodesic
 
     worst, witness = float("inf"), None
     reach = 1 + 1 / q
@@ -1144,6 +1176,10 @@ def is_quasi_geodesic(path, q, Q):
         d = dist(S, T)
     ok = worst >= -1e-9
     return QGCheck(ok, witness=None if ok else witness, margin=worst)
+
+
+def _raise_jump(s, d):
+    raise DomainError(f"path vertices {s} and {s + 1} are {d} apart")
 
 
 def first_time_at_norm(path, r):
@@ -1261,15 +1297,15 @@ class _RegeneratedSpace(GroupSpace):
 
 
 # ---------------------------------------------------------------------------
-# axis rays and closed-form distances to geodesics from o
+# axis rays and closed-form targets along geodesics from o
 
 def axis_ray(sp, length, gen=None):
-    """The ray g, g^2, ..., g^length as a PathSeg with a closed-form
-    `dist_along` hook.
+    """The ray g, g^2, ..., g^length as a PathSeg with a closed-form hook.
 
     `gen` defaults to the first generator.  On grids the hook applies the
-    O(d) per-vertex distance to the axis segment; on free groups and free
-    products it is geodesic_dist_along.  Other group spaces get no hook.
+    O(d) per-vertex distance to the axis segment (no closed-form argmin);
+    on free groups and free products it is geodesic_hook.  Other group
+    spaces get no hook.
     """
     if not sp.is_group:
         raise DomainError("axis_ray needs a group space")
@@ -1284,23 +1320,25 @@ def axis_ray(sp, length, gen=None):
             off = sum(abs(c) for i, c in enumerate(x) if i != axis)
             return off + max(0, -along, along - length)
 
-        seg.dist_along = _pointwise(dist)
+        seg.hook = _Pointwise(dist)
     else:
-        seg.dist_along = geodesic_dist_along(seg)
+        seg.hook = geodesic_hook(seg)
     return seg
 
 
-def geodesic_dist_along(Z):
-    """A closed-form `dist_along` hook for a letter path Z from o that is a
-    geodesic in one of two ways, or None for any other path:
+def geodesic_hook(Z):
+    """A closed-form hook (`dist_along` and `nearest`) for a letter path Z
+    from o that is a geodesic in one of two ways, or None for any other
+    path:
 
       * on a free group, Z reads one reduced word s;
       * on a free product, Z reads one normal-form word s_1 ... s_m
         syllable by syllable, each syllable along a factor geodesic (axis
         rays, excursion rays and the lifts of relhyp do).
 
-    Along a path, each space's own loop keeps how many leading letters or
-    syllables x shares with s at the top of x's stack: a push moves only it.
+    Both hooks rest on how many leading letters or syllables c a vertex x
+    shares with s.  Along a path, each dist_along loop keeps c for the top
+    of x's stack: a push moves only it.
     """
     sp = Z.sp
     if not isinstance(sp, (FreeGroupSpace, FreeProductSpace)) \
@@ -1310,23 +1348,35 @@ def geodesic_dist_along(Z):
         s = tuple(c for (c,) in Z.letters)
         if any(a == -b for a, b in zip(s, s[1:])):
             return None  # the word is not reduced
-        return _tree_dist_along(s)
-    return _syllable_dist_along(sp, Z.letters)
+        return _TreeTarget(s)
+    return _SyllableTarget.read(sp, Z.letters)
 
 
-def _tree_dist_along(s):
+def _shared(xs, s):
+    """How many leading entries xs shares with s."""
+    c = 0
+    for a, b in zip(xs, s):
+        if a != b:
+            break
+        c += 1
+    return c
+
+
+class _TreeTarget:
     """Free groups: the vertices of Z are the prefixes of s, and the one
-    nearest to x is the longest prefix c that x shares with s, so
-    d(x, Z) = |x| - |c|."""
-    m = len(s)
+    nearest to x is the longest prefix c that x shares with s (unique on a
+    tree), so d(x, Z) = |x| - |c|."""
 
-    def dist_along(path):
+    def __init__(self, s):
+        self.s = s
+
+    def nearest(self, x):
+        return [self.s[:_shared(x, self.s)]]
+
+    def dist_along(self, path):
+        s, m = self.s, len(self.s)
         stack = list(path.start)
-        c = 0
-        for a, b in zip(stack, s):
-            if a != b:
-                break
-            c += 1
+        c = _shared(stack, s)
         out = [len(stack) - c]
         for (letter,) in path.step_letters():
             if stack and stack[-1] == -letter:
@@ -1340,50 +1390,75 @@ def _tree_dist_along(s):
             out.append(len(stack) - c)
         return out
 
-    return dist_along
 
-
-def _syllable_dist_along(sp, letters):
+class _SyllableTarget:
     """Free products.  Let x = u_1 ... u_k in normal form share exactly c
     leading syllables with s.  Every vertex of Z outside the stretch of
-    s_{c+1} is at least as far from x as the vertex s_1 ... s_c, which is
-    at distance ||x|| - (|s_1| + ... + |s_c|).  Inside that stretch a
-    vertex s_1 ... s_c p is closer only when u_{c+1} lies in the same
-    factor, by ||u_{c+1}|| - min_p d(p, u_{c+1}) over the factor
-    geodesic's vertices p.  So each vertex of a path costs one scan of a
-    single syllable of Z, not a sweep of Z.  None when a syllable is not
-    read along a factor geodesic.
+    s_{c+1} is strictly farther from x than the vertex s_1 ... s_c, which
+    is at distance ||x|| - (|s_1| + ... + |s_c|).  Inside that stretch a
+    vertex s_1 ... s_c p with p != e can be as close only when u_{c+1}
+    lies in the same factor; it is then closer by ||u_{c+1}|| - d(p,
+    u_{c+1}).  So each vertex x costs one scan of a single syllable of Z,
+    not a sweep of Z; on a grid stretch the argmin can tie.
     """
-    syllables, stretches, before = [], [], [0]
-    for i, g in letters:
-        f = sp.factors[i]
-        if not syllables or syllables[-1][0] != i:
-            syllables.append((i, f.identity))
-            stretches.append([f.identity])
-            before.append(before[-1])
-        e = f.mul(syllables[-1][1], g)
-        if f.norm(e) != len(stretches[-1]):
-            return None
-        syllables[-1] = (i, e)
-        stretches[-1].append(e)
-        before[-1] += 1
-    s = tuple(syllables)
-    m = len(s)
 
-    def dist_along(path):
-        acc = sp.right_acc(path.start)
+    def __init__(self, sp, s, stretches, before):
+        self.sp = sp
+        self.s = s                  # the normal form s_1 ... s_m
+        self.stretches = stretches  # factor vertices along each s_j, from e
+        self.before = before        # |s_1| + ... + |s_c| for each c
+
+    @classmethod
+    def read(cls, sp, letters):
+        """The target read off a letter path from o, or None when a
+        syllable is not read along a factor geodesic."""
+        syllables, stretches, before = [], [], [0]
+        for i, g in letters:
+            f = sp.factors[i]
+            if not syllables or syllables[-1][0] != i:
+                syllables.append((i, f.identity))
+                stretches.append([f.identity])
+                before.append(before[-1])
+            e = f.mul(syllables[-1][1], g)
+            if f.norm(e) != len(stretches[-1]):
+                return None
+            syllables[-1] = (i, e)
+            stretches[-1].append(e)
+            before[-1] += 1
+        return cls(sp, tuple(syllables), stretches, before)
+
+    def _stretch_dists(self, c, u):
+        """d(p, e) over the vertices p of the stretch of s_{c+1}, identity
+        first, when the syllable u = (i, e) lies in its factor; else None."""
+        if c >= len(self.s) or u[0] != self.s[c][0]:
+            return None
+        f, e = self.sp.factors[u[0]], u[1]
+        return [f.dist(p, e) for p in self.stretches[c]]
+
+    def nearest(self, x):
+        c = _shared(x, self.s)
+        prefix = self.s[:c]
+        ds = self._stretch_dists(c, x[c]) if c < len(x) else None
+        if ds is None:
+            return [prefix]
+        best, i = min(ds), self.s[c][0]
+        return sorted((prefix + ((i, p),) if k else prefix
+                       for k, (d, p) in enumerate(zip(ds, self.stretches[c]))
+                       if d == best), key=self.sp.vertex_key)
+
+    def dist_along(self, path):
+        s, m, before = self.s, len(self.s), self.before
+        acc = self.sp.right_acc(path.start)
         stack = acc.stack  # [factor, element, norm] per syllable of x
-        c = 0
-        for (i, e, _), syl in zip(stack, s):
-            if (i, e) != syl:
-                break
-            c += 1
+        c = _shared(((i, e) for i, e, _ in stack), s)
 
         def dist():
             d = acc.norm - before[c]
-            if c < len(stack) and c < m and stack[c][0] == s[c][0]:
+            if c < len(stack):
                 i, e, n = stack[c]
-                d += min(sp.factors[i].dist(p, e) for p in stretches[c]) - n
+                ds = self._stretch_dists(c, (i, e))
+                if ds is not None:
+                    d += min(ds) - n
             return d
 
         out = [dist()]
@@ -1396,5 +1471,3 @@ def _syllable_dist_along(sp, letters):
                 c = n
             out.append(dist())
         return out
-
-    return dist_along

@@ -88,6 +88,16 @@ def all_pairs_quasi_geodesic(sp, vertices, q, Q):
     return ok, worst, None if ok else witness
 
 
+def sweep_projection(sp, x, vertices):
+    """The argmin set of sp.dist(x, .) over `vertices`, sorted by
+    sp.vertex_key: a nearest-point projection by one distance per target
+    vertex."""
+    ds = [sp.dist(x, v) for v in vertices]
+    best = min(ds)
+    return sorted({v for v, d in zip(vertices, ds) if d == best},
+                  key=sp.vertex_key)
+
+
 # ---------------------------------------------------------------------------
 # random walks, stepped by group multiplication
 

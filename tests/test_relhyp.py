@@ -23,7 +23,7 @@ from coarselab.relhyp import \
     test_excursion_contracting as check_excursion_contracting
 from coarselab.space import (FreeGroupSpace, FreeProductSpace, GridSpace,
                              PathSeg, build_space, distance_to_set,
-                             geodesic_dist_along)
+                             geodesic_hook)
 
 K1 = sublinear.by_tag("1")
 KLOG = sublinear.by_tag("log")
@@ -292,20 +292,20 @@ def test_lift_distance_oracles_match_pointwise(data):
     path = PathSeg(ZZ, start=x, letters=follow + stray + back)
     zs = lift.vertex_list()
     expected = [min(ZZ.dist(v, z) for z in zs) for v in path.vertex_list()]
-    assert lift.dist_along(path) == expected
+    assert lift.hook.dist_along(path) == expected
     assert [distance_to_set(ZZ, v, lift) for v in path.vertex_list()] == expected
 
 
 def test_geodesic_dist_along_needs_a_geodesic_from_o(zz, f2, z2):
     a, a_inv = zz.parse_word("a")[0], (0, (-1, 0))
-    assert geodesic_dist_along(PathSeg(zz, letters=[a, a_inv])) is None
-    assert geodesic_dist_along(
+    assert geodesic_hook(PathSeg(zz, letters=[a, a_inv])) is None
+    assert geodesic_hook(
         PathSeg(zz, start=zz.parse_word("t"), letters=[a])) is None
-    assert geodesic_dist_along(PathSeg(f2, letters=[(1,), (-1,)])) is None
-    assert geodesic_dist_along(PathSeg(f2, start=(2,), letters=[(1,)])) is None
-    assert geodesic_dist_along(PathSeg(z2, letters=[(1, 0)])) is None
-    assert geodesic_dist_along(PathSeg(zz, letters=[a, a])) is not None
-    assert geodesic_dist_along(PathSeg(f2, letters=[(1,), (2,)])) is not None
+    assert geodesic_hook(PathSeg(f2, letters=[(1,), (-1,)])) is None
+    assert geodesic_hook(PathSeg(f2, start=(2,), letters=[(1,)])) is None
+    assert geodesic_hook(PathSeg(z2, letters=[(1, 0)])) is None
+    assert geodesic_hook(PathSeg(zz, letters=[a, a])) is not None
+    assert geodesic_hook(PathSeg(f2, letters=[(1,), (2,)])) is not None
 
 
 @given(data=st.data())

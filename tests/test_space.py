@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 import oracles
 from coarselab import space
 from coarselab.errors import DomainError
-from coarselab.relhyp import coned_dist, coned_distances_along_path
+from coarselab.relhyp import (coned_dist, coned_distance,
+                              coned_distances_along_path, lift_coned_geodesic)
 from coarselab.space import (PathSeg, axis_ray, build_space, change_generators,
                              distance_to_set, distances_along_path,
                              distances_to_set, first_time_at_norm,
-                             geodesic_dist_along, is_quasi_geodesic,
+                             geodesic_hook, is_quasi_geodesic,
                              nearest_point_projection)
 
 
@@ -147,8 +148,21 @@ def test_quasi_geodesic_matches_all_pairs(name, data):
         gens = st.sampled_from(sp.gens[:k])
         start = _word(sp, data.draw(st.lists(st.sampled_from(sp.gens),
                                              max_size=4)))
-        path = PathSeg(sp, start=start,
-                       letters=data.draw(st.lists(gens, max_size=steps)))
+        if data.draw(st.booleans()):
+            # a geodesic from a non-identity start, sometimes with a few
+            # more letters after it: long paths that pass or just miss the
+            # geodesic shortcut
+            start = start if start != sp.identity else _word(sp, sp.gens[:1])
+            w = _word(sp, data.draw(st.lists(st.sampled_from(sp.gens),
+                                             max_size=steps)))
+            path = sp.geodesic(start, w)
+            extra = data.draw(st.lists(gens, max_size=4))
+            if extra:
+                path = PathSeg(sp, start=start,
+                               letters=path.step_letters() + extra)
+        else:
+            path = PathSeg(sp, start=start,
+                           letters=data.draw(st.lists(gens, max_size=steps)))
         if data.draw(st.booleans()):
             path = PathSeg(sp, vertices=path.vertex_list())
     else:
@@ -177,6 +191,30 @@ def test_quasi_geodesic_matches_all_pairs(name, data):
 def test_quasi_geodesic_rejects_jumps(spec, vertices):
     with pytest.raises(DomainError):
         is_quasi_geodesic(PathSeg(build_space(spec), vertices=vertices), 2, 4)
+
+
+@pytest.mark.parametrize("name, letters, jump", [
+    ("grid(2)", [(0, 1), (1, 0), (2, 0), (1, 0)], 2),
+    ("grid(2)", [(2, 0)], 0),
+    ("Z2*Z", [(1, (1,)), (0, (1, 0)), (0, (2, 0)), (0, (0, 1))], 2),
+    ("Z2*Z", [(0, (1, 0)), (0, (2, 0)), (0, (2, 0))], 1),
+    ("grid(2)+regen", [(1, 1), (0, 1), (2, 0), (1, 0)], 2),
+])
+def test_quasi_geodesic_rejects_letter_jumps(name, letters, jump):
+    """A letter longer than one edge is rejected before any geodesic test,
+    with the message of the vertex form of the same path.  On a free
+    product the vertex form never reaches the step check: reading its path
+    tree, step_generator finds no generator for the jump."""
+    sp = QG_SPACES[name][0]
+    path = PathSeg(sp, start=sp.identity, letters=letters)
+    messages = []
+    for p in (path, PathSeg(sp, vertices=path.vertex_list())):
+        with pytest.raises(DomainError) as err:
+            is_quasi_geodesic(p, 2, 4)
+        messages.append(str(err.value))
+    assert messages[0] == f"path vertices {jump} and {jump + 1} are 2 apart"
+    assert messages[1] == (messages[0] if name != "Z2*Z"
+                           else "vertices are not adjacent")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +252,7 @@ def test_free_product_norm_example(zz):
 def test_axis_ray_distance_oracles(spec):
     sp = build_space(spec)
     ray = axis_ray(sp, 12)
-    assert ray.dist_along is not None
+    assert ray.hook is not None
     verts = sorted(oracles.bfs_ball(sp, sp.basepoint, 4), key=sp.vertex_key)
     ray_pts = ray.vertex_list()
     rng = random.Random(3)
@@ -243,8 +281,8 @@ def test_axis_ray_dist_along_matches_pointwise(data):
     else:
         Z = sp.geodesic(sp.identity,
                         _word(sp, data.draw(st.lists(gens, max_size=20))))
-        Z.dist_along = geodesic_dist_along(Z)
-    assert Z.dist_along is not None
+        Z.hook = geodesic_hook(Z)
+    assert Z.hook is not None
     zs = Z.vertex_list()
     # start near vertex k of Z, step onto it, walk back along Z towards o
     # (which shortens the prefix shared with Z), then stray
@@ -259,6 +297,67 @@ def test_axis_ray_dist_along_matches_pointwise(data):
     expected = [min(sp.dist(v, z) for z in zs) for v in vs]
     assert distances_to_set(sp, path, Z) == expected
     assert distances_to_set(sp, PathSeg(sp, vertices=vs), Z) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GEODESIC_SPACES))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_nearest_hook_matches_the_sweep(name, data):
+    """The closed-form `nearest` of a geodesic target from o against the
+    sweep over the target, with no distances_along_path call.  Targets:
+    axis rays along any generator, geodesics to random elements and, on
+    Z^2*Z, lifts of coned geodesics and staircase corners.  x is a vertex
+    of the target moved by a few letters, so that it shares a prefix with
+    the target; beside a corner (a, 0), (a, b) the argmin often ties."""
+    sp = GEODESIC_SPACES[name]
+    gens = st.sampled_from(sp.gens)
+    kinds = ["axis", "geodesic"] + (["lift", "corner"] if name == "Z2*Z" else [])
+    kind = data.draw(st.sampled_from(kinds))
+    w = _word(sp, data.draw(st.lists(gens, max_size=20)))
+    x = None
+    if kind == "axis":
+        Z = axis_ray(sp, data.draw(st.integers(0, 12)), gen=data.draw(gens))
+    elif kind == "lift":
+        Z, _ = lift_coned_geodesic(sp, coned_distance(sp, sp.identity, w))
+    else:
+        if kind == "corner":
+            w = _word(sp, data.draw(st.lists(gens, max_size=6)) + [(1, (1,))])
+            signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * 2))
+            a, b = (s * data.draw(st.integers(1, 5)) for s in signs)
+            p, q = (s * data.draw(st.integers(-1, 5)) for s in signs)
+            x = sp.mul(w, ((0, (p, q)),)) if (p, q) != (0, 0) else w
+            w = sp.mul(w, ((0, (a, b)),))
+        Z = sp.geodesic(sp.identity, w)
+        Z.hook = geodesic_hook(Z)
+    assert Z.hook is not None and Z.hook.nearest is not None
+    zs = Z.vertex_list()
+    if x is None:
+        k = data.draw(st.integers(0, len(zs) - 1))
+        x = _word(sp, Z.letters[:k] + data.draw(st.lists(gens, max_size=6)))
+    calls = []
+    sweep = space.distances_along_path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space, "distances_along_path",
+                   lambda *a: calls.append(a) or sweep(*a))
+        got = nearest_point_projection(sp, x, Z)
+    assert calls == []
+    assert got == oracles.sweep_projection(sp, x, zs)
+
+
+@pytest.mark.parametrize("w, x, expected", [
+    # a staircase syllable turns a corner; beside it, (0, 1) and (0, 2) are
+    # as near to the stretch's first vertex as to its last, and (1, 1) is
+    # as near to (1, 0) as to (2, 1)
+    (((0, (1, 1)),), ((0, (0, 1)),), [(), ((0, (1, 1)),)]),
+    (((1, (1,)), (0, (1, 1))), ((1, (1,)), (0, (0, 2))),
+     [((1, (1,)),), ((1, (1,)), (0, (1, 1)))]),
+    (((0, (2, 2)),), ((0, (1, 1)), (1, (1,))), [((0, (1, 0)),), ((0, (2, 1)),)]),
+])
+def test_nearest_keeps_grid_stretch_ties(zz, w, x, expected):
+    Z = zz.geodesic((), w)
+    Z.hook = geodesic_hook(Z)
+    assert nearest_point_projection(zz, x, Z) == expected \
+        == oracles.sweep_projection(zz, x, Z.vertex_list())
 
 
 # name -> (space, max letters in the start, in x, and on the path); the
