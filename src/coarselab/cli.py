@@ -435,24 +435,44 @@ def _run_surgery(sp, cfg, seed, out_dir, regen):
     return _record("surgery", v, cfg["expect"], extra={"failures": failures})
 
 
+# pairs whose walks _random_pairs reduces together, which bounds the rows
+# alive at once
+_PAIR_CHUNK = 256
+
+
 def _random_pairs(sp, count, radius, seed):
+    """`count` pairs of ends of random generator walks of 0 to `radius`
+    steps, pair i drawn from its own stream as morse._random_walk_vertex
+    draws.  On a flat free product (`flat_widths`) the same draws pick
+    generator indices, and the walks of _PAIR_CHUNK pairs are reduced
+    together by `gen_words`."""
+    if not (isinstance(sp, space.FreeProductSpace) and sp.flat_widths()):
+        walk = morse._random_walk_vertex
+        return [tuple(walk(sp, rng, rng.randint(0, radius)) for _ in range(2))
+                for rng in (rng_for(seed, 13, i) for i in range(count))]
+    gens = range(len(sp.gens))
     pairs = []
-    for i in range(count):
-        rng = rng_for(seed, 13, i)
-        pairs.append(tuple(
-            morse._random_walk_vertex(sp, rng, rng.randint(0, radius))
-            for _ in range(2)))
+    for lo in range(0, count, _PAIR_CHUNK):
+        walks = []
+        for i in range(lo, min(lo + _PAIR_CHUNK, count)):
+            rng = rng_for(seed, 13, i)
+            walks += ([rng.choice(gens) for _ in range(rng.randint(0, radius))]
+                      for _ in range(2))
+        ends = sp.gen_words(walks)
+        pairs += zip(ends[0::2], ends[1::2])
     return pairs
 
 
 def _run_distance_formula(sp, cfg, seed, out_dir, regen):
     relhyp.require_relhyp(sp)
     pairs = _random_pairs(sp, cfg["pairs"], cfg["radius"], seed)
-    fit = relhyp.fit_distance_formula(sp, pairs, cfg["k"])
+    # x^-1 y once per pair for both fits
+    terms = relhyp._formula_terms(sp, pairs)
+    fit = relhyp.fit_distance_formula(sp, pairs, cfg["k"], terms=terms)
     extra = {"M": fit.M, "A": fit.A, "K": fit.K}
     ok = True
     if cfg["k2"]:
-        fit2 = relhyp.fit_distance_formula(sp, pairs, cfg["k2"])
+        fit2 = relhyp.fit_distance_formula(sp, pairs, cfg["k2"], terms=terms)
         extra["M2"] = fit2.M
         ok = abs(fit2.M - fit.M) / max(fit.M, 1e-12) < 0.10
     v = morse.Verdict(ok, test="distance_formula", margin=fit.M,

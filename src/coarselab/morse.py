@@ -257,7 +257,9 @@ def _insert_detours(sp, base, rng, depth, n_detours, q):
     for pos in sorted(sites, reverse=True):
         out[pos:pos] = sites[pos]
     if sp.is_group:
-        return PathSeg(sp, start=sp.basepoint, letters=out)
+        # the excursions go out and back, so the end is the base's
+        return PathSeg(sp, start=sp.basepoint, letters=out,
+                       end=base.endpoint())
     return PathSeg(sp, vertices=out)
 
 
@@ -299,7 +301,8 @@ def probe_family(sp, target, q, Q, count, seed):
                 leg2 = sp.geodesic(w, goal)
                 if sp.is_group:
                     cand = PathSeg(sp, start=sp.basepoint,
-                                   letters=leg1.step_letters() + leg2.step_letters())
+                                   letters=leg1.step_letters() + leg2.step_letters(),
+                                   end=goal)
                 else:
                     cand = PathSeg(sp, vertices=leg1.vertex_list()
                                    + leg2.vertex_list()[1:])

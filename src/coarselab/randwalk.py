@@ -9,12 +9,13 @@ Paths are deliberately lightweight: a SamplePath stores its seed and
 replays the walk on demand, keeping only dyadic-checkpoint summaries in
 memory.  A replay draws all its steps in one batch, from the same stream
 as one random() call per step.  On free products of grids and
-free_group(1) it folds each run of steps in one factor into one integer
-vector instead of pushing normal-form letters.  One statistics pass over
-400 paths of length 2^12 replays in 0.33-0.45 s on free_group(2) and
-0.41-0.57 s on free_product(grid(2), free_group(1)) (best of 3, three
-runs, one core, Python 3.11, numpy 2.4, shared 2-core host), so a
-10^4-path ensemble takes about 10 s and 12 s.
+free_group(1) the steps become integer syllable rows that
+space.reduce_flat takes to normal form block by block in numpy, a few
+walks at a time, instead of pushing normal-form letters.  One statistics
+pass over 400 paths of length 2^12 replays in 0.33-0.45 s on
+free_group(2) and 0.26-0.30 s on free_product(grid(2), free_group(1))
+(three passes each, one core, Python 3.11, numpy 2.4, shared 2-core
+host), so a 10^4-path ensemble takes about 10 s and 7 s.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from . import relhyp as _rh
 from .errors import DomainError, Inconclusive
 from .morse import Verdict, _band_trend_fail
 from .seeds import derive_seed
-from .space import PathSeg, distance_to_set, distances_along_path
+from .space import PathSeg, distance_to_set, distances_along_path, \
+    reduce_flat
 
 PROB_TOL = 1e-12
 
@@ -79,12 +81,11 @@ def _step_table(sp, mu):
 
     A step is the element's letters (an element may be a word in the
     generators, e.g. a squared generator).  On a free product of grids and
-    free_group(1) (`flat_widths`) the flat table is (rows, row count per
-    step, first row per step, factor widths, peripheral flag per factor
-    plus False for the identity's factor -1): one integer row per syllable
-    of each step's normal form, in order, holding the factor and the
-    vector padded to the widest factor.  The last step is listed twice: a
-    draw past the last running sum (rounding) takes it.
+    free_group(1) (`flat_widths`) the flat table is (factor array, vector
+    columns, row count per step, first row per step, peripheral flag per
+    factor): one `flat_rows` row per syllable of each step's normal form,
+    in order.  The last step is listed twice: a draw past the last running
+    sum (rounding) takes it.
     """
     cum = tuple(itertools.accumulate(p for _, p in mu.support))
     steps = []
@@ -95,25 +96,22 @@ def _step_table(sp, mu):
             raise DomainError("identity element in step support")
         steps.append(letters)
     steps.append(steps[-1])
-    widths = sp.flat_widths() if isinstance(sp, _rh.FreeProductSpace) else None
     flat = None
-    if widths is not None:
-        pad = max(widths)
-        rows, counts = [], []
+    if isinstance(sp, _rh.FreeProductSpace) and sp.flat_widths() is not None:
+        words = []
         for letters in steps:
             acc = sp.right_acc()
             for g in letters:
                 acc.push(g)
-            syllables = [sp.flat_syllable(syl) for syl in acc.value()]
-            rows += [(i, *v, *(0,) * (pad - len(v))) for i, v in syllables]
-            counts.append(len(syllables))
-        rows, counts = np.array(rows), np.array(counts)
+            words.append(acc.value())
+        fac, cols = sp.flat_rows([syl for w in words for syl in w])
+        counts = np.array([len(w) for w in words])
         firsts = np.cumsum(counts) - counts
-        for a in (rows, counts, firsts):
-            a.flags.writeable = False
         pers = _rh.peripheral_indices(sp)
-        flat = (rows, counts, firsts, widths,
-                tuple(i in pers for i in range(len(widths))) + (False,))
+        per = np.array([i in pers for i in range(len(sp.factors))])
+        for a in (fac, *cols, counts, firsts, per):
+            a.flags.writeable = False
+        flat = (fac, cols, counts, firsts, per)
     return cum, tuple(steps), flat
 
 
@@ -166,6 +164,7 @@ class SamplePath:
         self.length = length
         self.seed = seed
         self._stats = None
+        self._lift = None   # set by limit_ray_proxy, see _coned_lift
 
     def _replay(self, indices):
         """Step the walk once, yielding its accumulator at each of the
@@ -182,92 +181,22 @@ class SamplePath:
             k = target
             yield acc
 
-    def _flat_replay(self, indices):
-        """`_replay` on integer vectors, for a flat step table: yields
-        (norm, coned norm, max peripheral norm, stack, top) at each index,
-        with the same draws.
-
-        The draws are expanded into the table's syllable rows and cut into
-        runs wherever the factor changes and at every requested index; a
-        run is one element of one factor, summed by numpy.  Merging a run
-        into a top syllable of its factor (popping it if the sum is
-        trivial), pushing it if it is not trivial, or else skipping it
-        leaves the normal form that stepping letter by letter leaves at
-        every run end: within a run a pop always exposes another factor.
-
-        The top syllable is kept in locals: factor f, padded coordinate
-        tuple c and norm tn, and mx, nb, cb are the max peripheral norm, the
-        norm and the coned norm of the syllables under it.  `stack` holds
-        the syllables under the top as (f, c, tn, mx, nb, cb) entries, so a
-        pop restores all six and a checkpoint reads its statistics off the
-        top without scanning the stack.  The stack is live: read it before
-        resuming.
-        """
-        cum, _, (rows, counts, firsts, _, per) = _step_table(self.sp, self.mu)
-        d = _draws(self.seed, indices[-1] if indices else 0, cum)
-        n = counts[d]
-        at = np.concatenate(([0], np.cumsum(n)))   # first row of each step
-        r = rows[np.arange(at[-1]) - np.repeat(at[:-1] - firsts[d], n)]
-        fac = r[:, 0]
-        new_run = np.ones(len(r), bool)
-        np.not_equal(fac[1:], fac[:-1], out=new_run[1:])
-        at = at[indices]
-        new_run[at[at < len(r)]] = True
-        starts = np.flatnonzero(new_run)
-        sums = np.add.reduceat(r[:, 1:], starts)
-        # tuples of ints, which the cyclic GC stops tracking, and so do
-        # the stack entries built from them
-        runs = zip(fac[starts].tolist(), zip(*sums.T.tolist()),
-                   np.abs(sums).sum(1).tolist())
-        stack = []
-        push, pop = stack.append, stack.pop
-        f, c, tn = -1, None, 0     # the identity, as an empty factor -1
-        mx = nb = cb = 0
-        k = 0
-        for target in np.searchsorted(starts, at).tolist():
-            for g, v, rn in itertools.islice(runs, target - k):
-                if not rn:
-                    continue
-                if g == f:
-                    c = tuple([x + y for x, y in zip(c, v)])
-                    tn = sum(map(abs, c))
-                    if not tn:
-                        f, c, tn, mx, nb, cb = pop()
-                else:
-                    push((f, c, tn, mx, nb, cb))
-                    nb += tn
-                    if per[f]:
-                        cb += 1
-                        if tn > mx:
-                            mx = tn
-                    else:
-                        cb += tn
-                    f, c, tn = g, v, rn
-            k = target
-            if per[f]:
-                yield nb + tn, cb + 1, max(mx, tn), stack, (f, c)
-            else:
-                yield nb + tn, cb + tn, mx, stack, (f, c)
-
     def positions_at(self, indices):
         """w_k for each requested index, in one replay."""
         ks = sorted(set(indices))
         bad = [k for k in ks if not 0 <= k <= self.length]
         if bad:
             raise DomainError(f"indices outside [0, {self.length}]: {bad}")
-        sp = self.sp
-        flat = _step_table(sp, self.mu)[2]
-        if flat is None:
+        if _step_table(self.sp, self.mu)[2] is None:
             return {k: acc.value() for k, acc in zip(ks, self._replay(ks))}
-        widths = flat[3]
-        out = {}
-        for k, (*_, stack, top) in zip(ks, self._flat_replay(ks)):
-            out[k] = tuple(sp.unflat_syllable(i, v[:widths[i]])
-                           for i, v, *_ in (*stack, top) if i >= 0)
-        return out
+        states = _flat_walks([(self, ks)], words=True)[0]
+        return {k: w for k, (*_, w) in zip(ks, states)}
 
     def stats(self):
         """Dyadic-checkpoint norms (and peripheral data on relhyp spaces)."""
+        flat = _step_table(self.sp, self.mu)[2] is not None
+        if self._stats is None and flat:
+            _flat_stats([self])
         if self._stats is not None:
             return self._stats
         sp = self.sp
@@ -275,22 +204,114 @@ class SamplePath:
         pers = _rh.peripheral_indices(sp) \
             if isinstance(sp, _rh.FreeProductSpace) else ()
         norms, coned, maxp = {}, {}, {}
-        if _step_table(sp, self.mu)[2] is not None:
-            for k, (n, c, m, *_) in zip(ks, self._flat_replay(ks)):
-                norms[k] = n
-                if pers:
-                    coned[k], maxp[k] = c, m
-        else:
-            for k, acc in zip(ks, self._replay(ks)):
-                norms[k] = acc.norm
-                if pers:
-                    w = acc.value()
-                    coned[k] = _rh.coned_norm(sp, w)
-                    maxp[k] = max((sp.syllable_norm(syl) for syl in w
-                                   if syl[0] in pers), default=0)
+        for k, acc in zip(ks, self._replay(ks)):
+            norms[k] = acc.norm
+            if pers:
+                w = acc.value()
+                coned[k] = _rh.coned_norm(sp, w)
+                maxp[k] = max((sp.syllable_norm(syl) for syl in w
+                               if syl[0] in pers), default=0)
         self._stats = PathStats(checkpoints=ks, norms=norms, coned=coned,
                                 max_peripheral=maxp)
         return self._stats
+
+
+# walk steps replayed together by ensemble_stats: enough to spread numpy's
+# per-call cost, few enough to keep the arrays alive at once small
+_GROUP_STEPS = 1 << 13
+
+
+def _flat_walks(jobs, words=False):
+    """For each (path, non-decreasing indices) job, the list of (norm, coned
+    norm, max peripheral norm, w_k or None) at each index k; every path
+    shares one flat step table.  w_k is built only if `words`.
+
+    The draws of all jobs are expanded into syllable rows, one block per
+    gap between consecutive indices of a job, and reduce_flat takes each
+    block to normal form.  A job then runs as a stack of block slices: the
+    head of a block merges into the top syllable of the stack while both
+    lie in one factor (popping it when the sum is trivial), and the rest of
+    the block goes on as one slice; a merged syllable is appended to the
+    rows and goes on as a slice of its own.  Each slice records the norm,
+    coned norm and max peripheral norm of the stack under it, so with the
+    rows' cumulative norms and coned costs the statistics at an index cost
+    one max over the top slice's peripheral norms, not a scan of the stack.
+    """
+    sp, mu = jobs[0][0].sp, jobs[0][0].mu
+    cum, _, (tfac, tcols, counts, firsts, per) = _step_table(sp, mu)
+    draws, blocks, nb = [], [], 0
+    for path, ks in jobs:
+        draws.append(_draws(path.seed, ks[-1] if ks else 0, cum))
+        blocks.append(np.repeat(np.arange(nb, nb + len(ks)),
+                                np.diff(ks, prepend=0)))
+        nb += len(ks)
+    d = np.concatenate(draws)
+    n = counts[d]
+    r = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - firsts[d], n)
+    block, fac, cols = reduce_flat(np.repeat(np.concatenate(blocks), n),
+                                   tfac[r], [c[r] for c in tcols])
+    norm = sum(np.abs(c) for c in cols)
+    is_per = per[fac]
+    bounds = np.searchsorted(block, np.arange(nb + 1)).tolist()
+    F, C, per = fac.tolist(), [c.tolist() for c in cols], per.tolist()
+    pn = np.where(is_per, norm, 0).tolist()
+    cn = [0, *np.cumsum(norm).tolist()]             # norms before each row
+    cc = [0, *np.cumsum(np.where(is_per, 1, norm)).tolist()]
+
+    def push(stack, lo, hi, n0, c0, m0):
+        stack.append([lo, hi, n0 - cn[lo], c0 - cc[lo], m0])
+        return n0 + cn[hi] - cn[lo], c0 + cc[hi] - cc[lo], \
+            max(m0, max(pn[lo:hi]))
+
+    out, b = [], 0
+    for _, ks in jobs:
+        # stack entries [lo, hi, norm base, coned base, max under the slice];
+        # n0, c0, m0 are the statistics of the whole stack
+        stack, states = [], []
+        n0 = c0 = m0 = 0
+        for _ in ks:
+            lo, hi = bounds[b], bounds[b + 1]
+            b += 1
+            while lo < hi and stack and F[stack[-1][1] - 1] == F[lo]:
+                top = stack[-1]
+                t = top[1] = top[1] - 1
+                n0, c0 = top[2] + cn[t], top[3] + cc[t]
+                if t == top[0]:
+                    stack.pop()
+                    m0 = top[4]
+                elif pn[t] == m0 > top[4]:
+                    m0 = max(top[4], max(pn[top[0]:t]))
+                v = [c[t] + c[lo] for c in C]
+                lo += 1
+                if any(v):
+                    f, vn = F[lo - 1], sum(map(abs, v))
+                    F.append(f)
+                    for c, x in zip(C, v):
+                        c.append(x)
+                    pn.append(vn if per[f] else 0)
+                    cn.append(cn[-1] + vn)
+                    cc.append(cc[-1] + (1 if per[f] else vn))
+                    n0, c0, m0 = push(stack, len(F) - 1, len(F), n0, c0, m0)
+                    break
+            if lo < hi:
+                n0, c0, m0 = push(stack, lo, hi, n0, c0, m0)
+            w = tuple(sp.unflat_rows(itertools.chain.from_iterable(
+                zip(*(x[lo:hi] for x in (F, *C))) for lo, hi, *_ in stack))) \
+                if words else None
+            states.append((n0, c0, m0, w))
+        out.append(states)
+    return out
+
+
+def _flat_stats(paths):
+    """Set the stats of flat walks sharing one step table, in one replay."""
+    jobs = [(p, _dyadic_checkpoints(p.length)) for p in paths]
+    pers = bool(_rh.peripheral_indices(paths[0].sp))
+    for (p, ks), states in zip(jobs, _flat_walks(jobs)):
+        norms, coned, maxp = ({k: s[j] for k, s in zip(ks, states)}
+                              for j in range(3))
+        p._stats = PathStats(ks, norms, coned if pers else {},
+                             maxp if pers else {})
 
 
 def sample_paths(sp, mu, n, count, seed):
@@ -303,7 +324,22 @@ def sample_paths(sp, mu, n, count, seed):
 
 
 def ensemble_stats(paths):
-    """PathStats for every path, index-ordered; each path keeps its own."""
+    """PathStats for every path, index-ordered; each path keeps its own.
+
+    Flat walks that share a step table are replayed together, in groups of
+    about _GROUP_STEPS steps."""
+    group, steps = [], 0
+    for p in paths:
+        if p._stats is not None or _step_table(p.sp, p.mu)[2] is None:
+            continue
+        if group and ((p.sp, p.mu) != (group[0].sp, group[0].mu)
+                      or steps + p.length > _GROUP_STEPS):
+            _flat_stats(group)
+            group, steps = [], 0
+        group.append(p)
+        steps += p.length
+    if group:
+        _flat_stats(group)
     return [p.stats() for p in paths]
 
 
@@ -476,12 +512,13 @@ def limit_ray_proxy(sp, path, N=None):
     relhyp = isinstance(sp, _rh.FreeProductSpace) and \
         bool(_rh.peripheral_indices(sp))
     if relhyp:
-        report = _rh.coned_distance(sp, (), wN)
-        if report.value < 10:
+        value, seg, consts = _coned_lift(path, N, wN)
+        if N == path.length:
+            path._lift = value, seg, consts
+        if value < 10:
             raise Inconclusive(
                 f"walk did not progress in the coned graph (d_Ghat = "
-                f"{report.value} < 10)")
-        seg, consts = _rh.lift_coned_geodesic(sp, report, start=sp.identity)
+                f"{value} < 10)")
         j = 0
         while j < min(len(wN), len(wHalf)) and wN[j] == wHalf[j]:
             j += 1
@@ -618,14 +655,23 @@ def excursion_of_walk_ray(sp, paths, kappa, constants=None, quantile=0.95,
                                      "q_half": qh, "kappa": kappa.tag})
 
 
+def _coned_lift(path, N, w):
+    """(d_Ghat(o, w), lift, certified constants) of the coned geodesic from
+    o to w = w_N.  limit_ray_proxy keeps the full-horizon one on the path,
+    and the walk-ray excursions read it from there."""
+    if N == path.length and path._lift is not None:
+        return path._lift
+    report = _rh.coned_distance(path.sp, (), w)
+    return (report.value,
+            *_rh.lift_coned_geodesic(path.sp, report, start=path.sp.identity))
+
+
 def _walk_ray_excursions(path, kappa, constants):
-    sp = path.sp
     out = []
     pos = path.positions_at({path.length, path.length // 2})
     for N in (path.length, path.length // 2):
-        report = _rh.coned_distance(sp, (), pos[N])
-        seg, _ = _rh.lift_coned_geodesic(sp, report, start=sp.identity)
-        _, E, _ = _rh.excursion_profile(sp, seg, constants.D0, kappa)
+        _, seg, _ = _coned_lift(path, N, pos[N])
+        _, E, _ = _rh.excursion_profile(path.sp, seg, constants.D0, kappa)
         out.append(E)
     return tuple(out)
 

@@ -186,7 +186,30 @@ class DistanceFormulaFit:
     residuals: list  # (x, y, d_G, S)
 
 
-def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0):
+def _formula_terms(sp, pairs):
+    """Per pair (d_G(x, y), d_Ghat(x, y), the d_P(x, y) > 0), from one
+    product z = x^-1 y and one pass over its syllables: d_G is the sum of
+    their norms, d_Ghat the sum of their coned costs, and the d_P are the
+    norms of the peripheral ones (one coset each, as in
+    peripheral_distances)."""
+    pers = set(peripheral_indices(sp))
+    costs = _coned_costs(sp)
+    out = []
+    for x, y in pairs:
+        d = c = 0
+        ps = []
+        for i, e in sp.mul(sp.inv(x), y):
+            n = sp.factors[i].norm(e)
+            d += n
+            c += costs[i](e)
+            if i in pers:
+                ps.append(n)
+        out.append((d, c, ps))
+    return out
+
+
+def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0,
+                         terms=None):
     """Least (M, A) with S/M - A <= d_G(x,y) <= M*S + A over the sample,
     where S = sum_P floor_K(d_P(x,y)) + d_Ghat(x,y).
 
@@ -194,11 +217,8 @@ def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0):
     spent), then A is the least additive constant valid for that M; both
     are closed-form maxima over the per-pair constraints.
 
-    Each pair costs one product z = x^-1 y and one pass over its
-    syllables, which give all three terms: d_G(x, y) is the sum of their
-    norms, d_Ghat(x, y) the sum of their coned costs, and the d_P(x, y) > 0
-    are the norms of the peripheral ones (one coset each, as in
-    peripheral_distances).
+    `terms` is _formula_terms(sp, pairs), passed by a caller that fits the
+    same pairs at several K; it is computed here otherwise.
     """
     require_relhyp(sp)
     K0 = constants.K0 if constants is not None else 1
@@ -206,16 +226,10 @@ def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0):
         raise PreconditionError(f"K = {K} below the configured K0 = {K0}")
     if len(pairs) < 2:
         raise DomainError("sample too small for a distance-formula fit")
-    pers = set(peripheral_indices(sp))
-    costs = _coned_costs(sp)
-    rows = []
-    for x, y in pairs:
-        d = S = 0
-        for i, e in sp.mul(sp.inv(x), y):
-            n = sp.factors[i].norm(e)
-            d += n
-            S += costs[i](e) + (n if i in pers and n >= K else 0)
-        rows.append((x, y, d, S))
+    if terms is None:
+        terms = _formula_terms(sp, pairs)
+    rows = [(x, y, d, c + sum(n for n in ps if n >= K))
+            for (x, y), (d, c, ps) in zip(pairs, terms)]
     M = 1.0
     for _, _, d, S in rows:
         if S > 0:

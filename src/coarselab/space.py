@@ -662,6 +662,40 @@ class FreeProductSpace(GroupSpace):
         (n,) = v
         return i, (1,) * n if n > 0 else (-1,) * -n
 
+    def flat_rows(self, syllables):
+        """Syllables as flat rows: (factor array, list of vector columns),
+        each vector zero-padded to the widest factor."""
+        pad = max(self.flat_widths())
+        rows = np.array([(i, *v, *(0,) * (pad - len(v)))
+                         for i, v in map(self.flat_syllable, syllables)],
+                        dtype=np.int64).reshape(-1, pad + 1)
+        return rows[:, 0].copy(), [rows[:, c].copy()
+                                   for c in range(1, pad + 1)]
+
+    def unflat_rows(self, rows):
+        """The syllables of flat rows given as (factor, *padded vector)
+        tuples; equal rows share one syllable."""
+        widths, memo, out = self.flat_widths(), {}, []
+        for row in rows:
+            syl = memo.get(row)
+            if syl is None:
+                i = row[0]
+                syl = memo[row] = self.unflat_syllable(i, row[1:1 + widths[i]])
+            out.append(syl)
+        return out
+
+    def gen_words(self, walks):
+        """The element each walk spells, for walks given as lists of indices
+        into `gens`, reduced by reduce_flat with one block per walk (a flat
+        space only)."""
+        fac, cols = self.flat_rows(self.gens)
+        idx = np.fromiter(itertools.chain.from_iterable(walks), np.int64)
+        block = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
+        block, fac, cols = reduce_flat(block, fac[idx], [c[idx] for c in cols])
+        bounds = np.searchsorted(block, np.arange(len(walks) + 1)).tolist()
+        syls = self.unflat_rows(zip(fac.tolist(), *(c.tolist() for c in cols)))
+        return [tuple(syls[a:b]) for a, b in zip(bounds, bounds[1:])]
+
     def geodesic(self, x, y):
         z = self.mul(self.inv(x), y)
         letters = []
@@ -689,6 +723,38 @@ class FreeProductSpace(GroupSpace):
                 raise DomainError(f"unknown generator {tok!r} for {self.kind}")
             acc.push(shorthand[tok])
         return acc.value()
+
+
+def reduce_flat(block, fac, cols):
+    """Reduce flat free-product words, one word per block.
+
+    Each row is one syllable: its block (`block`, non-decreasing), its
+    factor (`fac`) and its vector, read across the columns `cols`; no row
+    is zero.  Every factor of a flat space is abelian, so a pass that sums
+    each run of adjacent rows of one factor within a block and then drops
+    the zero sums leaves each block's product unchanged; passes repeat
+    until no two adjacent rows of a block share a factor.  The rows left
+    are each block's product in normal form, in order.  A run's sum is a
+    difference of two column cumulative sums.
+
+    Returns (block, fac, cols) of the reduced rows.
+    """
+    width = int(fac.max()) + 1 if len(fac) else 1
+    key = block * width + fac
+    while len(key) > 1:
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        if new.all():
+            break
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:] - 1, len(key) - 1)
+        sums = [np.diff(np.cumsum(c)[ends], prepend=0) for c in cols]
+        keep = sums[0] != 0
+        for s in sums[1:]:
+            keep |= s != 0
+        key, cols = key[starts][keep], [s[keep] for s in sums]
+    return key // width, key % width, cols
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1073,16 @@ class _PathTree:
         child = {}
         cur = 0
         at = [cur]  # node of each path vertex
-        for g in path.step_letters():
+        if path.letters is not None:
+            steps = path.letters
+        else:
+            vs = path.vertex_list()
+            steps = [None if u == v else sp.step_generator(u, v)
+                     for u, v in zip(vs, vs[1:])]
+        for g in steps:
+            if g is None:  # a repeated vertex
+                at.append(cur)
+                continue
             i, e = (0, g) if len(factors) == 1 else g
             base = cur
             if grid[i]:
@@ -1117,17 +1192,19 @@ def is_quasi_geodesic(path, q, Q):
     """Check (1/q)|s-t| - Q <= d(path(s), path(t)) <= q|s-t| + Q over every
     pair of vertices, exactly, at any length.
 
-    Consecutive vertices must be at most 1 apart (DomainError otherwise),
-    so d(v_s, v_t) <= t - s and the upper bound always holds; the margin is
-    the least lo(s, t) = d(v_s, v_t) - ((t - s)/q - Q) over s < t, and the
-    witness (s, t, d) of a failure is the lexicographically first pair
-    attaining it, as an all-pairs loop would report.
+    Consecutive vertices must be at most 1 apart (DomainError otherwise;
+    a repeated vertex is a step of length 0), so d(v_s, v_t) <= t - s and
+    the upper bound always holds; the margin is the least lo(s, t) =
+    d(v_s, v_t) - ((t - s)/q - Q) over s < t, and the witness (s, t, d) of
+    a failure is the lexicographically first pair attaining it, as an
+    all-pairs loop would report.
 
     A geodesic path (d(v_0, v_{n-1}) = n - 1) has d = t - s for every
-    pair, so its least slack is at t - s = 1.  On a letter path both tests
-    come before path_metric: step s has length ||g_s||, one norm per
-    distinct letter, and the end distance is one sp.dist (geodesics know
-    their endpoint), so a geodesic letter path builds no path tree.
+    pair, so its least slack is at t - s = 1.  Both tests come before
+    path_metric, so a geodesic path builds no path tree.  On a letter path
+    step s has length ||g_s||, one norm per distinct letter, and the end
+    distance is one sp.dist (geodesics know their endpoint); on a vertex
+    path each step and the end distance is one sp.dist.
     Otherwise, since lo(s, t + j) >= lo(s, t) - j(1 + 1/q), all anchors s
     advance together in numpy rounds, each jumping to the first t whose
     bound can still reach the least slack seen so far.  A skipped pair is
@@ -1148,16 +1225,18 @@ def is_quasi_geodesic(path, q, Q):
             _raise_jump(s, step[letters[s]])
         if sp.dist(path.start, path.endpoint()) == n - 1:
             return geodesic
+    else:
+        vs = path.vertex_list()
+        for s in range(n - 1):
+            d = sp.dist(vs[s], vs[s + 1])
+            if d > 1:
+                _raise_jump(s, d)
+        if sp.dist(vs[0], vs[-1]) == n - 1:
+            return geodesic
     dist = path_metric(path)
     S = np.arange(n - 1)
     T = S + 1
     d = dist(S, T)
-    if letters is None:
-        if d.max() > 1:
-            s = int(np.argmax(d > 1))
-            _raise_jump(s, int(d[s]))
-        if dist(S[:1], np.array([n - 1]))[0] == n - 1:
-            return geodesic
 
     worst, witness = float("inf"), None
     reach = 1 + 1 / q

@@ -13,6 +13,7 @@ from collections import deque
 from coarselab.errors import DomainError
 from coarselab.relhyp import (coned_norm, coset_of, peripheral_indices,
                               require_relhyp)
+from coarselab.seeds import rng_for
 from coarselab.space import DEFAULT_BALL_CAP, FreeProductSpace
 from coarselab.sublinear import evaluate
 
@@ -126,6 +127,25 @@ def walk_positions(sp, mu, n, seed):
         i = min(bisect.bisect_left(sums, rng.random()), len(sums) - 1)
         out.append(sp.mul(out[-1], elements[i]))
     return out
+
+
+def random_pairs(sp, count, radius, seed):
+    """The runner's distance-formula sample: pair i draws, from
+    rng_for(seed, 13, i), a step count in [0, radius] and then one
+    generator per step for each of its two walks, and each step is one
+    sp.mul by that generator."""
+    pairs = []
+    for i in range(count):
+        rng = rng_for(seed, 13, i)
+        ends = []
+        for _ in range(2):
+            w = sp.identity
+            for _ in range(rng.randint(0, radius)):
+                g = rng.choice(sp.gens)
+                w = sp.mul(w, (g,) if isinstance(sp, FreeProductSpace) else g)
+            ends.append(w)
+        pairs.append(tuple(ends))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
+import oracles
 from coarselab import cli, morse
 from coarselab.cli import (ConfigError, main, run_experiment,
                            surgery_fixture_file, validate_config)
@@ -198,6 +200,63 @@ count = 40
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert "summary.json" in outs[0]
     assert outs[1] == outs[0]
+
+
+GOLDEN_CONFIG = """\
+[experiment]
+seed = 5
+space = free_product(grid(2), free_group(1))
+
+[walk]
+statistic = {statistic}
+n = 256
+count = 40
+
+[excursion]
+syllables = 60
+
+[distance_formula]
+k = 5
+k2 = 10
+pairs = 300
+radius = 30
+"""
+
+# sha256 of every output file: any change to how walks are replayed or
+# pairs drawn must leave them as they are
+GOLDEN_EXCURSION = "a2e69a8ad678da5509fbeb15f69fa5c2225eacdf066015c5f14e0101f2d55b76"
+GOLDEN_WALK_STATS = "beff1c1b40ac231326299582c9ed4ffa33de19f03a000be8033168c74467a553"
+GOLDEN = {
+    "drift": {"summary.json": "04e78f099efd08f05b428af5bec929508e4d74b788278afca36a39f8ed506ccc"},
+    "tracking": {"summary.json": "7beca69bded7f7cf07c1019605c295f07daeba8da9b09a84946da0efaa440bd9",
+                 "tracking.csv": "3ed3bf8dc7e504c86e7c0068a73c05043d63b4f975f48c2a82c22dcaed866ead"},
+    "excursion": {"summary.json": "b3754ea917dd96da948c3536ca215bd176b9bf7128b172757ddcf3e3a0e0bcd0"},
+}
+
+
+@pytest.mark.parametrize("statistic", sorted(GOLDEN))
+def test_run_output_matches_the_golden_digests(tmp_path, statistic):
+    path = _write(tmp_path, GOLDEN_CONFIG.format(statistic=statistic))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    assert got == {"excursion.csv": GOLDEN_EXCURSION,
+                   "walk_stats.csv": GOLDEN_WALK_STATS, **GOLDEN[statistic]}
+
+
+@pytest.mark.parametrize("spec", [
+    "free_product(grid(2), free_group(1))",
+    "free_product(grid(2), free_group(1), grid(1))",
+    "free_product(grid(2), grid(3), free_group(1))",   # padded vectors
+    "free_product(free_group(2), free_group(1))",      # not flat
+])
+@pytest.mark.parametrize("radius", [0, 3, 30])
+def test_random_pairs_match_one_push_per_step(spec, radius):
+    sp = build_space(spec)
+    count = cli._PAIR_CHUNK + 5   # a full chunk and a partial one
+    assert cli._random_pairs(sp, count, radius, seed=4) == \
+        oracles.random_pairs(sp, count, radius, 4)
 
 
 # ---------------------------------------------------------------------------

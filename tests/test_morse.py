@@ -148,6 +148,32 @@ def test_probe_family_certified_and_ends_on_target(f2):
     assert any(len(b) > 13 for b in fam)
 
 
+@pytest.mark.parametrize("spec", ["free_group(2)", "grid(2)",
+                                  "free_product(grid(2), free_group(1))"])
+def test_probe_ends_are_their_replayed_endpoints(spec, monkeypatch):
+    """Every probe kind declares its end, and the end is where its letters
+    lead: a wrong end would fake the geodesic shortcut of
+    is_quasi_geodesic."""
+    sp = space.build_space(spec)
+    g, h = sp.gens[0], sp.gens[-1]
+    target = PathSeg(sp, start=sp.identity,
+                     letters=[g] * 12 + [h] * 5).endpoint()
+    built = []
+    for name in ("_insert_detours", "_random_walk_vertex"):
+        def counted(*args, _fn=getattr(morse, name), _name=name):
+            built.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(morse, name, counted)
+    fam = probe_family(sp, target, 2.0, 4, 6, seed=1)
+    # detours and L-shapes (one waypoint walk each) were built
+    assert set(built) == {"_insert_detours", "_random_walk_vertex"}
+    assert any(len(beta) == sp.norm(target) + 1 for beta in fam)
+    for beta in fam:
+        replayed = PathSeg(sp, start=beta.start, letters=beta.letters)
+        assert beta._end is not None
+        assert beta._end == replayed.endpoint() == target
+
+
 def test_stacked_detours_are_not_certified(f2):
     # probe 1 of probe_family(f2, axis_ray(f2, 700).vertex(690), 2.0, 4, 6,
     # seed=3) as it was built when detours could land next to each other:

@@ -102,6 +102,10 @@ def _walk_case(name, f2, zz):
         return zz, rw.StepMeasure(((x, 0.25), (zz.inv(x), 0.25),
                                    ((0, (1, 0)), 0.125), ((0, (-1, 0)), 0.125),
                                    ((0, (0, -1)), 0.125), ((1, (-1,)), 0.125)))
+    if name == "no_peripheral":
+        # flat, and no factor is a grid of dimension >= 2
+        sp = FreeProductSpace([FreeGroupSpace(1), GridSpace(1)])
+        return sp, rw.uniform_generator_measure(sp)
     if name == "padded":
         # grid(2) and free_group(1) vectors are padded to grid(3)'s width
         sp = FreeProductSpace([GridSpace(2), GridSpace(3), FreeGroupSpace(1)])
@@ -112,20 +116,29 @@ def _walk_case(name, f2, zz):
     return sp, rw.uniform_generator_measure(sp)
 
 
-@pytest.mark.parametrize("case", ["free_group", "free_product", "non_uniform",
-                                  "pop_heavy", "three_factors", "non_flat",
-                                  "same_factor_ends", "padded"])
-def test_replay_matches_the_reference_walk(case, f2, zz):
-    sp, mu = _walk_case(case, f2, zz)
-    # the integer-vector replay serves free products of grids and F_1
-    flat = rw._step_table(sp, mu)[2]
-    assert (flat is not None) == (case not in ("free_group", "non_flat"))
-    pers = relhyp.peripheral_indices(sp) \
+def _pers(sp):
+    return relhyp.peripheral_indices(sp) \
         if isinstance(sp, FreeProductSpace) else ()
 
+
+def _max_peripheral(sp, w):
+    return max((sp.factors[i].norm(e) for i, e in w if i in _pers(sp)),
+               default=0)
+
+
+@pytest.mark.parametrize("case", ["free_group", "free_product", "non_uniform",
+                                  "pop_heavy", "three_factors", "non_flat",
+                                  "same_factor_ends", "padded",
+                                  "no_peripheral"])
+def test_replay_matches_the_reference_walk(case, f2, zz):
+    sp, mu = _walk_case(case, f2, zz)
+    # the block-reduced replay serves free products of grids and F_1
+    flat = rw._step_table(sp, mu)[2]
+    assert (flat is not None) == (case not in ("free_group", "non_flat"))
+    pers = _pers(sp)
+
     def max_peripheral(w):
-        return max((sp.factors[i].norm(e) for i, e in w if i in pers),
-                   default=0)
+        return _max_peripheral(sp, w)
 
     # every index on short walks; on long ones factor runs cross the
     # requested indices
@@ -139,11 +152,7 @@ def test_replay_matches_the_reference_walk(case, f2, zz):
                 if flat is None:
                     assert [acc.value() for acc in p._replay(ks)] == want
                     continue
-                widths = flat[3]
-                got = [(norm, coned, mx, tuple(
-                           sp.unflat_syllable(i, v[:widths[i]])
-                           for i, v, *_ in (*stack, top) if i >= 0))
-                       for norm, coned, mx, stack, top in p._flat_replay(ks)]
+                got = rw._flat_walks([(p, ks)], words=True)[0]
                 assert [(norm, w) for norm, _, _, w in got] == \
                     [(sp.norm(w), w) for w in want]
                 if pers:
@@ -160,6 +169,37 @@ def test_replay_matches_the_reference_walk(case, f2, zz):
                 continue
             assert s.coned == {k: relhyp.coned_norm(sp, ref[k]) for k in ks}
             assert s.max_peripheral == {k: max_peripheral(ref[k]) for k in ks}
+
+
+def test_ensemble_stats_mix_spaces_measures_and_lengths(f2, zz):
+    """Flat walks are replayed in groups: walks of other spaces, measures
+    and lengths in between, a walk with stats already and a repeated walk
+    must not change what any walk gets."""
+    cases = ("free_product", "pop_heavy", "non_flat", "three_factors",
+             "free_group", "no_peripheral", "padded")
+    paths = []
+    for n in (1, 37, 600, 2500):
+        for j, case in enumerate(cases):
+            sp, mu = _walk_case(case, f2, zz)
+            paths += rw.sample_paths(sp, mu, n, 1, seed=10 * j + n)
+    sp, mu = _walk_case("same_factor_ends", f2, zz)
+    paths += rw.sample_paths(sp, mu, 3000, 5, seed=1)   # several per group
+    paths.append(paths[-1])
+    paths[7].stats()
+    got = rw.ensemble_stats(paths)
+    assert got == [rw.SamplePath(p.sp, p.mu, p.length, p.seed).stats()
+                   for p in paths]
+    for p, s in zip(paths, got):
+        ref = oracles.walk_positions(p.sp, p.mu, p.length, p.seed)
+        ks = s.checkpoints
+        assert ks == rw._dyadic_checkpoints(p.length)
+        assert s.norms == {k: p.sp.norm(ref[k]) for k in ks}
+        if _pers(p.sp):
+            assert s.coned == {k: relhyp.coned_norm(p.sp, ref[k]) for k in ks}
+            assert s.max_peripheral == {k: _max_peripheral(p.sp, ref[k])
+                                        for k in ks}
+        else:
+            assert s.coned == s.max_peripheral == {}
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 + 5])
@@ -362,6 +402,23 @@ def test_walk_ray_excursions_are_horizon_stable(zz):
     assert v
     assert len(full) == 16
     assert v.parameters["q_full"] <= v.parameters["q_half"] * 1.5 + 1e-9
+
+
+def test_walk_ray_excursions_reuse_the_proxy_lift(zz, monkeypatch):
+    mu = rw.uniform_generator_measure(zz)
+    want = rw.excursion_of_walk_ray(zz, rw.sample_paths(zz, mu, 512, 3, 4),
+                                    KLOG)
+    paths = rw.sample_paths(zz, mu, 512, 3, seed=4)
+    proxies = [rw.limit_ray_proxy(zz, p) for p in paths]
+    lifted = []
+    lift = relhyp.lift_coned_geodesic
+    monkeypatch.setattr(relhyp, "lift_coned_geodesic",
+                        lambda *a, **k: lifted.append(1) or lift(*a, **k))
+    full, v = rw.excursion_of_walk_ray(zz, paths, KLOG)
+    assert len(lifted) == 3   # the half horizons; the full ones are shared
+    assert (full, v.to_json()) == (want[0], want[1].to_json())
+    assert all(p._lift[1] is proxy.path_seg
+               for p, proxy in zip(paths, proxies))
 
 
 def test_walk_ray_excursions_need_relhyp(f2, f2_paths):

@@ -216,8 +216,11 @@ def test_distance_formula_terms_match_their_definitions(spec):
         common = _syllable_heavy_vertex(sp, rng, 12)
         pairs.append((sp.mul(common, _syllable_heavy_vertex(sp, rng, 2)),
                       sp.mul(common, _syllable_heavy_vertex(sp, rng, 2))))
+    terms = relhyp._formula_terms(sp, pairs)
     for K in (1, 5, 10):
         fit = fit_distance_formula(sp, pairs, K)
+        # the runner computes the terms once for both of its fits
+        assert fit_distance_formula(sp, pairs, K, terms=terms) == fit
         assert fit.residuals == [
             (x, y, sp.dist(x, y),
              sum(v for v in peripheral_distances(sp, x, y).values() if v >= K)

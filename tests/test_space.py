@@ -164,7 +164,13 @@ def test_quasi_geodesic_matches_all_pairs(name, data):
             path = PathSeg(sp, start=start,
                            letters=data.draw(st.lists(gens, max_size=steps)))
         if data.draw(st.booleans()):
-            path = PathSeg(sp, vertices=path.vertex_list())
+            # vertex form, sometimes with repeated vertices (steps of
+            # length 0)
+            vs = path.vertex_list()
+            for i in data.draw(st.lists(st.integers(0, len(vs) - 1),
+                                        max_size=3)):
+                vs = vs[:i + 1] + vs[i:]
+            path = PathSeg(sp, vertices=vs)
     else:
         vs = [("r", data.draw(st.integers(0, 30)))]
         for _ in range(data.draw(st.integers(0, steps))):
@@ -202,9 +208,8 @@ def test_quasi_geodesic_rejects_jumps(spec, vertices):
 ])
 def test_quasi_geodesic_rejects_letter_jumps(name, letters, jump):
     """A letter longer than one edge is rejected before any geodesic test,
-    with the message of the vertex form of the same path.  On a free
-    product the vertex form never reaches the step check: reading its path
-    tree, step_generator finds no generator for the jump."""
+    with the message of the vertex form of the same path; the vertex form
+    is step-checked before its path tree reads a letter per step."""
     sp = QG_SPACES[name][0]
     path = PathSeg(sp, start=sp.identity, letters=letters)
     messages = []
@@ -212,9 +217,20 @@ def test_quasi_geodesic_rejects_letter_jumps(name, letters, jump):
         with pytest.raises(DomainError) as err:
             is_quasi_geodesic(p, 2, 4)
         messages.append(str(err.value))
-    assert messages[0] == f"path vertices {jump} and {jump + 1} are 2 apart"
-    assert messages[1] == (messages[0] if name != "Z2*Z"
-                           else "vertices are not adjacent")
+    assert messages == [f"path vertices {jump} and {jump + 1} are 2 apart"] * 2
+
+
+@pytest.mark.parametrize("name", ["free_group(2)", "grid(2)", "Z2*Z"])
+def test_quasi_geodesic_repeated_vertex_is_a_zero_step(name):
+    sp = QG_SPACES[name][0]
+    g, h = sp.gens[0], sp.gens[-1]
+    vs = PathSeg(sp, start=sp.identity, letters=[g, g, h]).vertex_list()
+    vs = vs[:2] + vs[1:]   # vertex 1 twice
+    for q, Q in ((1, 0), (1, 1), (2, 0)):
+        got = is_quasi_geodesic(PathSeg(sp, vertices=vs), q, Q)
+        assert (got.ok, got.margin, got.witness) == \
+            oracles.all_pairs_quasi_geodesic(sp, vs, q, Q)
+    assert not is_quasi_geodesic(PathSeg(sp, vertices=vs), 1, 0)
 
 
 # ---------------------------------------------------------------------------
