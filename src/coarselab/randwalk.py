@@ -8,14 +8,15 @@ index-ordered results.
 Paths are deliberately lightweight: a SamplePath stores its seed and
 replays the walk on demand, keeping only dyadic-checkpoint summaries in
 memory.  A replay draws all its steps in one batch, from the same stream
-as one random() call per step.  On free products of grids and
-free_group(1) the steps become integer syllable rows that
+as one random() call per step, and places most of them by a table lookup
+on their top bits.  On free products of grids and free_group(1) the steps
+become syllable rows, each integer vector packed into one int64, that
 space.reduce_flat takes to normal form block by block in numpy, a few
 walks at a time, instead of pushing normal-form letters.  One statistics
-pass over 400 paths of length 2^12 replays in 0.33-0.45 s on
-free_group(2) and 0.26-0.30 s on free_product(grid(2), free_group(1))
+pass over 400 paths of length 2^12 replays in 0.33-0.51 s on
+free_group(2) and 0.23-0.25 s on free_product(grid(2), free_group(1))
 (three passes each, one core, Python 3.11, numpy 2.4, shared 2-core
-host), so a 10^4-path ensemble takes about 10 s and 7 s.
+host), so a 10^4-path ensemble takes about 10 s and 6 s.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from . import relhyp as _rh
 from .errors import DomainError, Inconclusive
 from .morse import Verdict, _band_trend_fail
 from .seeds import derive_seed
-from .space import PathSeg, distance_to_set, distances_along_path, \
-    reduce_flat
+from .space import FlatPack, PathSeg, _int_items, distance_to_set, \
+    distances_along_path, reduce_flat
 
 PROB_TOL = 1e-12
 
@@ -83,9 +84,9 @@ def _step_table(sp, mu):
     generators, e.g. a squared generator).  On a free product of grids and
     free_group(1) (`flat_widths`) the flat table is (factor array, vector
     columns, row count per step, first row per step, peripheral flag per
-    factor): one `flat_rows` row per syllable of each step's normal form,
-    in order.  The last step is listed twice: a draw past the last running
-    sum (rounding) takes it.
+    factor, largest absolute coordinate): one `flat_rows` row per syllable
+    of each step's normal form, in order.  The last step is listed twice: a
+    draw past the last running sum (rounding) takes it.
     """
     cum = tuple(itertools.accumulate(p for _, p in mu.support))
     steps = []
@@ -111,8 +112,33 @@ def _step_table(sp, mu):
         per = np.array([i in pers for i in range(len(sp.factors))])
         for a in (fac, *cols, counts, firsts, per):
             a.flags.writeable = False
-        flat = (fac, cols, counts, firsts, per)
+        bound = max(int(np.abs(c).max()) for c in cols)
+        flat = (fac, cols, counts, firsts, per, bound)
     return cum, tuple(steps), flat
+
+
+# a draw's bucket is the top _BUCKET_BITS of its first 32-bit word
+_BUCKET_BITS = 12
+
+
+@functools.lru_cache(maxsize=8)
+def _draw_table(cum):
+    """(thresholds, lookup) for the running sums `cum`.
+
+    A draw k 2^-53 (k a 53-bit integer) passes cum_j exactly when the
+    threshold T_j = floor(cum_j 2^53) is below k.  The lookup gives, per
+    bucket of the top _BUCKET_BITS bits of k, the number of thresholds
+    below every k of the bucket, or -1 when a threshold lies inside it.
+    """
+    t = np.array([math.floor(c * 2.0 ** 53) for c in cum], dtype=np.int64)
+    shift = 53 - _BUCKET_BITS
+    lo = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << shift
+    below_lo = np.searchsorted(t, lo)
+    below_hi = np.searchsorted(t, lo + ((1 << shift) - 1))
+    lookup = np.where(below_lo == below_hi, below_lo, -1)
+    for a in (t, lookup):
+        a.flags.writeable = False
+    return t, lookup
 
 
 def _draws(seed, m, cum):
@@ -121,14 +147,22 @@ def _draws(seed, m, cum):
 
     One getrandbits(64 m) call yields the 2m 32-bit words that m random()
     calls would consume, least significant first; random() turns words
-    (a, b) into ((a >> 5) 2^26 + (b >> 6)) 2^-53, which float64 computes
-    exactly.  searchsorted(side="left") is bisect_left, so a draw past the
-    last running sum gives len(cum), the repeated last step.
+    (a, b) into k 2^-53 with k = (a >> 5) 2^26 + (b >> 6).  The top bits of
+    k are those of a, so a table lookup on them places most draws; only
+    the draws of a bucket holding a threshold build k and search the
+    thresholds (_draw_table).  A draw past the last running sum gives
+    len(cum), the repeated last step.
     """
+    t, lookup = _draw_table(cum)
     bits = random.Random(seed).getrandbits(64 * m)
     w = np.frombuffer(bits.to_bytes(8 * m, "little"), "<u4")
-    a, b = w[0::2] >> 5, w[1::2] >> 6
-    return np.searchsorted(cum, (a * 67108864.0 + b) * 2.0 ** -53, side="left")
+    a = w[0::2]
+    d = lookup.take(a >> (32 - _BUCKET_BITS))
+    slow = np.flatnonzero(d < 0)
+    if len(slow):
+        k = (a[slow] >> 5).astype(np.int64) << 26 | w[2 * slow + 1] >> 6
+        d[slow] = np.searchsorted(t, k)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +252,7 @@ class SamplePath:
 
 # walk steps replayed together by ensemble_stats: enough to spread numpy's
 # per-call cost, few enough to keep the arrays alive at once small
-_GROUP_STEPS = 1 << 13
+_GROUP_STEPS = 1 << 14
 
 
 def _flat_walks(jobs, words=False):
@@ -227,41 +261,54 @@ def _flat_walks(jobs, words=False):
     shares one flat step table.  w_k is built only if `words`.
 
     The draws of all jobs are expanded into syllable rows, one block per
-    gap between consecutive indices of a job, and reduce_flat takes each
-    block to normal form.  A job then runs as a stack of block slices: the
-    head of a block merges into the top syllable of the stack while both
-    lie in one factor (popping it when the sum is trivial), and the rest of
-    the block goes on as one slice; a merged syllable is appended to the
-    rows and goes on as a slice of its own.  Each slice records the norm,
-    coned norm and max peripheral norm of the stack under it, so with the
-    rows' cumulative norms and coned costs the statistics at an index cost
-    one max over the top slice's peripheral norms, not a scan of the stack.
+    gap between consecutive indices of a job, each row's vector packed into
+    one integer (FlatPack), and reduce_flat takes each block to normal
+    form.  A job then runs as a stack of block slices: the head of a block
+    merges into the top syllable of the stack while both lie in one factor
+    (popping it when the packed sum is 0), and the rest of the block goes
+    on as one slice; a merged syllable is appended to the rows and goes on
+    as a slice of its own.  Each slice records the norm, coned norm and max
+    peripheral norm of the stack under it, so with the rows' cumulative
+    norms and coned costs, and each row's max peripheral norm to the end of
+    its block, the statistics at an index cost a few lookups, not a scan
+    of the stack.  Digits are decoded only for the reduced rows and at
+    merges.
     """
     sp, mu = jobs[0][0].sp, jobs[0][0].mu
-    cum, _, (tfac, tcols, counts, firsts, per) = _step_table(sp, mu)
-    draws, blocks, nb = [], [], 0
+    cum, _, (tfac, tcols, counts, firsts, per, bound) = _step_table(sp, mu)
+    draws, gaps = [], []
     for path, ks in jobs:
         draws.append(_draws(path.seed, ks[-1] if ks else 0, cum))
-        blocks.append(np.repeat(np.arange(nb, nb + len(ks)),
-                                np.diff(ks, prepend=0)))
-        nb += len(ks)
+        gaps += [k - j for j, k in zip([0, *ks], ks)]
     d = np.concatenate(draws)
-    n = counts[d]
-    r = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - firsts[d], n)
-    block, fac, cols = reduce_flat(np.repeat(np.concatenate(blocks), n),
-                                   tfac[r], [c[r] for c in tcols])
-    norm = sum(np.abs(c) for c in cols)
+    block = np.repeat(np.arange(len(gaps)), gaps)
+    if len(counts) == len(tfac):   # every step is one syllable
+        r = d
+    else:
+        n = counts[d]
+        r = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - firsts[d], n)
+        block = np.repeat(block, n)
+    pack = FlatPack(len(tcols), len(r), bound)
+    block, fac, packed = reduce_flat(block, tfac[r],
+                                     [w[r] for w in pack.pack(tcols)])
+    norm = sum(np.abs(c) for c in pack.unpack(packed))
     is_per = per[fac]
-    bounds = np.searchsorted(block, np.arange(nb + 1)).tolist()
-    F, C, per = fac.tolist(), [c.tolist() for c in cols], per.tolist()
-    pn = np.where(is_per, norm, 0).tolist()
-    cn = [0, *np.cumsum(norm).tolist()]             # norms before each row
-    cc = [0, *np.cumsum(np.where(is_per, 1, norm)).tolist()]
+    bounds = np.searchsorted(block, np.arange(len(gaps) + 1)).tolist()
+    F, P, per = _int_items(fac), pack.join(packed), per.tolist()
+    widths = sp.flat_widths()
+    pn = np.where(is_per, norm, 0)
+    # the max of pn from each row to the end of its block: a pushed slice
+    # runs to the end of its block, or is one merged row
+    off = (len(gaps) - block) * (int(pn.max(initial=0)) + 1)
+    pn, sm = _int_items(pn), \
+        _int_items(np.maximum.accumulate((pn + off)[::-1])[::-1] - off)
+    # norms and coned costs before each row
+    cn, cc = (_int_items(np.concatenate(([0], np.cumsum(x))))
+              for x in (norm, np.where(is_per, 1, norm)))
 
     def push(stack, lo, hi, n0, c0, m0):
         stack.append([lo, hi, n0 - cn[lo], c0 - cc[lo], m0])
-        return n0 + cn[hi] - cn[lo], c0 + cc[hi] - cc[lo], \
-            max(m0, max(pn[lo:hi]))
+        return n0 + cn[hi] - cn[lo], c0 + cc[hi] - cc[lo], max(m0, sm[lo])
 
     out, b = [], 0
     for _, ks in jobs:
@@ -281,14 +328,15 @@ def _flat_walks(jobs, words=False):
                     m0 = top[4]
                 elif pn[t] == m0 > top[4]:
                     m0 = max(top[4], max(pn[top[0]:t]))
-                v = [c[t] + c[lo] for c in C]
+                v = P[t] + P[lo]
                 lo += 1
-                if any(v):
-                    f, vn = F[lo - 1], sum(map(abs, v))
+                if v:
+                    f = F[lo - 1]
+                    vn = sum(map(abs, pack.digits(v, widths[f])))
                     F.append(f)
-                    for c, x in zip(C, v):
-                        c.append(x)
+                    P.append(v)
                     pn.append(vn if per[f] else 0)
+                    sm.append(pn[-1])
                     cn.append(cn[-1] + vn)
                     cc.append(cc[-1] + (1 if per[f] else vn))
                     n0, c0, m0 = push(stack, len(F) - 1, len(F), n0, c0, m0)
@@ -296,7 +344,7 @@ def _flat_walks(jobs, words=False):
             if lo < hi:
                 n0, c0, m0 = push(stack, lo, hi, n0, c0, m0)
             w = tuple(sp.unflat_rows(itertools.chain.from_iterable(
-                zip(*(x[lo:hi] for x in (F, *C))) for lo, hi, *_ in stack))) \
+                zip(F[lo:hi], P[lo:hi]) for lo, hi, *_ in stack), pack)) \
                 if words else None
             states.append((n0, c0, m0, w))
         out.append(states)
@@ -308,8 +356,7 @@ def _flat_stats(paths):
     jobs = [(p, _dyadic_checkpoints(p.length)) for p in paths]
     pers = bool(_rh.peripheral_indices(paths[0].sp))
     for (p, ks), states in zip(jobs, _flat_walks(jobs)):
-        norms, coned, maxp = ({k: s[j] for k, s in zip(ks, states)}
-                              for j in range(3))
+        norms, coned, maxp, _ = (dict(zip(ks, col)) for col in zip(*states))
         p._stats = PathStats(ks, norms, coned if pers else {},
                              maxp if pers else {})
 

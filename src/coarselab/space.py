@@ -519,7 +519,8 @@ class FreeProductSpace(GroupSpace):
             raise DomainError("free_product needs at least two factors")
         for f in factors:
             if not isinstance(f, (GridSpace, FreeGroupSpace)):
-                raise DomainError(f"unsupported free-product factor {f!r}")
+                raise DomainError("unsupported free-product factor "
+                                  f"{getattr(f, 'kind', f)}")
         self.factors = tuple(factors)
         self.kind = "free_product(" + ", ".join(f.kind for f in factors) + ")"
         self._gens = tuple((i, g) for i, f in enumerate(factors) for g in f.gens)
@@ -672,15 +673,17 @@ class FreeProductSpace(GroupSpace):
         return rows[:, 0].copy(), [rows[:, c].copy()
                                    for c in range(1, pad + 1)]
 
-    def unflat_rows(self, rows):
-        """The syllables of flat rows given as (factor, *padded vector)
-        tuples; equal rows share one syllable."""
+    def unflat_rows(self, rows, pack):
+        """The syllables of flat rows given as (factor, packed vector) pairs,
+        each vector packed by the FlatPack `pack` into one integer; equal
+        rows share one syllable."""
         widths, memo, out = self.flat_widths(), {}, []
         for row in rows:
             syl = memo.get(row)
             if syl is None:
-                i = row[0]
-                syl = memo[row] = self.unflat_syllable(i, row[1:1 + widths[i]])
+                i, x = row
+                syl = memo[row] = self.unflat_syllable(
+                    i, pack.digits(x, widths[i]))
             out.append(syl)
         return out
 
@@ -691,9 +694,11 @@ class FreeProductSpace(GroupSpace):
         fac, cols = self.flat_rows(self.gens)
         idx = np.fromiter(itertools.chain.from_iterable(walks), np.int64)
         block = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
-        block, fac, cols = reduce_flat(block, fac[idx], [c[idx] for c in cols])
+        pack = FlatPack(len(cols), len(idx), 1)
+        block, fac, words = reduce_flat(block, fac[idx],
+                                        [w[idx] for w in pack.pack(cols)])
         bounds = np.searchsorted(block, np.arange(len(walks) + 1)).tolist()
-        syls = self.unflat_rows(zip(fac.tolist(), *(c.tolist() for c in cols)))
+        syls = self.unflat_rows(zip(fac.tolist(), pack.join(words)), pack)
         return [tuple(syls[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def geodesic(self, x, y):
@@ -725,36 +730,98 @@ class FreeProductSpace(GroupSpace):
         return acc.value()
 
 
-def reduce_flat(block, fac, cols):
+class FlatPack:
+    """Flat vectors packed into int64 words as balanced base-2^bits digits,
+    one digit per vector column, least significant first.
+
+    `bits` is the bit length of rows * bound, plus 2: a sum of at most
+    `rows` vectors whose coordinates are at most `bound` in absolute value
+    has every digit d within |d| < 2^(bits - 1), so it is the packed sum of
+    the vectors, and it is 0 exactly when every digit is.  A word holds
+    62 // bits digits; wider vectors spill into further words.
+    """
+
+    __slots__ = ("width", "bits", "per")
+
+    def __init__(self, width, rows, bound):
+        self.width = width
+        self.bits = (rows * bound).bit_length() + 2
+        self.per = 62 // self.bits
+        if not self.per:
+            raise DomainError(f"{rows} flat rows with coordinates up to "
+                              f"{bound} overflow a 62-bit digit")
+
+    def pack(self, cols):
+        """Integer vector columns -> the list of int64 words."""
+        b, per = self.bits, self.per
+        return [sum(c * (1 << b * j) for j, c in enumerate(cols[i:i + per]))
+                for i in range(0, len(cols), per)]
+
+    def join(self, words):
+        """The packed rows as Python ints, the spill words of a row joined
+        into one integer with the same digits."""
+        if len(words) == 1:
+            return _int_items(words[0])
+        step = self.bits * self.per
+        return [sum(x << step * i for i, x in enumerate(xs))
+                for xs in zip(*(w.tolist() for w in words))]
+
+    def digits(self, x, n):
+        """The first n digits of x: a joined int, or one int64 word array.
+
+        Adding 2^(bits-1) to each digit makes every digit field of x a
+        plain unsigned one, without carries between fields."""
+        b, half = self.bits, 1 << self.bits - 1
+        mask = (1 << b) - 1
+        y = x + sum(half << b * c for c in range(n))
+        return [((y >> b * c) & mask) - half for c in range(n)]
+
+    def unpack(self, words):
+        """The vector columns of a list of int64 words."""
+        per = self.per
+        return [c for i, w in enumerate(words)
+                for c in self.digits(w, min(per, self.width - i * per))]
+
+
+def _int_items(a):
+    """An integer array as an array('q'): it copies in one pass and, like
+    a list, gives Python ints, slices and appends."""
+    return array("q", a.astype(np.int64, copy=False).tobytes())
+
+
+def reduce_flat(block, fac, words):
     """Reduce flat free-product words, one word per block.
 
     Each row is one syllable: its block (`block`, non-decreasing), its
-    factor (`fac`) and its vector, read across the columns `cols`; no row
-    is zero.  Every factor of a flat space is abelian, so a pass that sums
-    each run of adjacent rows of one factor within a block and then drops
-    the zero sums leaves each block's product unchanged; passes repeat
-    until no two adjacent rows of a block share a factor.  The rows left
-    are each block's product in normal form, in order.  A run's sum is a
-    difference of two column cumulative sums.
+    factor (`fac`) and its vector, packed by a FlatPack into the int64
+    `words` (one array per word); no row is zero.  Every factor of a flat
+    space is abelian, so a pass that sums each run of adjacent rows of one
+    factor within a block and then drops the zero sums leaves each block's
+    product unchanged; passes repeat until no two adjacent rows of a block
+    share a factor.  The rows left are each block's product in normal
+    form, in order.  A pass finds the run ends with one compare of adjacent
+    keys, and a run's sum is a difference of the packed cumulative sums at
+    run ends.
 
-    Returns (block, fac, cols) of the reduced rows.
+    Returns (block, fac, words) of the reduced rows.
     """
     width = int(fac.max()) + 1 if len(fac) else 1
     key = block * width + fac
     while len(key) > 1:
-        new = np.empty(len(key), dtype=bool)
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        if new.all():
+        last = np.empty(len(key), dtype=bool)
+        last[-1] = True
+        np.not_equal(key[:-1], key[1:], out=last[:-1])
+        ends = np.flatnonzero(last)
+        if len(ends) == len(key):
             break
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:] - 1, len(key) - 1)
-        sums = [np.diff(np.cumsum(c)[ends], prepend=0) for c in cols]
+        sums = [np.cumsum(w)[ends] for w in words]
+        for s in sums:
+            s[1:] -= s[:-1]
         keep = sums[0] != 0
         for s in sums[1:]:
             keep |= s != 0
-        key, cols = key[starts][keep], [s[keep] for s in sums]
-    return key // width, key % width, cols
+        key, words = key[ends][keep], [s[keep] for s in sums]
+    return key // width, key % width, words
 
 
 # ---------------------------------------------------------------------------

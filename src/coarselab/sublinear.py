@@ -248,32 +248,34 @@ def _kappa_log_pow(p: int) -> SublinearFn:
     return concavify(raw, tag=f"log^{p}")
 
 
+# config tag -> constructor; by_tag builds a gauge on its first lookup only
+_CONSTRUCTORS: dict[str, Callable[[], SublinearFn]] = {
+    "1": _kappa_one,
+    "log": _kappa_log,
+    "sqrt": _kappa_sqrt,
+    "log^2": lambda: _kappa_log_pow(2),
+    "log^3": lambda: _kappa_log_pow(3),
+}
+_GAUGES: dict[str, SublinearFn] = {}
+
+
 def registry() -> dict[str, SublinearFn]:
     """The canonical gauge family, keyed by config tag."""
-    fam = {
-        "1": _kappa_one(),
-        "log": _kappa_log(),
-        "sqrt": _kappa_sqrt(),
-    }
-    for p in (2, 3):
-        fam[f"log^{p}"] = _kappa_log_pow(p)
-    return fam
-
-
-_REGISTRY: dict[str, SublinearFn] | None = None
+    return {tag: by_tag(tag) for tag in _CONSTRUCTORS}
 
 
 def by_tag(tag: str) -> SublinearFn:
     """Look up a canonical gauge by its config tag; DomainError if unknown."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = registry()
-    try:
-        return _REGISTRY[tag]
-    except KeyError:
-        raise DomainError(
-            f"unknown kappa tag {tag!r}; known: {sorted(_REGISTRY)}"
-        ) from None
+    f = _GAUGES.get(tag)
+    if f is None:
+        try:
+            make = _CONSTRUCTORS[tag]
+        except KeyError:
+            raise DomainError(
+                f"unknown kappa tag {tag!r}; known: {sorted(_CONSTRUCTORS)}"
+            ) from None
+        f = _GAUGES[tag] = make()
+    return f
 
 
 def from_table(path: str, tag: str = "table") -> SublinearFn:

@@ -3,14 +3,11 @@ chain, calibrated statistics, and reproducibility, each with a pinned
 runtime budget.  Everything here is deterministic for a fixed seed."""
 
 import json
-import math
 import random
 import time
 
-import pytest
-
 import oracles
-from coarselab import cli, morse, randwalk as rw, relhyp, space, sublinear
+from coarselab import cli, morse, randwalk as rw, relhyp, sublinear
 from coarselab.morse import test_kappa_contracting as check_contracting
 from coarselab.morse import test_kappa_morse as check_morse
 from coarselab.space import (PathSeg, axis_ray, build_space,

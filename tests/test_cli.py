@@ -78,6 +78,15 @@ def test_validate_reports_line_numbers(tmp_path):
         validate_config(path)
 
 
+def test_bad_free_product_factor_is_named_by_its_kind(tmp_path):
+    path = _write(tmp_path, GAUGE_CONFIG.replace(
+        "free_group(2)", "free_product(loopy_ray(3), free_group(1))"))
+    with pytest.raises(ConfigError) as e:
+        validate_config(path)
+    assert str(e.value).endswith(
+        ":3: bad space spec: unsupported free-product factor loopy_ray(3)")
+
+
 def test_validate_requires_experiment_section(tmp_path):
     with pytest.raises(ConfigError, match="missing"):
         validate_config(_write(tmp_path, "[gauge]\nq = 2\n"))

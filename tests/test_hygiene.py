@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coarselab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "coarselab"
 
 
 def unused_imports(source):
@@ -38,7 +39,9 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(src) == [(1, "json"), (3, "path")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path",
+                         sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,13 +1,10 @@
 import json
-import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from coarselab import morse, space, sublinear
-from coarselab.errors import (CertificationError, DomainError, Inconclusive,
-                              NotSublinear, PreconditionError)
+from coarselab.errors import (DomainError, Inconclusive, NotSublinear,
+                              PreconditionError)
 from coarselab.morse import (MorseGauge, Verdict, _band_trend_fail,
                              cone_membership, derive_gauge, derived_gauge,
                              fellow_traveling_profile, fit_kappa_projection,

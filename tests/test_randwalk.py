@@ -1,10 +1,13 @@
+import bisect
 import math
+import random
 
+import numpy as np
 import pytest
 
 import oracles
 from coarselab import randwalk as rw
-from coarselab import relhyp, sublinear
+from coarselab import relhyp, space, sublinear
 from coarselab.errors import DomainError, Inconclusive
 from coarselab.space import FreeGroupSpace, FreeProductSpace, GridSpace
 
@@ -202,16 +205,75 @@ def test_ensemble_stats_mix_spaces_measures_and_lengths(f2, zz):
             assert s.coned == s.max_peripheral == {}
 
 
+def test_replay_spills_wide_packed_vectors(zz):
+    """grid(5) coordinates of size 1,000 over a few hundred rows need more
+    digit bits than five columns fit in one 62-bit word."""
+    sp = FreeProductSpace([GridSpace(5), FreeGroupSpace(1)])
+    x = ((0, (1000, -999, 0, 7, -1000)),)
+    mu = rw.StepMeasure(((x, 0.3), (sp.inv(x), 0.25),
+                         ((0, (0, 0, 1, 0, 0)), 0.15), ((1, (1,)), 0.15),
+                         ((1, (-1,)), 0.15)))
+    *_, bound = rw._step_table(sp, mu)[2]
+    assert len(space.FlatPack(5, 300, bound).pack([np.zeros(1)] * 5)) > 1
+    for p in rw.sample_paths(sp, mu, 300, 3, seed=2):
+        ref = oracles.walk_positions(sp, mu, 300, p.seed)
+        # one block per step, so every syllable is merged at a junction;
+        # then long blocks, reduced in numpy
+        for ks in (list(range(301)), [0, 1, 150, 300]):
+            got = rw._flat_walks([(p, ks)], words=True)[0]
+            assert got == [(sp.norm(ref[k]), relhyp.coned_norm(sp, ref[k]),
+                            _max_peripheral(sp, ref[k]), ref[k]) for k in ks]
+
+
+def test_ensemble_stats_do_not_depend_on_the_group_size(zz, monkeypatch):
+    paths = []
+    for j, case in enumerate(("free_product", "same_factor_ends", "padded")):
+        sp, mu = _walk_case(case, None, zz)
+        paths += rw.sample_paths(sp, mu, 900, 12, seed=j)
+    got = []
+    for steps in (1 << 10, 1 << 16):
+        monkeypatch.setattr(rw, "_GROUP_STEPS", steps)
+        got.append(rw.ensemble_stats([rw.SamplePath(p.sp, p.mu, p.length,
+                                                    p.seed) for p in paths]))
+    assert got[0] == got[1]
+    assert got[0] == [rw.SamplePath(p.sp, p.mu, p.length, p.seed).stats()
+                      for p in paths]
+
+
 @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 + 5])
 @pytest.mark.parametrize("m", [0, 1, 7, 5000])
 def test_batched_draws_match_one_draw_per_step(seed, m, zz):
     real = rw._step_table(zz, rw.uniform_generator_measure(zz))[0]
-    # with sums stopping at 0.5, half the draws fall past the last one
-    for cum in (real, (0.25, 0.5)):
+    rng = random.Random(seed)
+    drawn = [rng.random() for _ in range(50)]
+    cases = (
+        real,
+        # with sums stopping at 0.5, half the draws fall past the last one
+        (0.25, 0.5),
+        # sums on the edges of the 2^12 lookup buckets, and one and two
+        # steps of 2^-53 below them
+        tuple(sorted(j / 4096 - e for j in (1, 2, 1000, 2048, 4095, 4096)
+                     for e in (0, 2 ** -53, 2 ** -52))),
+        # several sums inside one bucket
+        (0.3, 0.3 + 1e-6, 0.3 + 2e-6, 0.3 + 3e-6, 1.0),
+        # sums on draws of the stream and one ulp either side
+        tuple(sorted(y for x in drawn[::7] for y in
+                     (math.nextafter(x, 0), x, math.nextafter(x, 2)))),
+        # last sums just below and just above 1
+        (0.5, 0.9999999999999999),
+        (0.5, 1.0000000000000002),
+    )
+    for cum in cases:
         want = oracles.step_draws(seed, m, cum)
         assert rw._draws(seed, m, cum).tolist() == want
-    if m == 5000:
-        assert 2 in want
+        # a bucket's entry must hold from its lowest draw to its highest
+        lookup = rw._draw_table(cum)[1].tolist()
+        for u in range(4096):
+            ends = [bisect.bisect_left(cum, k * 2.0 ** -53)
+                    for k in (u << 41, ((u + 1) << 41) - 1)]
+            assert lookup[u] == (ends[0] if ends[0] == ends[1] else -1)
+        if m == 5000 and cum == (0.25, 0.5):
+            assert 2 in want
 
 
 def test_positions_at_edge_indices(f2):

@@ -260,6 +260,44 @@ def test_free_product_norm_example(zz):
     assert zz.norm(v) == 8
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_flat_pack_sums_and_decodes_digits(data):
+    """Packed rows add digit by digit, with spill words when the digits do
+    not fit one word, and a sum is 0 exactly when its vector is."""
+    width = data.draw(st.integers(1, 7))
+    bound = data.draw(st.sampled_from([1, 3, 1000, 2 ** 20]))
+    coord = st.integers(-bound, bound)
+    vecs = data.draw(st.lists(st.tuples(*[coord] * width), min_size=1,
+                              max_size=40))
+    # the extreme sums: every coordinate at the bound, with either sign
+    sign = data.draw(st.sampled_from([-1, 1]))
+    vecs += [(sign * bound,) * width] * data.draw(st.integers(0, 40))
+    vecs.append(tuple(-sum(c) for c in zip(*vecs)))     # the sum cancels
+    pack = space.FlatPack(width, len(vecs), bound)
+    cols = [np.array(c, dtype=np.int64) for c in zip(*vecs)]
+    words = pack.pack(cols)
+    assert len(words) == -(-width // pack.per)
+    assert [c.tolist() for c in pack.unpack(words)] == \
+        [c.tolist() for c in cols]
+    ints = pack.join(words)
+    assert [tuple(pack.digits(x, width)) for x in ints] == vecs
+    sums = [np.cumsum(w) for w in words]
+    for j in range(1, len(ints) + 1):
+        total = sum(ints[:j])
+        digits = pack.digits(total, width)
+        assert digits == [sum(c) for c in zip(*vecs[:j])]
+        assert (total == 0) == (not any(digits))
+        assert [c.tolist() for c in pack.unpack([s[j - 1:j] for s in sums])] \
+            == [[d] for d in digits]
+
+
+def test_flat_pack_refuses_digits_wider_than_a_word():
+    assert space.FlatPack(2, 2 ** 30, 2 ** 29).per == 1
+    with pytest.raises(DomainError, match="62-bit"):
+        space.FlatPack(2, 2 ** 30, 2 ** 30)
+
+
 # ---------------------------------------------------------------------------
 # axis rays and projections
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,5 +197,18 @@ def test_from_table_needs_two_points(tmp_path):
 
 
 def test_by_tag_unknown():
-    with pytest.raises(DomainError):
+    known = ", ".join(repr(t) for t in sorted(TAGS))
+    with pytest.raises(DomainError, match=re.escape(f"known: [{known}]")):
         by_tag("linear")
+
+
+def test_by_tag_builds_only_the_gauge_asked_for(monkeypatch):
+    def refuse():
+        raise AssertionError("built a gauge nobody asked for")
+
+    monkeypatch.setattr(sublinear, "_GAUGES", {})
+    monkeypatch.setattr(sublinear, "_CONSTRUCTORS", {
+        tag: sublinear._CONSTRUCTORS[tag] if tag == "log" else refuse
+        for tag in TAGS})
+    f = by_tag("log")
+    assert by_tag("log") is f and sublinear._GAUGES == {"log": f}
