@@ -295,7 +295,6 @@ def _flat_walks(jobs, words=False):
     is_per = per[fac]
     bounds = np.searchsorted(block, np.arange(len(gaps) + 1)).tolist()
     F, P, per = _int_items(fac), pack.join(packed), per.tolist()
-    widths = sp.flat_widths()
     pn = np.where(is_per, norm, 0)
     # the max of pn from each row to the end of its block: a pushed slice
     # runs to the end of its block, or is one merged row
@@ -332,7 +331,7 @@ def _flat_walks(jobs, words=False):
                 lo += 1
                 if v:
                     f = F[lo - 1]
-                    vn = sum(map(abs, pack.digits(v, widths[f])))
+                    vn = sum(map(abs, pack.digits(v, pack.width)))
                     F.append(f)
                     P.append(v)
                     pn.append(vn if per[f] else 0)

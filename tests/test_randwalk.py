@@ -214,7 +214,7 @@ def test_replay_spills_wide_packed_vectors(zz):
                          ((0, (0, 0, 1, 0, 0)), 0.15), ((1, (1,)), 0.15),
                          ((1, (-1,)), 0.15)))
     *_, bound = rw._step_table(sp, mu)[2]
-    assert len(space.FlatPack(5, 300, bound).pack([np.zeros(1)] * 5)) > 1
+    assert len(space.FlatPack(5, 300, bound).pack([np.zeros(1, int)] * 5)) > 1
     for p in rw.sample_paths(sp, mu, 300, 3, seed=2):
         ref = oracles.walk_positions(sp, mu, 300, p.seed)
         # one block per step, so every syllable is merged at a junction;
