@@ -517,8 +517,14 @@ def run_experiment(config, tests=None, seed=None, jobs=None, out=None,
             results.append(runner(sp, cfg, seed, out_dir, regen_fixtures))
         except (Inconclusive, PreconditionError, DomainError, ConfigError,
                 GenerationError, CertificationError, NotSublinear) as e:
-            results.append(_record(name, expect=cfg.get("expect", "pass"),
-                                   error=f"{type(e).__name__}: {e}"))
+            rec = _record(name, expect=cfg.get("expect", "pass"),
+                          error=f"{type(e).__name__}: {e}")
+            # what the error carries (NotSublinear, PreconditionError and
+            # CertificationError a witness, Inconclusive a detail)
+            for key in ("witness", "detail"):
+                if getattr(e, key, None) is not None:
+                    rec[key] = morse.json_safe(getattr(e, key))
+            results.append(rec)
     ok = bool(results) and all(r.get("ok", False) for r in results)
     summary = {
         "version": __version__,

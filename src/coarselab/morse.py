@@ -63,7 +63,7 @@ class Verdict:
     def to_json(self):
         wit = dict(self.witness)
         if "path" in wit and isinstance(wit["path"], PathSeg):
-            wit["path"] = [repr(v) for v in wit["path"].vertex_list()]
+            wit["path"] = json_safe(wit["path"])
         return {
             "test": self.test,
             "space": self.space,
@@ -74,6 +74,23 @@ class Verdict:
             "witness": {k: v for k, v in wit.items() if k != "path"},
             "seed": self.seed,
         }
+
+
+def json_safe(x):
+    """`x` as plain JSON values: a PathSeg becomes the reprs of its
+    vertices, tuples become lists, numpy values Python ones, dict keys
+    strings, and any other object its repr."""
+    if isinstance(x, PathSeg):
+        return [repr(v) for v in x.vertex_list()]
+    if isinstance(x, (list, tuple)):
+        return [json_safe(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): json_safe(v) for k, v in x.items()}
+    if hasattr(x, "tolist"):  # numpy arrays and scalars
+        return x.tolist()
+    if x is None or isinstance(x, (str, int, float)):
+        return x
+    return repr(x)
 
 
 @dataclass(frozen=True)
@@ -117,15 +134,19 @@ def in_kappa_neighborhood(sp, x, Z, m, kappa):
     return distance_to_set(sp, x, Z) <= m * evaluate(kappa, sp.norm(x)) + TOL
 
 
-def _neighborhood_margins(sp, path, Z, m, kappa):
-    """(worst margin, index) of the N_kappa(Z, m) condition along a path."""
+def _neighborhood_margins(sp, path, Z, m, kappa, bound=None):
+    """(worst margin, first index attaining it) of the N_kappa(Z, m)
+    condition along a path.  `bound` maps a norm to m * kappa(norm); a
+    caller that checks several paths at one m passes them all one dict, so
+    kappa is evaluated once per distinct norm."""
     norms = path.norms()
-    worst, worst_i = math.inf, None
-    for i, (d, nv) in enumerate(zip(distances_to_set(sp, path, Z), norms)):
-        margin = m * evaluate(kappa, nv) - d
-        if margin < worst:
-            worst, worst_i = margin, i
-    return worst, worst_i
+    bound = {} if bound is None else bound
+    for nv in set(norms).difference(bound):
+        bound[nv] = m * evaluate(kappa, nv)
+    margins = [bound[nv] - d
+               for d, nv in zip(distances_to_set(sp, path, Z), norms)]
+    worst = min(margins)
+    return worst, margins.index(worst)
 
 
 def symmetry_transfer(sp, alpha, beta, m, kappa):
@@ -345,26 +366,33 @@ def test_kappa_morse(sp, Z, kappa, kappa_prime, r, R, q, Q, probes, seed,
     _reject_non_sublinear(kappa)
     m = gauge(q, Q)
     if R < r:
-        raise PreconditionError(f"need R >= r, got r={r}, R={R}")
+        raise PreconditionError(f"need R >= r, got r={r}, R={R}",
+                                witness={"r": r, "R": R})
     if not small_compared(m, r, kappa):
+        limit = r / (2 * evaluate(kappa, r))
         raise PreconditionError(
             f"gauge value {m} is not small compared to r={r} "
-            f"(bound {r / (2 * evaluate(kappa, r)):g})")
+            f"(bound {limit:g})", witness={"m": m, "r": r, "bound": limit})
     t_R = first_time_at_norm(Z, R)
     z_R = Z.vertex(t_R)
     fam = probe_family(sp, z_R, q, Q, probes, seed)
     perturb_budget = int(evaluate(kappa_prime, R))
     checked = 0
     worst = math.inf
+    bound = {}
     for i, beta in enumerate(fam):
         rng = rng_for(seed, i, 1)
         if perturb_budget > 0 and i % 2 == 1 and beta.letters is not None:
             extra = [rng.choice(sp.gens)
                      for _ in range(rng.randint(0, perturb_budget))]
-            cand = PathSeg(sp, start=beta.start,
-                           letters=beta.letters + extra)
-            if is_quasi_geodesic(cand, q, Q):
-                beta = cand
+            if extra:
+                end = sp.right_acc(beta.endpoint())
+                for g in extra:
+                    end.push(g)
+                cand = PathSeg(sp, start=beta.start,
+                               letters=beta.letters + extra, end=end.value())
+                if is_quasi_geodesic(cand, q, Q):
+                    beta = cand
         try:
             i_R = first_time_at_norm(beta, R)
         except DomainError:
@@ -375,7 +403,7 @@ def test_kappa_morse(sp, Z, kappa, kappa_prime, r, R, q, Q, probes, seed,
         checked += 1
         i_r = first_time_at_norm(beta, r)
         prefix = beta.prefix(i_r + 1)
-        margin, bad_i = _neighborhood_margins(sp, prefix, Z, m, kappa)
+        margin, bad_i = _neighborhood_margins(sp, prefix, Z, m, kappa, bound)
         worst = min(worst, margin)
         if margin < -TOL:
             return Verdict(False, test="kappa_morse", margin=margin,
@@ -639,6 +667,7 @@ def cone_membership(sp, candidate, beta, r, gauge, kappa, probes, seed):
         m = gauge(q, Q)
         if not small_compared(m, r, kappa):
             continue
+        bound = {}
         fam = probe_family(sp, goal, q, Q, probes, derive_seed(seed, li))
         for i, alpha in enumerate(fam):
             tested += 1
@@ -647,7 +676,8 @@ def cone_membership(sp, candidate, beta, r, gauge, kappa, probes, seed):
             except DomainError:
                 continue
             prefix = alpha.prefix(i_r + 1)
-            margin, bad_i = _neighborhood_margins(sp, prefix, beta, m, kappa)
+            margin, bad_i = _neighborhood_margins(sp, prefix, beta, m, kappa,
+                                                  bound)
             worst = min(worst, margin)
             if margin < -TOL:
                 return Verdict(False, test="cone_membership", margin=margin,

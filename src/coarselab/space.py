@@ -56,15 +56,17 @@ class PathSeg:
     `end` is the last vertex of a letter path, when its builder knows it
     (geodesics and lifts do); otherwise the first `endpoint()` call replays
     the letters.  is_quasi_geodesic reads it to tell a geodesic path.
+    `norms` is the list of vertex norms, when its builder knows it; see
+    `norms()` for who records them later.
     """
 
     def __init__(self, sp, vertices=None, start=None, letters=None,
-                 q=None, Q=None, end=None):
+                 q=None, Q=None, end=None, norms=None):
         self.sp = sp
         self.q = q
         self.Q = Q
         self.hook = None
-        self._norms = None
+        self._norms = norms
         self._end = end
         if letters is not None:
             if start is None:
@@ -87,6 +89,11 @@ class PathSeg:
     def vertex(self, i):
         if self._vertices is not None:
             return self._vertices[i]
+        norms = self._norms
+        if isinstance(self.sp, FreeGroupSpace) and self.start == () \
+                and norms is not None and norms[i] == i:
+            # from the identity, norm i after i letters means none cancels
+            return tuple(itertools.chain.from_iterable(self.letters[:i]))
         acc = self.sp.right_acc(self.start)
         for g in self.letters[:i]:
             acc.push(g)
@@ -132,7 +139,12 @@ class PathSeg:
         return self._vertices
 
     def norms(self):
-        """Norm of every vertex, computed in one linear sweep."""
+        """Norm of every vertex, computed in one linear sweep unless some
+        reader of the path recorded them first: geodesics from the base
+        point (group geodesics, and is_quasi_geodesic's geodesic test), the
+        path tree of path_metric, and prefix(), which slices its parent's.
+        The first two learn d(v_0, v_t), which is the norm only on a path
+        that starts at the base point, so they record nothing elsewhere."""
         if self._norms is None:
             if self.letters is not None:
                 self._norms = _norms_along(self.sp.right_acc(self.start),
@@ -150,12 +162,13 @@ class PathSeg:
 
     def prefix(self, n_vertices):
         """The sub-path on the first n_vertices vertices."""
+        norms = self._norms[:n_vertices] if self._norms is not None else None
         if self._vertices is not None:
             return PathSeg(self.sp, vertices=self._vertices[:n_vertices],
-                           q=self.q, Q=self.Q)
+                           q=self.q, Q=self.Q, norms=norms)
         return PathSeg(self.sp, start=self.start,
                        letters=self.letters[:n_vertices - 1],
-                       q=self.q, Q=self.Q)
+                       q=self.q, Q=self.Q, norms=norms)
 
     def step_letters(self):
         """Generator letters along the path (derived for vertex-form paths)."""
@@ -306,6 +319,13 @@ class GroupSpace(GraphSpace):
     def right_acc(self, start=None):
         return self._GenericAcc(self, start if start is not None else self.identity)
 
+    def _geodesic_seg(self, x, y, letters):
+        """The geodesic from x to y that reads `letters`; from the identity
+        its norms are 0, 1, ..., len(letters)."""
+        norms = list(range(len(letters) + 1)) if x == self.identity else None
+        return PathSeg(self, start=x, letters=letters, q=1, Q=0, end=y,
+                       norms=norms)
+
 
 # ---------------------------------------------------------------------------
 # free groups
@@ -404,7 +424,7 @@ class FreeGroupSpace(GroupSpace):
         while i < m and x[i] == y[i]:
             i += 1
         letters = [(-g,) for g in reversed(x[i:])] + [(g,) for g in y[i:]]
-        return PathSeg(self, start=x, letters=letters, q=1, Q=0, end=y)
+        return self._geodesic_seg(x, y, letters)
 
     def parse_word(self, word):
         """Letters like 'a b A c' (capitals are inverses) -> group element."""
@@ -499,7 +519,7 @@ class GridSpace(GroupSpace):
             step = [0] * self.d
             step[i] = 1 if delta > 0 else -1
             letters.extend([tuple(step)] * abs(delta))
-        return PathSeg(self, start=x, letters=letters, q=1, Q=0, end=y)
+        return self._geodesic_seg(x, y, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +728,7 @@ class FreeProductSpace(GroupSpace):
             f = self.factors[i]
             for fg in f.geodesic(f.identity, e).step_letters():
                 letters.append((i, fg))
-        return PathSeg(self, start=x, letters=letters, q=1, Q=0, end=y)
+        return self._geodesic_seg(x, y, letters)
 
     def parse_word(self, word):
         """Tokens 'f<i>:<gen>' or letters a,b for factor 0 / t for factor 1
@@ -1096,7 +1116,10 @@ def path_metric(path):
     """
     sp = path.sp
     if isinstance(sp, (FreeGroupSpace, FreeProductSpace)):
-        return _PathTree(path).dist
+        tree = _PathTree(path)
+        if path._norms is None and path.start == sp.identity:
+            path._norms = tree.vdepth.tolist()
+        return tree.dist
     if isinstance(sp, GridSpace):
         if path.letters is not None:
             xs = np.cumsum(np.array([path.start, *path.letters],
@@ -1179,14 +1202,13 @@ class _PathTree:
         # Euler tour of the node tree, children in age order (a node is
         # always younger than its parent): a node's subtree takes 2 size - 1
         # steps from its first visit, then the tour is back at its parent.
-        # Flat arrays, and no lookup table, keep the peak memory down.
         del child
         at = np.array(at, dtype=np.int64)
         n_nodes = len(parent)
-        size = array("q", [1]) * n_nodes
+        size = [1] * n_nodes
         for v in range(n_nodes - 1, 0, -1):
             size[parent[v]] += size[v]
-        first, free = array("q", [0]) * n_nodes, array("q", [1]) * n_nodes
+        first, free = [0] * n_nodes, [1] * n_nodes
         for v in range(1, n_nodes):
             u = parent[v]
             first[v] = first[u] + free[u]
@@ -1270,8 +1292,12 @@ def is_quasi_geodesic(path, q, Q):
     pair, so its least slack is at t - s = 1.  Both tests come before
     path_metric, so a geodesic path builds no path tree.  On a letter path
     step s has length ||g_s||, one norm per distinct letter, and the end
-    distance is one sp.dist (geodesics know their endpoint); on a vertex
-    path each step and the end distance is one sp.dist.
+    distance is the last recorded norm (PathSeg.norms) on a path from the
+    base point that has them, else one sp.dist (geodesics know their
+    endpoint); on a vertex path each step and the end distance is one
+    sp.dist.  A geodesic path from the base point then records its norms,
+    0, 1, ..., n - 1, as path_metric's path tree records the depths it
+    reads.
     Otherwise, since lo(s, t + j) >= lo(s, t) - j(1 + 1/q), all anchors s
     advance together in numpy rounds, each jumping to the first t whose
     bound can still reach the least slack seen so far.  A skipped pair is
@@ -1283,23 +1309,28 @@ def is_quasi_geodesic(path, q, Q):
     n = len(path)
     if n <= 1:
         return QGCheck(True, margin=float("inf"))
-    geodesic = QGCheck(True, margin=float(1 - (1 / q - Q)))
     sp, letters = path.sp, path.letters
+    at_o = path.start == sp.basepoint
     if letters is not None:
         step = {g: sp.norm(sp.mul_gen(sp.identity, g)) for g in set(letters)}
         if max(step.values()) > 1:
             s = next(s for s, g in enumerate(letters) if step[g] > 1)
             _raise_jump(s, step[letters[s]])
-        if sp.dist(path.start, path.endpoint()) == n - 1:
-            return geodesic
+        if at_o and path._norms is not None:
+            end = path._norms[-1]
+        else:
+            end = sp.dist(path.start, path.endpoint())
     else:
         vs = path.vertex_list()
         for s in range(n - 1):
             d = sp.dist(vs[s], vs[s + 1])
             if d > 1:
                 _raise_jump(s, d)
-        if sp.dist(vs[0], vs[-1]) == n - 1:
-            return geodesic
+        end = sp.dist(vs[0], vs[-1])
+    if end == n - 1:
+        if at_o and path._norms is None:
+            path._norms = list(range(n))
+        return QGCheck(True, margin=float(1 - (1 / q - Q)))
     dist = path_metric(path)
     S = np.arange(n - 1)
     T = S + 1
@@ -1330,10 +1361,10 @@ def _raise_jump(s, d):
 
 def first_time_at_norm(path, r):
     """Least index t with ||path(t)|| == r; DomainError if never attained."""
-    for i, nv in enumerate(path.norms()):
-        if nv == r:
-            return i
-    raise DomainError(f"path never attains norm {r}")
+    try:
+        return path.norms().index(r)
+    except ValueError:
+        raise DomainError(f"path never attains norm {r}") from None
 
 
 def change_generators(sp, new_gens, radius=8, cap=200_000):

@@ -2,13 +2,15 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 import oracles
 from coarselab import cli, morse
 from coarselab.cli import (ConfigError, main, run_experiment,
                            surgery_fixture_file, validate_config)
-from coarselab.errors import CertificationError, GenerationError, NotSublinear
+from coarselab.errors import (CertificationError, GenerationError,
+                             Inconclusive, NotSublinear, PreconditionError)
 from coarselab.space import build_space
 
 GAUGE_CONFIG = """\
@@ -176,6 +178,49 @@ def test_section_errors_still_write_the_summary(tmp_path, monkeypatch, exc):
     (rec,) = json.loads((out / "summary.json").read_text())["results"]
     assert rec["section"] == "gauge" and not rec["ok"]
     assert rec["error"] == f"{exc.__name__}: raised by the section"
+    assert "witness" not in rec and "detail" not in rec
+
+
+def test_precondition_error_records_its_witness(tmp_path):
+    # R < r fails the Morse tester's precondition before any probe is built
+    bad = "\n[morse]\nr = 200\nbig_r = 100\n"
+    summary, code = run_experiment(
+        validate_config(_write(tmp_path, GAUGE_CONFIG + bad)),
+        out=str(tmp_path / "out"))
+    assert code == 1
+    by_name = {r["section"]: r for r in summary["results"]}
+    gauge, rec = by_name["gauge"], by_name["morse"]
+    assert rec["error"] == \
+        "PreconditionError: need R >= r, got r=200.0, R=100.0"
+    assert rec["witness"] == {"r": 200.0, "R": 100.0}
+    assert json.loads((tmp_path / "out" / "summary.json").read_text()) \
+        == summary
+    # the passing section's record is what it is without the failing one
+    alone, _ = run_experiment(
+        validate_config(_write(tmp_path, GAUGE_CONFIG, name="alone.ini")),
+        out=str(tmp_path / "alone"))
+    assert json.dumps(alone["results"][0]) == json.dumps(gauge)
+
+
+@pytest.mark.parametrize("exc, key", [(PreconditionError, "witness"),
+                                      (Inconclusive, "detail")])
+def test_error_payloads_are_plain_json(tmp_path, monkeypatch, exc, key):
+    f2 = build_space("free_group(2)")
+    payload = {"path": f2.geodesic((), (1, 2)), "pair": (3, (4, 5)),
+               "value": np.float64(0.5), "count": np.int64(7)}
+
+    def raiser(*args):
+        raise exc("raised by the section", payload)
+
+    monkeypatch.setitem(cli._RUNNERS, "gauge", raiser)
+    summary, code = run_experiment(
+        validate_config(_write(tmp_path, GAUGE_CONFIG)),
+        out=str(tmp_path / "out"))
+    (rec,) = summary["results"]
+    assert rec[key] == {"path": ["()", "(1,)", "(1, 2)"], "pair": [3, [4, 5]],
+                        "value": 0.5, "count": 7}
+    assert json.loads((tmp_path / "out" / "summary.json").read_text()) \
+        == summary
 
 
 def test_reruns_are_byte_identical(tmp_path):

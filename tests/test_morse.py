@@ -221,6 +221,72 @@ def test_morse_free_group_axis_passes(f2):
     assert v.parameters["checked"] > 0
 
 
+def _golden_morse(seed, q, Q, r, R, m, kappa, margin):
+    return json.dumps({
+        "margin": margin, "pass": True, "seed": seed, "space": "free_group(2)",
+        "test": "kappa_morse", "witness": {}, "witness_path": None,
+        "parameters": {"Q": Q, "R": R, "checked": 12, "kappa": kappa, "m": m,
+                       "q": q, "r": r},
+    }, sort_keys=True)
+
+
+# the f2_morse benchmark workload's Morse tests at its seeds 0 and 7
+# (program seeds 2 and 7002), then log kappa, whose margin is not a round
+# number
+F2_MORSE_GOLDEN = [
+    (2, 1.5, 0, 75.0,
+     _golden_morse(2, 1.5, 0, 160.0, 560.0, 75.0, "1", 75.0)),
+    (2, 3, 4, 1200.0,
+     _golden_morse(2, 3, 4, 2400.0, 2800.0, 1200.0, "1", 1194.0)),
+    (7002, 1.5, 0, 75.0,
+     _golden_morse(7002, 1.5, 0, 160.0, 560.0, 75.0, "1", 75.0)),
+    (7002, 3, 4, 1200.0,
+     _golden_morse(7002, 3, 4, 2400.0, 2800.0, 1200.0, "1", 1195.0)),
+    (2, 3, 4, None, _golden_morse(2, 3, 4, 300, 900, 4, "log", 4.0)),
+    (7002, 3, 4, None,
+     _golden_morse(7002, 3, 4, 300, 900, 4, "log", 3.6616887219423813)),
+]
+
+
+@pytest.mark.parametrize("seed, q, Q, m_Z, expected", F2_MORSE_GOLDEN)
+def test_morse_free_group_verdicts_are_pinned(f2, seed, q, Q, m_Z, expected):
+    """Byte-identical verdicts and derived gauges on axis_ray(f2, 3000) with
+    the F2 contraction constants C1 = 1/2, C2 = 0, D1 = 1, D2 = 0 (a
+    constant gauge of 1 for log kappa)."""
+    axis = axis_ray(f2, 3000)
+    if m_Z is None:
+        v = check_morse(f2, axis, KLOG, KLOG, 300, 900, q, Q, 12, seed=seed,
+                        gauge=MorseGauge.constant(1.0))
+    else:
+        der = derive_gauge(q, Q, 0.5, 0.0, 1.0, 0.0, K1)
+        assert der.m_Z == m_Z
+        r = max(160.0, 2.0 * der.m_Z)
+        v = check_morse(f2, axis, K1, K1, r, r + 400.0, q, Q, 12, seed=seed,
+                        gauge=derived_gauge(0.5, 0.0, 1.0, 0.0, K1))
+    assert json.dumps(v.to_json(), sort_keys=True) == expected
+
+
+def test_checked_paths_declare_their_replayed_end(f2, monkeypatch):
+    """Every path the Morse tester certifies, the perturbed probes included,
+    declares where its letters lead, or declares nothing: a wrong end could
+    fake the geodesic shortcut of is_quasi_geodesic."""
+    checked = []
+
+    def recording(path, q, Q):
+        checked.append(path)
+        return is_quasi_geodesic(path, q, Q)
+
+    monkeypatch.setattr(morse, "is_quasi_geodesic", recording)
+    check_morse(f2, axis_ray(f2, 3000), KLOG, KLOG, 300, 900, 3, 4, 12,
+                seed=2, gauge=MorseGauge.constant(1.0))
+    # a perturbed probe is a certified probe with letters appended
+    assert any(len(p) > len(b) and p.letters[:len(b.letters)] == b.letters
+               for p in checked for b in checked if b.q is not None)
+    for p in checked:
+        assert p._end is None or \
+            p._end == PathSeg(f2, start=p.start, letters=p.letters).endpoint()
+
+
 def test_morse_grid_diagonal_fails_with_witness(z2):
     diag = PathSeg(z2, start=(0, 0),
                    letters=[((1, 0), (0, 1))[k % 2] for k in range(400)],

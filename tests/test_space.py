@@ -233,6 +233,66 @@ def test_quasi_geodesic_repeated_vertex_is_a_zero_step(name):
     assert not is_quasi_geodesic(PathSeg(sp, vertices=vs), 1, 0)
 
 
+NORM_SPACES = ("free_group(2)", "Z2*Z")
+
+
+@pytest.mark.parametrize("name", NORM_SPACES)
+@given(data=st.data())
+def test_recorded_norms_match_a_letter_replay(name, data):
+    """Norms recorded on a path by whoever learned them first (a geodesic
+    builder, the geodesic test of is_quasi_geodesic, a path tree, a prefix
+    slice) are exactly the letter sweep's, and only paths from o record
+    depths as norms; vertex(i), first_time_at_norm and is_quasi_geodesic
+    then read them and agree with a letter replay and the all-pairs loop."""
+    sp = QG_SPACES[name][0]
+    gens = st.sampled_from(sp.gens[:data.draw(st.integers(2, len(sp.gens)))])
+    start = sp.identity if data.draw(st.booleans()) else \
+        _word(sp, data.draw(st.lists(st.sampled_from(sp.gens), min_size=1,
+                                     max_size=4)))
+    w = _word(sp, data.draw(st.lists(st.sampled_from(sp.gens), max_size=30)))
+    route = data.draw(st.sampled_from(["geodesic", "certified", "tree"]))
+    if route == "geodesic":
+        path = sp.geodesic(start, w)
+    elif route == "certified":
+        path = PathSeg(sp, start=start,
+                       letters=sp.geodesic(start, w).step_letters())
+        assert is_quasi_geodesic(path, 1, 0)
+    else:
+        path = PathSeg(sp, start=start,
+                       letters=data.draw(st.lists(gens, max_size=40)))
+        space.path_metric(path)
+    # only paths from o record depths, and the certifier does not read a
+    # one-vertex path
+    at_o = start == sp.identity
+    recorded = at_o and (route != "certified" or len(path) > 1)
+    if data.draw(st.booleans()):
+        path = path.prefix(data.draw(st.integers(1, len(path))))
+    assert (path._norms is not None) == recorded
+    letters = path.letters
+    expected = space._norms_along(sp.right_acc(start), letters)
+    assert path.norms() == expected
+
+    acc, vs = sp.right_acc(start), [start]
+    for g in letters:
+        acc.push(g)
+        vs.append(acc.value())
+    assert [path.vertex(i) for i in range(len(path))] == vs
+    for r in range(max(expected) + 2):
+        if r in expected:
+            assert first_time_at_norm(path, r) == expected.index(r)
+        else:
+            with pytest.raises(DomainError):
+                first_time_at_norm(path, r)
+    # a fresh copy with the norms recorded before certification
+    fresh = PathSeg(sp, start=start, letters=letters)
+    fresh.norms()
+    for q, Q in [(1, 0)] + data.draw(st.lists(QG_CONSTANTS, min_size=1,
+                                              max_size=3)):
+        got = is_quasi_geodesic(fresh, q, Q)
+        assert (got.ok, got.margin, got.witness) == \
+            oracles.all_pairs_quasi_geodesic(sp, vs, q, Q)
+
+
 # ---------------------------------------------------------------------------
 # words and normal forms
 
