@@ -442,14 +442,11 @@ _PAIR_CHUNK = 256
 
 def _random_pairs(sp, count, radius, seed):
     """`count` pairs of ends of random generator walks of 0 to `radius`
-    steps, pair i drawn from its own stream as morse._random_walk_vertex
-    draws.  On a flat free product (`flat_widths`) the same draws pick
-    generator indices, and the walks of _PAIR_CHUNK pairs are reduced
-    together by `gen_words`."""
-    if not (isinstance(sp, space.FreeProductSpace) and sp.flat_widths()):
-        walk = morse._random_walk_vertex
-        return [tuple(walk(sp, rng, rng.randint(0, radius)) for _ in range(2))
-                for rng in (rng_for(seed, 13, i) for i in range(count))]
+    steps, pair i drawn from its own stream: a step count, then one
+    generator index per step, as morse._random_walk_vertex draws them.  The
+    walks of _PAIR_CHUNK pairs are reduced together by the space's
+    FlatCode.gen_words."""
+    code = space.FlatCode(sp)
     gens = range(len(sp.gens))
     pairs = []
     for lo in range(0, count, _PAIR_CHUNK):
@@ -458,7 +455,7 @@ def _random_pairs(sp, count, radius, seed):
             rng = rng_for(seed, 13, i)
             walks += ([rng.choice(gens) for _ in range(rng.randint(0, radius))]
                       for _ in range(2))
-        ends = sp.gen_words(walks)
+        ends = code.gen_words(walks)
         pairs += zip(ends[0::2], ends[1::2])
     return pairs
 

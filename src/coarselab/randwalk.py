@@ -9,14 +9,17 @@ Paths are deliberately lightweight: a SamplePath stores its seed and
 replays the walk on demand, keeping only dyadic-checkpoint summaries in
 memory.  A replay draws all its steps in one batch, from the same stream
 as one random() call per step, and places most of them by a table lookup
-on their top bits.  On free products of grids and free_group(1) the steps
-become syllable rows, each integer vector packed into one int64, that
+on their top bits.  Every built-in group space replays flat
+(space.FlatCode): F_k is the free product of k copies of Z, grid(d) one
+copy of Z^d, and a free product joins its factors' copies, so the steps
+become rows of integer vectors, each packed into one int64, that
 space.reduce_flat takes to normal form block by block in numpy, a few
-walks at a time, instead of pushing normal-form letters.  One statistics
-pass over 400 paths of length 2^12 replays in 0.33-0.51 s on
-free_group(2) and 0.23-0.25 s on free_product(grid(2), free_group(1))
-(three passes each, one core, Python 3.11, numpy 2.4, shared 2-core
-host), so a 10^4-path ensemble takes about 10 s and 6 s.
+walks at a time.  Other spaces (change_generators wrappers, the loopy ray)
+raise DomainError.  One statistics pass over 400 paths of length 2^12
+replays in 0.22 s on free_group(2), 0.24 s on free_group(3) and 0.21-0.22 s
+on free_product(grid(2), free_group(1)) (three passes each, one core,
+Python 3.11, numpy 2.4, shared 2-core host), so a 10^4-path ensemble takes
+about 6 s.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from . import relhyp as _rh
 from .errors import DomainError, Inconclusive
 from .morse import Verdict, _band_trend_fail
 from .seeds import derive_seed
-from .space import FlatPack, PathSeg, _int_items, distance_to_set, \
-    distances_along_path, reduce_flat
+from .space import FlatCode, FlatPack, PathSeg, _int_items, \
+    distance_to_set, distances_along_path, reduce_flat
 
 PROB_TOL = 1e-12
 
@@ -77,44 +80,27 @@ def uniform_generator_measure(sp):
 @functools.lru_cache(maxsize=8)
 def _step_table(sp, mu):
     """What a replay draws from, built once per (space, measure) and shared
-    by every path of an ensemble: (running sums of the probabilities, one
-    step per support element, flat table or None).
+    by every path of an ensemble: (running sums of the probabilities, the
+    space's FlatCode, flat table).
 
-    A step is the element's letters (an element may be a word in the
-    generators, e.g. a squared generator).  On a free product of grids and
-    free_group(1) (`flat_widths`) the flat table is (factor array, vector
-    columns, row count per step, first row per step, peripheral flag per
-    factor, largest absolute coordinate): one `flat_rows` row per syllable
-    of each step's normal form, in order.  The last step is listed twice: a
-    draw past the last running sum (rounding) takes it.
+    A step may be any element, e.g. a squared generator or a product of
+    generators of different atoms.  The flat table is (atom array, vector
+    columns, row count per step, first row per step, largest absolute
+    coordinate): the FlatCode rows of each step, in order.  The last step
+    is listed twice: a draw past the last running sum (rounding) takes it.
     """
+    code = FlatCode(sp)
     cum = tuple(itertools.accumulate(p for _, p in mu.support))
-    steps = []
-    for e, _ in mu.support:
-        letters = (e,) if e in sp.gens else \
-            tuple(sp.geodesic(sp.identity, e).step_letters())
-        if not letters:
-            raise DomainError("identity element in step support")
-        steps.append(letters)
-    steps.append(steps[-1])
-    flat = None
-    if isinstance(sp, _rh.FreeProductSpace) and sp.flat_widths() is not None:
-        words = []
-        for letters in steps:
-            acc = sp.right_acc()
-            for g in letters:
-                acc.push(g)
-            words.append(acc.value())
-        fac, cols = sp.flat_rows([syl for w in words for syl in w])
-        counts = np.array([len(w) for w in words])
-        firsts = np.cumsum(counts) - counts
-        pers = _rh.peripheral_indices(sp)
-        per = np.array([i in pers for i in range(len(sp.factors))])
-        for a in (fac, *cols, counts, firsts, per):
-            a.flags.writeable = False
-        bound = max(int(np.abs(c).max()) for c in cols)
-        flat = (fac, cols, counts, firsts, per, bound)
-    return cum, tuple(steps), flat
+    steps = [(e,) if code.product and e in sp.gens else e
+             for e, _ in mu.support]
+    fac, cols, counts = code.columns(steps + steps[-1:])
+    if not counts.all():
+        raise DomainError("identity element in step support")
+    firsts = np.cumsum(counts) - counts
+    for a in (fac, *cols, counts, firsts):
+        a.flags.writeable = False
+    bound = max(int(np.abs(c).max()) for c in cols)
+    return cum, code, (fac, cols, counts, firsts, bound)
 
 
 # a draw's bucket is the top _BUCKET_BITS of its first 32-bit word
@@ -200,53 +186,19 @@ class SamplePath:
         self._stats = None
         self._lift = None   # set by limit_ray_proxy, see _coned_lift
 
-    def _replay(self, indices):
-        """Step the walk once, yielding its accumulator at each of the
-        non-decreasing step `indices` (0 is the identity)."""
-        cum, steps, _ = _step_table(self.sp, self.mu)
-        draws = _draws(self.seed, indices[-1] if indices else 0, cum).tolist()
-        acc = self.sp.right_acc()
-        push = acc.push
-        k = 0
-        for target in indices:
-            for s in draws[k:target]:
-                for g in steps[s]:
-                    push(g)
-            k = target
-            yield acc
-
     def positions_at(self, indices):
         """w_k for each requested index, in one replay."""
         ks = sorted(set(indices))
         bad = [k for k in ks if not 0 <= k <= self.length]
         if bad:
             raise DomainError(f"indices outside [0, {self.length}]: {bad}")
-        if _step_table(self.sp, self.mu)[2] is None:
-            return {k: acc.value() for k, acc in zip(ks, self._replay(ks))}
         states = _flat_walks([(self, ks)], words=True)[0]
         return {k: w for k, (*_, w) in zip(ks, states)}
 
     def stats(self):
         """Dyadic-checkpoint norms (and peripheral data on relhyp spaces)."""
-        flat = _step_table(self.sp, self.mu)[2] is not None
-        if self._stats is None and flat:
+        if self._stats is None:
             _flat_stats([self])
-        if self._stats is not None:
-            return self._stats
-        sp = self.sp
-        ks = _dyadic_checkpoints(self.length)
-        pers = _rh.peripheral_indices(sp) \
-            if isinstance(sp, _rh.FreeProductSpace) else ()
-        norms, coned, maxp = {}, {}, {}
-        for k, acc in zip(ks, self._replay(ks)):
-            norms[k] = acc.norm
-            if pers:
-                w = acc.value()
-                coned[k] = _rh.coned_norm(sp, w)
-                maxp[k] = max((sp.syllable_norm(syl) for syl in w
-                               if syl[0] in pers), default=0)
-        self._stats = PathStats(checkpoints=ks, norms=norms, coned=coned,
-                                max_peripheral=maxp)
         return self._stats
 
 
@@ -258,14 +210,15 @@ _GROUP_STEPS = 1 << 14
 def _flat_walks(jobs, words=False):
     """For each (path, non-decreasing indices) job, the list of (norm, coned
     norm, max peripheral norm, w_k or None) at each index k; every path
-    shares one flat step table.  w_k is built only if `words`.
+    shares one step table.  w_k is decoded only if `words`.
 
-    The draws of all jobs are expanded into syllable rows, one block per
-    gap between consecutive indices of a job, each row's vector packed into
-    one integer (FlatPack), and reduce_flat takes each block to normal
-    form.  A job then runs as a stack of block slices: the head of a block
-    merges into the top syllable of the stack while both lie in one factor
-    (popping it when the packed sum is 0), and the rest of the block goes
+    This is the one replay of every walk.  The draws of all jobs are
+    expanded into the FlatCode rows of their steps, one block per gap
+    between consecutive indices of a job, each row's vector packed into one
+    integer (FlatPack), and reduce_flat takes each block to normal form.  A
+    job then runs as a stack of block slices: the head of a block merges
+    into the top row of the stack while both lie in one atom (popping it
+    when the packed sum is 0), and the rest of the block goes
     on as one slice; a merged syllable is appended to the rows and goes on
     as a slice of its own.  Each slice records the norm, coned norm and max
     peripheral norm of the stack under it, so with the rows' cumulative
@@ -275,14 +228,14 @@ def _flat_walks(jobs, words=False):
     merges.
     """
     sp, mu = jobs[0][0].sp, jobs[0][0].mu
-    cum, _, (tfac, tcols, counts, firsts, per, bound) = _step_table(sp, mu)
+    cum, code, (tfac, tcols, counts, firsts, bound) = _step_table(sp, mu)
     draws, gaps = [], []
     for path, ks in jobs:
         draws.append(_draws(path.seed, ks[-1] if ks else 0, cum))
         gaps += [k - j for j, k in zip([0, *ks], ks)]
     d = np.concatenate(draws)
     block = np.repeat(np.arange(len(gaps)), gaps)
-    if len(counts) == len(tfac):   # every step is one syllable
+    if len(counts) == len(tfac):   # every step is one row
         r = d
     else:
         n = counts[d]
@@ -292,9 +245,9 @@ def _flat_walks(jobs, words=False):
     block, fac, packed = reduce_flat(block, tfac[r],
                                      [w[r] for w in pack.pack(tcols)])
     norm = sum(np.abs(c) for c in pack.unpack(packed))
-    is_per = per[fac]
+    is_per = code.peripheral[fac]
     bounds = np.searchsorted(block, np.arange(len(gaps) + 1)).tolist()
-    F, P, per = _int_items(fac), pack.join(packed), per.tolist()
+    F, P, per = _int_items(fac), pack.join(packed), code.peripheral.tolist()
     pn = np.where(is_per, norm, 0)
     # the max of pn from each row to the end of its block: a pushed slice
     # runs to the end of its block, or is one merged row
@@ -342,7 +295,7 @@ def _flat_walks(jobs, words=False):
                     break
             if lo < hi:
                 n0, c0, m0 = push(stack, lo, hi, n0, c0, m0)
-            w = tuple(sp.unflat_rows(itertools.chain.from_iterable(
+            w = code.element(code.decode(itertools.chain.from_iterable(
                 zip(F[lo:hi], P[lo:hi]) for lo, hi, *_ in stack), pack)) \
                 if words else None
             states.append((n0, c0, m0, w))
@@ -351,9 +304,10 @@ def _flat_walks(jobs, words=False):
 
 
 def _flat_stats(paths):
-    """Set the stats of flat walks sharing one step table, in one replay."""
+    """Set the stats of walks sharing one step table, in one replay; the
+    coned and max peripheral norms only where some atom is peripheral."""
     jobs = [(p, _dyadic_checkpoints(p.length)) for p in paths]
-    pers = bool(_rh.peripheral_indices(paths[0].sp))
+    pers = _step_table(paths[0].sp, paths[0].mu)[1].peripheral.any()
     for (p, ks), states in zip(jobs, _flat_walks(jobs)):
         norms, coned, maxp, _ = (dict(zip(ks, col)) for col in zip(*states))
         p._stats = PathStats(ks, norms, coned if pers else {},
@@ -365,18 +319,18 @@ def sample_paths(sp, mu, n, count, seed):
     (seed, i) so regeneration cannot reorder RNG streams."""
     if n < 1 or count < 1:
         raise DomainError("need n >= 1 and count >= 1")
-    _step_table(sp, mu)  # validate support against the space up front
+    _step_table(sp, mu)  # validate the space and support up front
     return [SamplePath(sp, mu, n, derive_seed(seed, i)) for i in range(count)]
 
 
 def ensemble_stats(paths):
     """PathStats for every path, index-ordered; each path keeps its own.
 
-    Flat walks that share a step table are replayed together, in groups of
+    Walks that share a step table are replayed together, in groups of
     about _GROUP_STEPS steps."""
     group, steps = [], 0
     for p in paths:
-        if p._stats is not None or _step_table(p.sp, p.mu)[2] is None:
+        if p._stats is not None:
             continue
         if group and ((p.sp, p.mu) != (group[0].sp, group[0].mu)
                       or steps + p.length > _GROUP_STEPS):

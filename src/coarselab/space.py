@@ -24,10 +24,11 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import deque
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CertificationError, DomainError
 
 DEFAULT_BALL_CAP = 10_000
 
@@ -558,10 +559,6 @@ class FreeProductSpace(GroupSpace):
     def is_identity(self, x):
         return x == ()
 
-    def syllable_norm(self, syl):
-        i, e = syl
-        return self.factors[i].norm(e)
-
     def mul(self, x, y):
         out = list(x)
         for syl in y:
@@ -605,8 +602,7 @@ class FreeProductSpace(GroupSpace):
         m = min(len(x), len(y))
         while j < m and x[j] == y[j]:
             j += 1
-        d = sum(self.syllable_norm(s) for s in x[j:]) \
-            + sum(self.syllable_norm(s) for s in y[j:])
+        d = self.norm(x[j:]) + self.norm(y[j:])
         if j < m and x[j][0] == y[j][0]:
             f = self.factors[x[j][0]]
             d -= f.norm(x[j][1]) + f.norm(y[j][1])
@@ -660,67 +656,6 @@ class FreeProductSpace(GroupSpace):
         return self._RightAcc(self, start if start is not None else (),
                               costs if costs is not None else self._word_costs)
 
-    # Flat encoding: when every factor is a grid or free_group(1), a factor
-    # element is an integer vector whose l^1 norm is its word norm -- the
-    # grid coordinates, or the signed length n of the word a^n in F_1 = Z.
-
-    def flat_widths(self):
-        """Per-factor vector widths of the flat encoding, or None when some
-        factor is a free group of rank >= 2."""
-        if not all(isinstance(f, GridSpace) or f.k == 1 for f in self.factors):
-            return None
-        return tuple(f.d if isinstance(f, GridSpace) else 1 for f in self.factors)
-
-    def flat_syllable(self, syl):
-        """(i, e) -> (i, integer vector of e)."""
-        i, e = syl
-        return i, e if isinstance(self.factors[i], GridSpace) else (sum(e),)
-
-    def unflat_syllable(self, i, v):
-        """(i, integer vector) -> the syllable (i, e)."""
-        if isinstance(self.factors[i], GridSpace):
-            return i, tuple(v)
-        (n,) = v
-        return i, (1,) * n if n > 0 else (-1,) * -n
-
-    def flat_rows(self, syllables):
-        """Syllables as flat rows: (factor array, list of vector columns),
-        each vector zero-padded to the widest factor."""
-        pad = max(self.flat_widths())
-        rows = np.array([(i, *v, *(0,) * (pad - len(v)))
-                         for i, v in map(self.flat_syllable, syllables)],
-                        dtype=np.int64).reshape(-1, pad + 1)
-        return rows[:, 0].copy(), [rows[:, c].copy()
-                                   for c in range(1, pad + 1)]
-
-    def unflat_rows(self, rows, pack):
-        """The syllables of flat rows given as (factor, packed vector) pairs,
-        each vector packed by the FlatPack `pack` into one integer; equal
-        rows share one syllable."""
-        widths, memo, out = self.flat_widths(), {}, []
-        for row in rows:
-            syl = memo.get(row)
-            if syl is None:
-                i, x = row
-                syl = memo[row] = self.unflat_syllable(
-                    i, pack.digits(x, widths[i]))
-            out.append(syl)
-        return out
-
-    def gen_words(self, walks):
-        """The element each walk spells, for walks given as lists of indices
-        into `gens`, reduced by reduce_flat with one block per walk (a flat
-        space only)."""
-        fac, cols = self.flat_rows(self.gens)
-        idx = np.fromiter(itertools.chain.from_iterable(walks), np.int64)
-        block = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
-        pack = FlatPack(len(cols), len(idx), 1)
-        block, fac, words = reduce_flat(block, fac[idx],
-                                        [w[idx] for w in pack.pack(cols)])
-        bounds = np.searchsorted(block, np.arange(len(walks) + 1)).tolist()
-        syls = self.unflat_rows(zip(fac.tolist(), pack.join(words)), pack)
-        return [tuple(syls[a:b]) for a, b in zip(bounds, bounds[1:])]
-
     def geodesic(self, x, y):
         z = self.mul(self.inv(x), y)
         letters = []
@@ -748,6 +683,107 @@ class FreeProductSpace(GroupSpace):
                 raise DomainError(f"unknown generator {tok!r} for {self.kind}")
             acc.push(shorthand[tok])
         return acc.value()
+
+
+# ---------------------------------------------------------------------------
+# the flat encoding
+
+class FlatCode:
+    """Elements of a free group, a grid or a free product of them as words
+    of rows (atom, integer vector), an atom being a copy of Z^width.
+
+    F_k is the free product of k copies of Z, and its word norm is the l^1
+    norm of those syllables: free_group(k) is k atoms of width 1, and a run
+    a_j^n of a reduced word is the row (j - 1, (n,)).  grid(d) is one atom
+    of width d.  A free product concatenates the atoms of its factors.  In
+    normal form no row is zero and no two adjacent rows share an atom.
+    Per atom: `owner` (the factor in a free product, else 0), `widths`,
+    `letter` (j for a_j, 0 on a grid) and `peripheral` (a bool array, set
+    on the grid factors of rank >= 2 of a free product only).  Any other
+    space raises DomainError.
+    """
+
+    def __init__(self, sp):
+        self.sp = sp
+        self.product = isinstance(sp, FreeProductSpace)
+        if not (self.product or isinstance(sp, (FreeGroupSpace, GridSpace))):
+            raise DomainError(f"{sp.kind} has no flat encoding: walks run on "
+                              "free groups, grids and free products of them")
+        self.first, atoms = [], []    # first atom of each factor
+        for i, f in enumerate(sp.factors if self.product else (sp,)):
+            self.first.append(len(atoms))
+            if isinstance(f, GridSpace):
+                atoms.append((i, f.d, 0, self.product and f.d >= 2))
+            else:
+                atoms += [(i, 1, j, False) for j in range(1, f.k + 1)]
+        self.owner, self.widths, self.letter, per = zip(*atoms)
+        self.peripheral = np.array(per)
+        self.peripheral.flags.writeable = False
+        self.width = max(self.widths)
+        self.split = len(atoms) > len(self.first)   # some F_k with k >= 2
+
+    def columns(self, xs):
+        """The rows of the elements xs, in order, as (atom array, list of
+        vector columns, row count per element), each vector zero-padded to
+        the widest atom."""
+        pad, rows, counts = self.width, [], []
+        for x in xs:
+            n = len(rows)
+            for i, e in x if self.product else ((0, x),):
+                a = self.first[i]
+                if self.letter[a]:
+                    for g, run in itertools.groupby(e):
+                        k = sum(1 for _ in run)
+                        rows.append((a + abs(g) - 1, k if g > 0 else -k,
+                                     *(0,) * (pad - 1)))
+                elif any(e):
+                    rows.append((a, *e, *(0,) * (pad - len(e))))
+            counts.append(len(rows) - n)
+        a = np.array(rows, dtype=np.int64).reshape(-1, pad + 1)
+        return (a[:, 0].copy(), [a[:, c].copy() for c in range(1, pad + 1)],
+                np.array(counts))
+
+    def decode(self, rows, pack):
+        """(factor index, factor element) of each row given as (atom,
+        packed vector), packed by the FlatPack `pack` into one integer;
+        equal rows are decoded once."""
+        memo, out = {}, []
+        for row in rows:
+            part = memo.get(row)
+            if part is None:
+                a, x = row
+                v = pack.digits(x, self.widths[a])
+                g = self.letter[a]
+                part = memo[row] = (self.owner[a], tuple(v) if not g else
+                                    (g,) * v[0] if v[0] > 0 else (-g,) * -v[0])
+            out.append(part)
+        return out
+
+    def element(self, parts):
+        """The element of the decoded rows of a normal form: adjacent atoms
+        of one free-group factor make one syllable, and no rows make the
+        identity (on a grid, the zero vector)."""
+        if self.split:
+            parts = [(i, tuple(itertools.chain.from_iterable(e for _, e in run)))
+                     for i, run in itertools.groupby(parts, key=itemgetter(0))]
+        if self.product:
+            return tuple(parts)
+        return parts[0][1] if parts else self.sp.identity
+
+    def gen_words(self, walks):
+        """The element each walk spells, for walks given as lists of indices
+        into the space's `gens`, reduced by reduce_flat with one block per
+        walk."""
+        fac, cols, _ = self.columns((g,) if self.product else g
+                                    for g in self.sp.gens)
+        idx = np.fromiter(itertools.chain.from_iterable(walks), np.int64)
+        block = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
+        pack = FlatPack(len(cols), len(idx), 1)
+        block, fac, words = reduce_flat(block, fac[idx],
+                                        [w[idx] for w in pack.pack(cols)])
+        bounds = np.searchsorted(block, np.arange(len(walks) + 1)).tolist()
+        parts = self.decode(zip(fac.tolist(), pack.join(words)), pack)
+        return [self.element(parts[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 class FlatPack:
@@ -810,18 +846,18 @@ def _int_items(a):
 
 
 def reduce_flat(block, fac, words):
-    """Reduce flat free-product words, one word per block.
+    """Reduce flat words (FlatCode), one word per block.
 
     Each row is one syllable: its block (`block`, non-decreasing), its
-    factor (`fac`) and its vector, packed by a FlatPack into the int64
-    `words` (one array per word); no row is zero.  Every factor of a flat
-    space is abelian, so a pass that sums each run of adjacent rows of one
-    factor within a block and then drops the zero sums leaves each block's
-    product unchanged; passes repeat until no two adjacent rows of a block
-    share a factor.  The rows left are each block's product in normal
-    form, in order.  A pass finds the run ends with one compare of adjacent
-    keys, and a run's sum is a difference of the packed cumulative sums at
-    run ends.
+    atom (`fac`) and its vector, packed by a FlatPack into the int64
+    `words` (one array per word); no row is zero.  Every atom is abelian,
+    so a pass that sums each run of adjacent rows of one atom within a
+    block and then drops the zero sums leaves each block's product
+    unchanged; passes repeat until no two adjacent rows of a block share an
+    atom.  The rows left are each block's product in normal form, in
+    order.  A pass finds the run ends with one compare of adjacent keys,
+    and a run's sum is a difference of the packed cumulative sums at run
+    ends.
 
     Returns (block, fac, words) of the reduced rows.
     """
@@ -1477,7 +1513,10 @@ class _RegeneratedSpace(GroupSpace):
 # axis rays and closed-form targets along geodesics from o
 
 def axis_ray(sp, length, gen=None):
-    """The ray g, g^2, ..., g^length as a PathSeg with a closed-form hook.
+    """The ray g, g^2, ..., g^length as a PathSeg with a closed-form hook,
+    certified (1, 0): a geodesic on free groups, grids and free products,
+    checked by is_quasi_geodesic elsewhere (CertificationError with its
+    witness when it fails, as when a generator is a power of g).
 
     `gen` defaults to the first generator.  On grids the hook applies the
     O(d) per-vertex distance to the axis segment (no closed-form argmin);
@@ -1487,7 +1526,14 @@ def axis_ray(sp, length, gen=None):
     if not sp.is_group:
         raise DomainError("axis_ray needs a group space")
     g = gen if gen is not None else sp.gens[0]
-    seg = PathSeg(sp, start=sp.identity, letters=[g] * length, q=1, Q=0)
+    seg = PathSeg(sp, start=sp.identity, letters=[g] * length)
+    if not isinstance(sp, (FreeGroupSpace, GridSpace, FreeProductSpace)):
+        check = is_quasi_geodesic(seg, 1, 0)
+        if not check:
+            raise CertificationError(
+                f"axis ray of {g!r} in {sp.kind} is not a geodesic",
+                witness=check.witness)
+    seg.q, seg.Q = 1, 0
     if isinstance(sp, GridSpace):
         axis = next(i for i, c in enumerate(g) if c != 0)
         sign = 1 if g[axis] > 0 else -1

@@ -288,22 +288,54 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("statistic", sorted(GOLDEN))
-def test_run_output_matches_the_golden_digests(tmp_path, statistic):
-    path = _write(tmp_path, GOLDEN_CONFIG.format(statistic=statistic))
+def _run_digests(tmp_path, text):
+    path = _write(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(out.iterdir())}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("statistic", sorted(GOLDEN))
+def test_run_output_matches_the_golden_digests(tmp_path, statistic):
+    got = _run_digests(tmp_path, GOLDEN_CONFIG.format(statistic=statistic))
     assert got == {"excursion.csv": GOLDEN_EXCURSION,
                    "walk_stats.csv": GOLDEN_WALK_STATS, **GOLDEN[statistic]}
+
+
+GOLDEN_F2_CONFIG = """\
+[experiment]
+seed = 5
+space = free_group(2)
+
+[walk]
+statistic = {statistic}
+n = 256
+count = 40
+"""
+
+# free_group(2) walks replay as words in two copies of Z; these digests
+# were taken when they were replayed letter by letter
+GOLDEN_F2_WALK_STATS = "7e6660f10cefdd045a3c949565f0bff5d6190cc97bd7ccca36047244c53ff769"
+GOLDEN_F2 = {
+    "drift": "d7f349debba7ab17f4b86473ab9bd4501e0704a64c338e0b56b46609eb5bc256",
+    "hitting": "9e4d9b4a9623a48b74473cfd6bcadfb03bf3cf3bfc855b63426e58f6bc2b7d64",
+}
+
+
+@pytest.mark.parametrize("statistic", sorted(GOLDEN_F2))
+def test_free_group_run_output_matches_the_golden_digests(tmp_path, statistic):
+    got = _run_digests(tmp_path, GOLDEN_F2_CONFIG.format(statistic=statistic))
+    assert got == {"summary.json": GOLDEN_F2[statistic],
+                   "walk_stats.csv": GOLDEN_F2_WALK_STATS}
 
 
 @pytest.mark.parametrize("spec", [
     "free_product(grid(2), free_group(1))",
     "free_product(grid(2), free_group(1), grid(1))",
     "free_product(grid(2), grid(3), free_group(1))",   # padded vectors
-    "free_product(free_group(2), free_group(1))",      # not flat
+    "free_product(free_group(2), free_group(1))",
+    "free_product(free_group(2), grid(2))",
 ])
 @pytest.mark.parametrize("radius", [0, 3, 30])
 def test_random_pairs_match_one_push_per_step(spec, radius):

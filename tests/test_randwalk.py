@@ -113,8 +113,18 @@ def _walk_case(name, f2, zz):
         # grid(2) and free_group(1) vectors are padded to grid(3)'s width
         sp = FreeProductSpace([GridSpace(2), GridSpace(3), FreeGroupSpace(1)])
         return sp, rw.uniform_generator_measure(sp)
-    # a free_group(2) factor is not flat, so this walk is stepped letter by
-    # letter on the syllable accumulator
+    if name == "free_group_3":
+        sp = FreeGroupSpace(3)
+        return sp, rw.uniform_generator_measure(sp)
+    if name in ("grid_1", "grid_2"):
+        # one atom; a bare grid has no peripheral factor
+        sp = GridSpace(int(name[-1]))
+        return sp, rw.uniform_generator_measure(sp)
+    if name == "two_atoms":
+        # a.b is not a generator of F_2: each step is two rows
+        return f2, rw.StepMeasure.point_mass((1, 2))
+    # a free_group(2) factor splits into two atoms, which merge back into
+    # one syllable
     sp = FreeProductSpace([FreeGroupSpace(2), GridSpace(2)])
     return sp, rw.uniform_generator_measure(sp)
 
@@ -130,15 +140,20 @@ def _max_peripheral(sp, w):
 
 
 @pytest.mark.parametrize("case", ["free_group", "free_product", "non_uniform",
-                                  "pop_heavy", "three_factors", "non_flat",
+                                  "pop_heavy", "three_factors", "split_factor",
                                   "same_factor_ends", "padded",
-                                  "no_peripheral"])
+                                  "no_peripheral", "free_group_3", "grid_2",
+                                  "grid_1", "two_atoms"])
 def test_replay_matches_the_reference_walk(case, f2, zz):
     sp, mu = _walk_case(case, f2, zz)
-    # the block-reduced replay serves free products of grids and F_1
-    flat = rw._step_table(sp, mu)[2]
-    assert (flat is not None) == (case not in ("free_group", "non_flat"))
     pers = _pers(sp)
+    # every case replays flat: F_k is k atoms, a grid one, and only the
+    # grid factors of rank >= 2 of a free product are peripheral
+    code = rw._step_table(sp, mu)[1]
+    factors = sp.factors if isinstance(sp, FreeProductSpace) else (sp,)
+    assert code.owner == tuple(i for i, f in enumerate(factors) for _ in
+                               range(getattr(f, "k", 1)))
+    assert code.peripheral.tolist() == [i in pers for i in code.owner]
 
     def max_peripheral(w):
         return _max_peripheral(sp, w)
@@ -152,9 +167,6 @@ def test_replay_matches_the_reference_walk(case, f2, zz):
             ref = oracles.walk_positions(sp, mu, n, p.seed)
             for ks in index_sets:
                 want = [ref[k] for k in ks]
-                if flat is None:
-                    assert [acc.value() for acc in p._replay(ks)] == want
-                    continue
                 got = rw._flat_walks([(p, ks)], words=True)[0]
                 assert [(norm, w) for norm, _, _, w in got] == \
                     [(sp.norm(w), w) for w in want]
@@ -175,11 +187,11 @@ def test_replay_matches_the_reference_walk(case, f2, zz):
 
 
 def test_ensemble_stats_mix_spaces_measures_and_lengths(f2, zz):
-    """Flat walks are replayed in groups: walks of other spaces, measures
-    and lengths in between, a walk with stats already and a repeated walk
-    must not change what any walk gets."""
-    cases = ("free_product", "pop_heavy", "non_flat", "three_factors",
-             "free_group", "no_peripheral", "padded")
+    """Walks are replayed in groups: walks of other spaces, measures and
+    lengths in between, a walk with stats already and a repeated walk must
+    not change what any walk gets."""
+    cases = ("free_product", "pop_heavy", "split_factor", "three_factors",
+             "free_group", "no_peripheral", "padded", "grid_2")
     paths = []
     for n in (1, 37, 600, 2500):
         for j, case in enumerate(cases):
@@ -292,6 +304,19 @@ def test_sample_paths_validation(f2):
         rw.sample_paths(f2, mu, 0, 3, seed=0)
     with pytest.raises(DomainError):
         rw.sample_paths(f2, mu, 8, 0, seed=0)
+
+
+def test_sample_paths_rejects_a_loopy_ray():
+    sp = space.build_space("loopy_ray(5)")
+    with pytest.raises(DomainError, match=r"loopy_ray\(5\) has no flat"):
+        rw.sample_paths(sp, rw.StepMeasure.point_mass(("r", 1)), 8, 1, seed=0)
+
+
+def test_sample_paths_rejects_a_change_of_generators():
+    sp, _ = space.change_generators(GridSpace(2), [(1, 0), (0, 1), (1, 1)],
+                                    radius=3)
+    with pytest.raises(DomainError, match=r"grid\(2\)\+regen has no flat"):
+        rw.sample_paths(sp, rw.uniform_generator_measure(sp), 8, 1, seed=0)
 
 
 # ---------------------------------------------------------------------------

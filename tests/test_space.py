@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from coarselab import space
-from coarselab.errors import DomainError
+from coarselab.errors import CertificationError, DomainError
 from coarselab.relhyp import (coned_dist, coned_distance,
                               coned_distances_along_path, lift_coned_geodesic)
 from coarselab.space import (PathSeg, axis_ray, build_space, change_generators,
@@ -360,6 +360,24 @@ def test_flat_pack_refuses_digits_wider_than_a_word():
 
 # ---------------------------------------------------------------------------
 # axis rays and projections
+
+def test_axis_ray_refuses_an_uncertified_regenerated_axis():
+    """With (2, 0) a generator, g^6 is 3 from o, so the ray g, ..., g^6 is
+    not a (1, 0)-quasi-geodesic: the first failing pair is (0, 6)."""
+    sp, _ = change_generators(build_space("grid(2)"),
+                              [(1, 0), (2, 0), (0, 1)], radius=3)
+    ray = PathSeg(sp, start=sp.identity, letters=[sp.gens[0]] * 6)
+    assert ray.norms() == [0, 1, 1, 2, 2, 3, 3]
+    assert is_quasi_geodesic(ray, 1, 0).witness == (0, 6, 3)
+    with pytest.raises(CertificationError) as err:
+        axis_ray(sp, 6)
+    assert err.value.witness == (0, 6, 3)
+    # a regenerated axis that is a geodesic keeps its (1, 0) certificate
+    sp, _ = change_generators(build_space("grid(2)"), [(1, 0), (0, 1), (1, 1)],
+                              radius=3)
+    ray = axis_ray(sp, 6)
+    assert (ray.q, ray.Q) == (1, 0) and ray.norms() == list(range(7))
+
 
 @pytest.mark.parametrize("spec", ["free_group(2)", "grid(2)",
                                   "free_product(grid(2), free_group(1))"])
