@@ -500,9 +500,9 @@ class RayProxy:
 def limit_ray_proxy(sp, path, N=None):
     """Finite-horizon stand-in for the limit ray of one walk.
 
-    On relhyp spaces this is the lift of the coned geodesic [o, w_N]; on
-    everything else, the geodesic to w_N (the two agree when peripherals
-    are absent).  The stability field measures how far the half-horizon
+    On relhyp spaces this is the lift of the coned geodesic [o, w_N], the
+    normal-form geodesic certified once at (1, 0); on everything else, the
+    geodesic to w_N.  The stability field measures how far the half-horizon
     proxy strays from the full one: the coned length of its tail past the
     longest common normal-form prefix (0 when one extends the other).
     """
@@ -656,14 +656,14 @@ def excursion_of_walk_ray(sp, paths, kappa, constants=None, quantile=0.95,
 
 
 def _coned_lift(path, N, w):
-    """(d_Ghat(o, w), lift, certified constants) of the coned geodesic from
-    o to w = w_N.  limit_ray_proxy keeps the full-horizon one on the path,
-    and the walk-ray excursions read it from there."""
+    """(d_Ghat(o, w), lift, (1, 0)) of the coned geodesic from o to
+    w = w_N: its lift is the normal-form geodesic [o, w], certified once at
+    (1, 0).  limit_ray_proxy keeps the full-horizon one on the path, and
+    the walk-ray excursions read it from there."""
     if N == path.length and path._lift is not None:
         return path._lift
     report = _rh.coned_distance(path.sp, (), w)
-    return (report.value,
-            *_rh.lift_coned_geodesic(path.sp, report, start=path.sp.identity))
+    return (report.value, *_rh.lift_coned_geodesic(path.sp, report))
 
 
 def _walk_ray_excursions(path, kappa, constants):

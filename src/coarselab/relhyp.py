@@ -93,38 +93,49 @@ def coned_norm(sp, v):
 
 @dataclass
 class ConedMetricReport:
-    """d_Ghat value plus one realizing path, edge by edge.
+    """d_Ghat(start, end), read off the normal form of start^-1 end.
 
-    Each entry is ("edge", u, v, g) for an ordinary Cayley edge, v = u g
-    for the generator g, or ("shortcut", u, v, coset, syllable) for a coset
-    shortcut, v = u (syllable); the number of entries equals the reported
-    distance.
+    `syllables` is that normal form and `value` its coned cost (coned_norm).
+    `edges` spells, on demand, the coned geodesic that realizes the value:
+    ("edge", u, v, g) for an ordinary Cayley edge, v = u g for the
+    generator g, or ("shortcut", u, v, coset, syllable) for a coset
+    shortcut, v = u (syllable); there are `value` entries.  Its lift is
+    the normal-form geodesic from start to end (lift_coned_geodesic).
     """
 
+    sp: FreeProductSpace
     value: int
-    edges: list
+    start: tuple
+    end: tuple
+    syllables: tuple
+
+    @property
+    def edges(self):
+        sp = self.sp
+        pers = set(peripheral_indices(sp))
+        edges = []
+        cur = self.start
+        for i, e in self.syllables:
+            f = sp.factors[i]
+            if i in pers and f.norm(e) > 1:
+                nxt = sp.mul(cur, ((i, e),))
+                edges.append(("shortcut", cur, nxt, coset_of(sp, nxt, i), (i, e)))
+                cur = nxt
+            else:
+                for g in f.geodesic(f.identity, e).step_letters():
+                    nxt = sp.mul_gen(cur, (i, g))
+                    edges.append(("edge", cur, nxt, (i, g)))
+                    cur = nxt
+        return edges
 
 
 def coned_distance(sp, x, y):
+    """d_Ghat(x, y) as a ConedMetricReport: one product z = x^-1 y, valued
+    by the closed form of coned_dist."""
     require_relhyp(sp)
-    pers = set(peripheral_indices(sp))
     z = sp.mul(sp.inv(x), y)
-    edges = []
-    cur = x
-    for i, e in z:
-        f = sp.factors[i]
-        if i in pers and f.norm(e) > 1:
-            nxt = sp.mul(cur, ((i, e),))
-            edges.append(("shortcut", cur, nxt, coset_of(sp, nxt, i), (i, e)))
-            cur = nxt
-        else:
-            for g in f.geodesic(f.identity, e).step_letters():
-                nxt = sp.mul_gen(cur, (i, g))
-                edges.append(("edge", cur, nxt, (i, g)))
-                cur = nxt
-    value = coned_norm(sp, z)
-    assert len(edges) == value
-    return ConedMetricReport(value=value, edges=edges)
+    return ConedMetricReport(sp=sp, value=coned_norm(sp, z), start=x, end=y,
+                             syllables=z)
 
 
 def coned_dist(sp, x, y):
@@ -244,35 +255,23 @@ def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0,
 # ---------------------------------------------------------------------------
 # lifts
 
-def lift_coned_geodesic(sp, report, start=None):
-    """Replace each shortcut edge of a coned path by a factor geodesic.
+def lift_coned_geodesic(sp, report):
+    """The lift of the coned geodesic of `report`, each shortcut replaced
+    by a factor geodesic: the normal-form geodesic sp.geodesic(start, end).
 
-    Returns (PathSeg, (q0, Q0)) where the constants are the smallest pair
-    on a fixed ladder that certifies the lift; in free products normal-form
-    lifts are genuine geodesics, so (1, 0) is the expected outcome.  A lift
-    from o carries the closed-form hook of geodesic_hook.
+    Returns (PathSeg, (1, 0)).  The path is certified once, by
+    is_quasi_geodesic at (1, 0), which takes its geodesic shortcut (from o
+    the path records its norms 0, 1, ..., n); a failure raises
+    CertificationError with the witness.  A lift from o carries the
+    closed-form hook of geodesic_hook.
     """
-    letters = []
-    origin = start if start is not None else (report.edges[0][1] if report.edges else ())
-    for edge in report.edges:
-        if edge[0] == "shortcut":
-            i, e = edge[4]
-            f = sp.factors[i]
-            letters.extend((i, g) for g in f.geodesic(f.identity, e).step_letters())
-        else:
-            letters.append(edge[3])
-    # the report's last vertex ends the lift when both start at origin
-    end = report.edges[-1][2] if report.edges and report.edges[0][1] == origin \
-        else None
-    path = PathSeg(sp, start=origin, letters=letters, end=end)
+    path = sp.geodesic(report.start, report.end)
     path.hook = geodesic_hook(path)
-    for q0, Q0 in ((1, 0), (1.5, 2), (2, 4), (3, 8)):
-        check = is_quasi_geodesic(path, q0, Q0)
-        if check:
-            path.q, path.Q = q0, Q0
-            return path, (q0, Q0)
-    raise CertificationError(
-        "lift failed certification at (3, 8)", witness=check.witness)
+    check = is_quasi_geodesic(path, 1, 0)
+    if not check:
+        raise CertificationError("lift of a coned geodesic is not a geodesic",
+                                 witness=check.witness)
+    return path, (1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,63 @@ def test_every_private_definition_is_referenced():
     assert unreferenced_private_definitions(sources) == []
 
 
+def unreferenced_public_definitions(modules, readers):
+    """(file, line, name) of each public module-level function or class of
+    `modules` that no source in `modules` or `readers` loads by name.
+
+    Both arguments map a file name to its text.  A definition is a
+    ``def``, ``async def`` or ``class`` statement directly in a module's
+    body whose name does not start with an underscore; a use is a bare
+    name or an attribute ``obj.x`` read anywhere, or a name imported by
+    ``from ... import``.
+    """
+    defined, loaded = [], set()
+    for name, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((name, node.lineno, node.name))
+    for source in [*modules.values(), *readers.values()]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(a.name for a in node.names)
+    return [(name, line, fn) for name, line, fn in defined if fn not in loaded]
+
+
+def test_checker_flags_an_unreferenced_public_definition():
+    module = ("def called():\n"
+              "    pass\n"
+              "def imported():\n"
+              "    pass\n"
+              "def unused():\n"
+              "    called = 1\n"
+              "class Box:\n"
+              "    def method(self):\n"
+              "        return called()\n"
+              "class Orphan:\n"
+              "    pass\n"
+              "def _private():\n"
+              "    pass\n")
+    reader = ("from a import imported as alias\n"
+              "import a\n"
+              "a.Box().method(); alias()\n"
+              "def unused_in_tests():\n"
+              "    pass\n")
+    assert unreferenced_public_definitions({"a.py": module}, {"t.py": reader}) \
+        == [("a.py", 5, "unused"), ("a.py", 10, "Orphan")]
+
+
+def test_every_public_definition_is_referenced():
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
+    assert unreferenced_public_definitions(modules, readers) == []
+
+
 # the program runs in one process, and numpy serves only array arithmetic:
 # walks draw from random.Random, whose stream the outputs are pinned to, in
 # one getrandbits batch per walk that numpy turns into random() values

@@ -255,6 +255,8 @@ def test_lift_of_coned_geodesic_is_a_geodesic(zz):
     assert (q0, Q0) == (1, 0)
     assert path.vertex(0) == () and path.endpoint() == v
     assert len(path) - 1 == zz.dist((), v) == 8
+    # a lift from o comes back with its norms recorded
+    assert path._norms == list(range(9))
 
 
 def test_lift_between_offset_points(zz):
@@ -264,6 +266,10 @@ def test_lift_between_offset_points(zz):
     path, _ = lift_coned_geodesic(zz, rep)
     assert path.vertex(0) == x and path.endpoint() == y
     assert len(path) - 1 == zz.dist(x, y)
+    # a zero-length lift stays at its point, not at o
+    path, consts = lift_coned_geodesic(zz, coned_distance(zz, x, x))
+    assert path.start == path.endpoint() == x and len(path) == 1
+    assert consts == (1, 0)
 
 
 ZZ = build_space("free_product(grid(2), free_group(1))")
@@ -311,18 +317,31 @@ def test_geodesic_dist_along_needs_a_geodesic_from_o(zz, f2, z2):
     assert geodesic_hook(PathSeg(f2, letters=[(1,), (2,)])) is not None
 
 
+LIFT_SPACES = [ZZ] + [build_space(s) for s in (
+    "free_product(grid(2), free_group(1), grid(3))",
+    "free_product(free_group(2), grid(2))")]
+
+
 @given(data=st.data())
 def test_lift_passes_through_every_report_vertex(data):
-    gens = st.sampled_from(ZZ.gens)
-    x, y = (_word(ZZ, data.draw(st.lists(gens, max_size=30))) for _ in "xy")
-    report = coned_distance(ZZ, x, y)
-    lift, _ = lift_coned_geodesic(ZZ, report, start=x)
-    # the endpoint handed over by the report is the one the letters reach
-    assert lift.endpoint() == lift.vertex(len(lift) - 1) == y
-    visited = iter(lift.vertex_list())
-    # the report's vertices, from x to y, form a subsequence of the lift's
-    for v in [x] + [edge[2] for edge in report.edges]:
-        assert any(w == v for w in visited), v
+    # every space in each example, so the test keeps one id
+    for sp in LIFT_SPACES:
+        gens = st.sampled_from(sp.gens)
+        x, y = (_word(sp, data.draw(st.lists(gens, max_size=30))) for _ in "xy")
+        if data.draw(st.booleans()):
+            y = x
+        report = coned_distance(sp, x, y)
+        assert report.value == coned_dist(sp, x, y) == len(report.edges)
+        lift, consts = lift_coned_geodesic(sp, report)
+        # the lift is the normal-form geodesic, certified at (1, 0)
+        assert lift.letters == sp.geodesic(x, y).letters
+        assert lift.start == x and consts == (1, 0)
+        # the endpoint handed over by the report is the one the letters reach
+        assert lift.endpoint() == lift.vertex(len(lift) - 1) == y
+        visited = iter(lift.vertex_list())
+        # the report's vertices, from x to y, form a subsequence of the lift's
+        for v in [x] + [edge[2] for edge in report.edges]:
+            assert any(w == v for w in visited), v
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +422,7 @@ def test_coset_runs_of_a_walk_ray_lift_match_the_block_definition(zz):
     mu = randwalk.uniform_generator_measure(zz)
     for p in randwalk.sample_paths(zz, mu, 600, 3, seed=5):
         w = p.positions_at({p.length})[p.length]
-        seg, _ = lift_coned_geodesic(zz, coned_distance(zz, (), w),
-                                     start=zz.identity)
+        seg, _ = lift_coned_geodesic(zz, coned_distance(zz, (), w))
         _assert_runs_and_rows_by_block(zz, seg)
 
 
