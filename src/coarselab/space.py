@@ -42,9 +42,10 @@ class PathSeg:
     For group spaces a unit-speed path is stored as a start vertex plus a
     letter sequence (one generator per edge); vertices are materialized on
     demand.  General paths store their vertices outright; either way
-    consecutive vertices are at distance at most 1.  The optional (q, Q)
-    fields are a quasi-geodesic certificate attached by the caller once
-    is_quasi_geodesic has checked every pair of vertices.
+    consecutive vertices are at distance at most 1.  The constructor copies
+    the letters or vertices, and nothing changes them afterwards.  The
+    optional (q, Q) fields are a quasi-geodesic certificate attached by the
+    caller once is_quasi_geodesic has checked every pair of vertices.
 
     `hook` answers for the path as a target Z in closed form, or is None
     unless the builder of the path attached one (axis rays, ray prefixes,
@@ -1131,12 +1132,38 @@ def nearest_point_projection(sp, x, Z):
 
 
 class QGCheck:
-    """Result of a quasi-geodesic certification."""
+    """Result of a quasi-geodesic certification.
 
-    def __init__(self, ok, witness=None, margin=0.0):
+    `ok` is the verdict, final when is_quasi_geodesic returns.  `margin`
+    (the least slack; negative means a violation) and `witness` ((s, t, d)
+    of the lexicographically first pair attaining it, None when ok) are
+    measured on first read, by the exact search, and kept.  `pairs` counts
+    the pairs the search has evaluated: those of the decision, plus those
+    of the measurement once it has run.
+    """
+
+    def __init__(self, ok, margin=None, measure=None, pairs=0):
         self.ok = ok
-        self.witness = witness  # (s, t, d) of the worst violating pair
-        self.margin = margin    # worst slack (negative margin == violation)
+        self.pairs = pairs
+        self._margin, self._witness = margin, None
+        self._measure = measure  # () -> (margin, witness, pairs), or None
+
+    def _measured(self):
+        if self._measure is not None:
+            measure, self._measure = self._measure, None
+            self._margin, witness, pairs = measure()
+            self._witness = None if self.ok else witness
+            self.pairs += pairs
+
+    @property
+    def margin(self):
+        self._measured()
+        return self._margin
+
+    @property
+    def witness(self):
+        self._measured()
+        return self._witness
 
     def __bool__(self):
         return self.ok
@@ -1314,31 +1341,36 @@ def _argmin_table(key, leftmost):
 
 
 def is_quasi_geodesic(path, q, Q):
-    """Check (1/q)|s-t| - Q <= d(path(s), path(t)) <= q|s-t| + Q over every
+    """Decide (1/q)|s-t| - Q <= d(path(s), path(t)) <= q|s-t| + Q over every
     pair of vertices, exactly, at any length.
 
     Consecutive vertices must be at most 1 apart (DomainError otherwise;
     a repeated vertex is a step of length 0), so d(v_s, v_t) <= t - s and
-    the upper bound always holds; the margin is the least lo(s, t) =
-    d(v_s, v_t) - ((t - s)/q - Q) over s < t, and the witness (s, t, d) of
-    a failure is the lexicographically first pair attaining it, as an
-    all-pairs loop would report.
+    the upper bound always holds; what is left is the slack lo(s, t) =
+    d(v_s, v_t) - ((t - s)/q - Q) over s < t, and the path passes when no
+    lo(s, t) is below -1e-9.
 
-    A geodesic path (d(v_0, v_{n-1}) = n - 1) has d = t - s for every
-    pair, so its least slack is at t - s = 1.  Both tests come before
-    path_metric, so a geodesic path builds no path tree.  On a letter path
-    step s has length ||g_s||, one norm per distinct letter, and the end
-    distance is the last recorded norm (PathSeg.norms) on a path from the
-    base point that has them, else one sp.dist (geodesics know their
-    endpoint); on a vertex path each step and the end distance is one
-    sp.dist.  A geodesic path from the base point then records its norms,
-    0, 1, ..., n - 1, as path_metric's path tree records the depths it
-    reads.
-    Otherwise, since lo(s, t + j) >= lo(s, t) - j(1 + 1/q), all anchors s
-    advance together in numpy rounds, each jumping to the first t whose
-    bound can still reach the least slack seen so far.  A skipped pair is
-    strictly above that, so no pair that could tie the minimum is missed,
-    and a round holds one pair per anchor.
+    The call only decides.  Two shortcuts decide without a path tree:
+      * a geodesic path (d(v_0, v_{n-1}) = n - 1) has d = t - s for every
+        pair, so it passes, with least slack at t - s = 1.  On a letter
+        path step s has length ||g_s||, one norm per distinct letter, and
+        the end distance is the last recorded norm (PathSeg.norms) on a
+        path from the base point that has them, else one sp.dist
+        (geodesics know their endpoint); on a vertex path each step and
+        the end distance is one sp.dist.  A geodesic path from the base
+        point then records its norms, 0, 1, ..., n - 1, as path_metric's
+        path tree records the depths it reads;
+      * a path that steps straight back (g_{s+1} = g_s^-1 on a letter path,
+        v_{s+2} = v_s on a vertex path) has lo(s, s + 2) = Q - 2/q, so it
+        fails when that is below -1e-9.
+    Otherwise _slack_search runs over path_metric(path) with its floor at
+    0 and stops at the first violation.
+
+    The returned QGCheck measures `margin` (the least slack) and `witness`
+    (the lexicographically first pair (s, t, d) attaining it, as an
+    all-pairs loop would report, when the path fails) on first read: the
+    same search with its floor at the least slack seen so far, over the
+    decision's path kernel, or over a new one when the decision built none.
     """
     if q < 1 or Q < 0:
         raise DomainError(f"need q >= 1 and Q >= 0, got ({q}, {Q})")
@@ -1367,28 +1399,57 @@ def is_quasi_geodesic(path, q, Q):
         if at_o and path._norms is None:
             path._norms = list(range(n))
         return QGCheck(True, margin=float(1 - (1 / q - Q)))
+    if Q - 2 / q < -1e-9:
+        if letters is not None:
+            inv = {g: sp.gen_inv(g) for g in step}
+            back = any(inv[g] == h for g, h in zip(letters, letters[1:]))
+        else:
+            back = any(u == w for u, w in zip(vs, vs[2:]))
+        if back:
+            return QGCheck(False, measure=lambda: _slack_search(
+                path_metric(path), n, q, Q))
     dist = path_metric(path)
+    worst, _, pairs = _slack_search(dist, n, q, Q, floor=0.0)
+    ok = worst >= -1e-9
+    return QGCheck(ok, measure=lambda: _slack_search(dist, n, q, Q),
+                   pairs=pairs)
+
+
+def _slack_search(dist, n, q, Q, floor=None):
+    """(least slack seen, its witness (s, t, d), pairs evaluated) of the
+    slacks lo(s, t) = d(v_s, v_t) - ((t - s)/q - Q), s < t, of an n-vertex
+    path with metric kernel `dist`, by a Lipschitz branch-and-bound.
+
+    Since lo(s, t + j) >= lo(s, t) - j(1 + 1/q), all anchors s advance
+    together in numpy rounds, each jumping to the first t whose bound can
+    still reach the floor, so a round holds one pair per anchor.  With
+    floor None the floor is the least slack seen so far: a skipped pair is
+    strictly above it, no pair that could tie the minimum is missed, and
+    the search ends at the exact least slack and the lexicographically
+    first pair attaining it.  With a fixed floor (0 decides a
+    certification) every skipped pair is above the floor, and the search
+    stops at the first round that finds a slack below -1e-9.
+    """
     S = np.arange(n - 1)
     T = S + 1
-    d = dist(S, T)
-
-    worst, witness = float("inf"), None
+    worst, witness, pairs = float("inf"), None, 0
     reach = 1 + 1 / q
-    while True:
+    while S.size:
+        d = dist(S, T)
+        pairs += S.size
         lo = d - ((T - S) / q - Q)
         i = int(np.argmin(lo))
         if lo[i] < worst or lo[i] == worst and (S[i], T[i]) < witness[:2]:
             worst = float(lo[i])
             witness = (int(S[i]), int(T[i]), int(d[i]))
-        T = T + np.maximum(1, np.ceil((lo - worst) / reach - 1e-9)
-                           ).astype(np.int64)
+        if floor is not None and worst < -1e-9:
+            break
+        T = T + np.maximum(1, np.ceil(
+            (lo - (worst if floor is None else floor)) / reach - 1e-9)
+        ).astype(np.int64)
         keep = T < n
         S, T = S[keep], T[keep]
-        if not S.size:
-            break
-        d = dist(S, T)
-    ok = worst >= -1e-9
-    return QGCheck(ok, witness=None if ok else witness, margin=worst)
+    return worst, witness, pairs
 
 
 def _raise_jump(s, d):

@@ -52,6 +52,33 @@ def bfs_dist(sp, x, y, cap=10 ** 6):
     raise RuntimeError("not connected")
 
 
+def bidirectional_bfs_dist(sp, x, y):
+    """d(x, y) by BFS from both ends, one whole layer at a time on the
+    smaller frontier.  With the two sides explored to depths a and b, a
+    shortest path longer than a + b passes a vertex at depth a + 1 from x
+    that the other side has seen, so the first layer that reaches the
+    other side holds the distance: the least of its meeting sums."""
+    if x == y:
+        return 0
+    seen, frontiers = ({x: 0}, {y: 0}), ([x], [y])
+    while frontiers[0] and frontiers[1]:
+        k = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = seen[k], seen[1 - k]
+        best, nxt = None, []
+        for u in frontiers[k]:
+            du = mine[u] + 1
+            for w in sp.neighbors(u):
+                if w in other and (best is None or du + other[w] < best):
+                    best = du + other[w]
+                if w not in mine:
+                    mine[w] = du
+                    nxt.append(w)
+        if best is not None:
+            return best
+        frontiers[k][:] = nxt
+    raise RuntimeError("not connected")
+
+
 def self_check(sp, radius=4, cap=DEFAULT_BALL_CAP, rng=None):
     """Light invariant audit on a small ball: symmetry of the neighbor
     relation, metric axioms on sampled triples, and norm consistency."""

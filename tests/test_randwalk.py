@@ -473,6 +473,26 @@ def test_hitting_histogram_free_group_is_near_uniform(f2):
         assert 0.15 <= p <= 0.35
 
 
+def test_hitting_histogram_matches_the_cells_of_the_endpoints():
+    """Walks on five spaces in one list: the histogram counts the cells
+    of the reference walks' endpoints."""
+    paths, cells = [], {}
+    for spec, count in (("free_group(2)", 90), ("free_group(3)", 20),
+                        ("grid(2)", 20),
+                        ("free_product(grid(2), free_group(1))", 20),
+                        ("free_product(free_group(2), grid(1))", 20)):
+        sp = space.build_space(spec)
+        mu = rw.uniform_generator_measure(sp)
+        for p in rw.sample_paths(sp, mu, 200, count, seed=4):
+            c = rw.direction_cell(sp, oracles.walk_positions(
+                sp, mu, p.length, p.seed)[-1])
+            cells[c] = cells.get(c, 0) + 1
+            paths.append(p)
+    assert len(cells) > 10
+    assert rw.hitting_histogram(paths) == \
+        {c: cells[c] / len(paths) for c in sorted(cells)}
+
+
 def test_hitting_histogram_point_mass(f2):
     paths = rw.sample_paths(f2, rw.StepMeasure.point_mass((1,)), 16, 10,
                             seed=1)

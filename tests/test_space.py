@@ -44,8 +44,13 @@ def test_dist_matches_bfs_on_sampled_pairs(spec):
     sp = build_space(spec)
     verts = sorted(oracles.bfs_ball(sp, sp.basepoint, 4), key=sp.vertex_key)
     rng = random.Random(1)
-    for x, y in zip(_sample(rng, verts, 60), _sample(rng, verts, 60)):
-        assert sp.dist(x, y) == oracles.bfs_dist(sp, x, y)
+    pairs = list(zip(_sample(rng, verts, 60), _sample(rng, verts, 60)))
+    for x, y in pairs:
+        assert sp.dist(x, y) == oracles.bidirectional_bfs_dist(sp, x, y)
+    # the one-sided BFS cross-checks the two-sided one on a few pairs
+    for x, y in pairs[:4]:
+        assert oracles.bfs_dist(sp, x, y) == \
+            oracles.bidirectional_bfs_dist(sp, x, y)
 
 
 @pytest.mark.parametrize("spec", ["free_group(2)", "grid(2)", "loopy_ray(12)",
@@ -123,6 +128,17 @@ def test_quasi_geodesic_rejects_bad_constants(f2):
         is_quasi_geodesic(seg, 0.5, 0)
 
 
+def _assert_all_pairs(sp, path, vs, q, Q):
+    """Two certifications of `path` (vertices `vs`) against the all-pairs
+    loop: one reads the verdict before the margin and the witness, the
+    other reads them first."""
+    expected = oracles.all_pairs_quasi_geodesic(sp, vs, q, Q)
+    got = is_quasi_geodesic(path, q, Q)
+    assert (got.ok, got.margin, got.witness) == expected
+    got = is_quasi_geodesic(path, q, Q)
+    assert (got.witness, got.margin, got.ok) == expected[::-1]
+
+
 # name -> (space, most steps on a path); loopy paths are walks from a ray
 # vertex, the regenerated space measures distances by BFS
 QG_SPACES = {
@@ -182,9 +198,7 @@ def test_quasi_geodesic_matches_all_pairs(name, data):
         [sp.dist(vs[i], vs[j]) for i, j in zip(s.tolist(), t.tolist())]
     for q, Q in [(1, 0)] + data.draw(st.lists(QG_CONSTANTS, min_size=1,
                                               max_size=4)):
-        got = is_quasi_geodesic(path, q, Q)
-        assert (got.ok, got.margin, got.witness) == \
-            oracles.all_pairs_quasi_geodesic(sp, vs, q, Q)
+        _assert_all_pairs(sp, path, vs, q, Q)
 
 
 @pytest.mark.parametrize("spec, vertices", [
@@ -227,10 +241,55 @@ def test_quasi_geodesic_repeated_vertex_is_a_zero_step(name):
     vs = PathSeg(sp, start=sp.identity, letters=[g, g, h]).vertex_list()
     vs = vs[:2] + vs[1:]   # vertex 1 twice
     for q, Q in ((1, 0), (1, 1), (2, 0)):
-        got = is_quasi_geodesic(PathSeg(sp, vertices=vs), q, Q)
-        assert (got.ok, got.margin, got.witness) == \
-            oracles.all_pairs_quasi_geodesic(sp, vs, q, Q)
+        _assert_all_pairs(sp, PathSeg(sp, vertices=vs), vs, q, Q)
     assert not is_quasi_geodesic(PathSeg(sp, vertices=vs), 1, 0)
+
+
+@pytest.mark.parametrize("form", ["letters", "vertices"])
+def test_quasi_geodesic_builds_a_path_tree_only_when_it_must(f2, form):
+    """A path that steps straight back fails (1.5, 0) with no path tree and
+    no pair evaluated; reading its witness builds one tree and finds the
+    all-pairs witness, which need not be the backtrack.  A passing path
+    that is no geodesic builds one tree, and reading its margin reuses
+    it.  At (3, 1) a backtrack has slack 1/3, and a path whose least slack
+    is -1/3 fails: the decision skips no pair below its floor of 0."""
+    def path(letters):
+        seg = PathSeg(f2, start=(), letters=letters)
+        return seg if form == "letters" else \
+            PathSeg(f2, vertices=seg.vertex_list())
+
+    trees = []
+    metric = space.path_metric
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space, "path_metric",
+                   lambda p: trees.append(p) or metric(p))
+        a, b, A, B = (1,), (2,), (-1,), (-2,)
+        back = path([a, a, b, a, A, b, B, B, a])
+        vs = back.vertex_list()
+        got = is_quasi_geodesic(back, 1.5, 0)
+        assert (got.ok, got.pairs, len(trees)) == (False, 0, 0)
+        expected = oracles.all_pairs_quasi_geodesic(f2, vs, 1.5, 0)
+        assert got.witness == expected[2] != (3, 5, 0)
+        assert (got.margin, len(trees)) == (expected[1], 1)
+        assert got.pairs > 0
+
+        trees.clear()
+        wiggle = path([a, b, B, a])
+        got = is_quasi_geodesic(wiggle, 1.5, 2)
+        assert got.ok and len(trees) == 1
+        pairs = got.pairs
+        assert pairs > 0
+        assert (got.margin, got.witness) == oracles.all_pairs_quasi_geodesic(
+            f2, wiggle.vertex_list(), 1.5, 2)[1:]
+        assert len(trees) == 1 and got.pairs > pairs
+
+        trees.clear()
+        near = path([a, b, A, a, a, A])
+        got = is_quasi_geodesic(near, 3, 1)
+        assert not got.ok and len(trees) == 1
+        assert (False, got.margin, got.witness) == \
+            oracles.all_pairs_quasi_geodesic(f2, near.vertex_list(), 3, 1)
+        assert got.margin == pytest.approx(-1 / 3)
 
 
 NORM_SPACES = ("free_group(2)", "Z2*Z")
@@ -288,9 +347,7 @@ def test_recorded_norms_match_a_letter_replay(name, data):
     fresh.norms()
     for q, Q in [(1, 0)] + data.draw(st.lists(QG_CONSTANTS, min_size=1,
                                               max_size=3)):
-        got = is_quasi_geodesic(fresh, q, Q)
-        assert (got.ok, got.margin, got.witness) == \
-            oracles.all_pairs_quasi_geodesic(sp, vs, q, Q)
+        _assert_all_pairs(sp, fresh, vs, q, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +587,17 @@ def test_distances_along_path_match_pointwise(name, data):
     for g in sp.gens:
         for v in (sp.identity, start, x):
             assert sp.mul_gen(sp.mul_gen(v, g), sp.gen_inv(g)) == v
+    if name == "free_group(2)":
+        # the closed form of a geodesic target on a path from o that
+        # follows the target a while, then strays
+        Z = sp.geodesic(sp.identity, x)
+        Z.hook = geodesic_hook(Z)
+        zs = Z.vertex_list()
+        letters = Z.letters[:data.draw(st.integers(0, len(Z.letters)))] \
+            + path.letters
+        along = PathSeg(sp, start=sp.identity, letters=letters)
+        assert distances_to_set(sp, along, Z) == \
+            [min(sp.dist(v, z) for z in zs) for v in along.vertex_list()]
 
 
 def test_nearest_point_projection_is_argmin(z2):
