@@ -607,7 +607,7 @@ def direction_cell(sp, v):
         if i in _rh.peripheral_indices(sp):
             return f"P{i}"
         f = sp.factors[i]
-        g = f.geodesic(f.identity, e).step_letters()[0]
+        g = f.geodesic_letters(f.identity, e)[0]
         return f"f{i}:{_letter_name(g)}"
     if not v or sp.is_group is False:
         return "other"

@@ -23,8 +23,8 @@ from . import morse as _morse
 from .errors import CertificationError, DomainError, PreconditionError
 from .morse import Verdict, _band_trend_fail
 from .seeds import rng_for
-from .space import (FreeProductSpace, GridSpace, PathSeg, _norms_along,
-                    distance_to_set, geodesic_hook, is_quasi_geodesic)
+from .space import (FreeProductSpace, GridSpace, _norms_along,
+                    distance_to_set, is_quasi_geodesic)
 from .sublinear import evaluate
 
 
@@ -122,7 +122,7 @@ class ConedMetricReport:
                 edges.append(("shortcut", cur, nxt, coset_of(sp, nxt, i), (i, e)))
                 cur = nxt
             else:
-                for g in f.geodesic(f.identity, e).step_letters():
+                for g in f.geodesic_letters(f.identity, e):
                     nxt = sp.mul_gen(cur, (i, g))
                     edges.append(("edge", cur, nxt, (i, g)))
                     cur = nxt
@@ -263,10 +263,9 @@ def lift_coned_geodesic(sp, report):
     is_quasi_geodesic at (1, 0), which takes its geodesic shortcut (from o
     the path records its norms 0, 1, ..., n); a failure raises
     CertificationError with the witness.  A lift from o carries the
-    closed-form hook of geodesic_hook.
+    closed-form hook that sp.geodesic attaches there.
     """
     path = sp.geodesic(report.start, report.end)
-    path.hook = geodesic_hook(path)
     check = is_quasi_geodesic(path, 1, 0)
     if not check:
         raise CertificationError("lift of a coned geodesic is not a geodesic",
@@ -371,23 +370,23 @@ def deep_components(sp, geodesic, D, R, t=3.0):
 # ---------------------------------------------------------------------------
 # excursions
 
-def excursion_ray(sp, syllable_count, sizes, direction=(1, 0)):
-    """Fixture ray: k-th peripheral syllable of size sizes(k), separated by
-    single free-factor letters.  Requires the default grid*free layout.
-    The ray carries the closed-form hook of geodesic_hook."""
+def excursion_ray(sp, syllable_count, sizes):
+    """Fixture ray: the geodesic from o to the normal form whose k-th
+    syllable (sizes(k), 0, ...) in the first peripheral factor is followed
+    by one letter of the first other factor (a size of 0 merges two)."""
     require_relhyp(sp)
     pers = peripheral_indices(sp)
     i = pers[0]
+    zeros = (0,) * (sp.factors[i].d - 1)
     free = next(j for j in range(len(sp.factors)) if j not in pers)
     fgen = sp.factors[free].gens[0]
-    step = tuple(direction) if sp.factors[i].d == len(direction) else (1,) + (0,) * (sp.factors[i].d - 1)
-    letters = []
+    w = []
     for k in range(1, syllable_count + 1):
-        letters.extend([(i, step)] * max(0, int(sizes(k))))
-        letters.append((free, fgen))
-    ray = PathSeg(sp, letters=letters, q=1, Q=0)
-    ray.hook = geodesic_hook(ray)
-    return ray
+        n = int(sizes(k))
+        if n > 0:
+            w.append((i, (n,) + zeros))
+        sp._push_syllable(w, (free, fgen))
+    return sp.geodesic(sp.identity, tuple(w))
 
 
 def excursion_profile(sp, gamma, D0, kappa):

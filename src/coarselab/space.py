@@ -48,8 +48,9 @@ class PathSeg:
     caller once is_quasi_geodesic has checked every pair of vertices.
 
     `hook` answers for the path as a target Z in closed form, or is None
-    unless the builder of the path attached one (axis rays, ray prefixes,
-    lifts, excursion rays).  hook.dist_along(path) is the list of d(v, Z)
+    unless its builder attached one: geodesics from o on free groups and
+    free products (axis rays, lifts and excursion rays among them), grid
+    axis rays and loopy-ray prefixes.  hook.dist_along(path) lists d(v, Z)
     over the vertices v of `path`, read by distances_to_set.
     hook.nearest(x) is the sorted argmin set of d(x, .) over Z, read by
     nearest_point_projection; hook.nearest is None where there is no closed
@@ -420,13 +421,21 @@ class FreeGroupSpace(GroupSpace):
     def right_acc(self, start=None):
         return self._RightAcc(start if start is not None else ())
 
-    def geodesic(self, x, y):
+    def geodesic_letters(self, x, y):
+        """The letters of the reduced word x^-1 y."""
         i = 0
         m = min(len(x), len(y))
         while i < m and x[i] == y[i]:
             i += 1
-        letters = [(-g,) for g in reversed(x[i:])] + [(g,) for g in y[i:]]
-        return self._geodesic_seg(x, y, letters)
+        return [(-g,) for g in reversed(x[i:])] + [(g,) for g in y[i:]]
+
+    def geodesic(self, x, y):
+        """The reduced word from x to y; from o it carries the closed-form
+        hook of the tree (_TreeTarget)."""
+        seg = self._geodesic_seg(x, y, self.geodesic_letters(x, y))
+        if x == ():
+            seg.hook = _TreeTarget(y)
+        return seg
 
     def parse_word(self, word):
         """Letters like 'a b A c' (capitals are inverses) -> group element."""
@@ -513,7 +522,7 @@ class GridSpace(GroupSpace):
     def right_acc(self, start=None):
         return self._Acc(start if start is not None else self.identity)
 
-    def geodesic(self, x, y):
+    def geodesic_letters(self, x, y):
         """Axis-ordered staircase: move coordinate 0 first, then 1, etc."""
         letters = []
         for i in range(self.d):
@@ -521,7 +530,10 @@ class GridSpace(GroupSpace):
             step = [0] * self.d
             step[i] = 1 if delta > 0 else -1
             letters.extend([tuple(step)] * abs(delta))
-        return self._geodesic_seg(x, y, letters)
+        return letters
+
+    def geodesic(self, x, y):
+        return self._geodesic_seg(x, y, self.geodesic_letters(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +670,17 @@ class FreeProductSpace(GroupSpace):
                               costs if costs is not None else self._word_costs)
 
     def geodesic(self, x, y):
-        z = self.mul(self.inv(x), y)
+        """The normal form of x^-1 y spelled syllable by syllable, each
+        along its factor's geodesic letters; from o it carries the
+        closed-form hook of its syllables (_SyllableTarget)."""
         letters = []
-        for i, e in z:
+        for i, e in self.mul(self.inv(x), y):
             f = self.factors[i]
-            for fg in f.geodesic(f.identity, e).step_letters():
-                letters.append((i, fg))
-        return self._geodesic_seg(x, y, letters)
+            letters.extend((i, g) for g in f.geodesic_letters(f.identity, e))
+        seg = self._geodesic_seg(x, y, letters)
+        if x == ():
+            seg.hook = _SyllableTarget(self, y)
+        return seg
 
     def parse_word(self, word):
         """Tokens 'f<i>:<gen>' or letters a,b for factor 0 / t for factor 1
@@ -1575,26 +1591,30 @@ class _RegeneratedSpace(GroupSpace):
 
 def axis_ray(sp, length, gen=None):
     """The ray g, g^2, ..., g^length as a PathSeg with a closed-form hook,
-    certified (1, 0): a geodesic on free groups, grids and free products,
-    checked by is_quasi_geodesic elsewhere (CertificationError with its
-    witness when it fails, as when a generator is a power of g).
+    certified (1, 0): on free groups, grids and free products it is the
+    geodesic sp.geodesic(o, g^length), elsewhere a letter path checked by
+    is_quasi_geodesic (CertificationError with its witness when it fails,
+    as when a generator is a power of g).
 
     `gen` defaults to the first generator.  On grids the hook applies the
     O(d) per-vertex distance to the axis segment (no closed-form argmin);
-    on free groups and free products it is geodesic_hook.  Other group
-    spaces get no hook.
+    on free groups and free products it is the hook of the geodesic.
+    Other group spaces get no hook.
     """
     if not sp.is_group:
         raise DomainError("axis_ray needs a group space")
     g = gen if gen is not None else sp.gens[0]
-    seg = PathSeg(sp, start=sp.identity, letters=[g] * length)
     if not isinstance(sp, (FreeGroupSpace, GridSpace, FreeProductSpace)):
+        seg = PathSeg(sp, start=sp.identity, letters=[g] * length)
         check = is_quasi_geodesic(seg, 1, 0)
         if not check:
             raise CertificationError(
                 f"axis ray of {g!r} in {sp.kind} is not a geodesic",
                 witness=check.witness)
-    seg.q, seg.Q = 1, 0
+        seg.q, seg.Q = 1, 0
+        return seg
+    # a negative length spells the empty ray, as [g] * length does
+    seg = sp.geodesic(sp.identity, _gen_power(sp, g, max(length, 0)))
     if isinstance(sp, GridSpace):
         axis = next(i for i, c in enumerate(g) if c != 0)
         sign = 1 if g[axis] > 0 else -1
@@ -1605,37 +1625,22 @@ def axis_ray(sp, length, gen=None):
             return off + max(0, -along, along - length)
 
         seg.hook = _Pointwise(dist)
-    else:
-        seg.hook = geodesic_hook(seg)
     return seg
 
 
-def geodesic_hook(Z):
-    """A closed-form hook (`dist_along` and `nearest`) for a letter path Z
-    from o that is a geodesic in one of two ways, or None for any other
-    path:
-
-      * on a free group, Z reads one reduced word s;
-      * on a free product, Z reads one normal-form word s_1 ... s_m
-        syllable by syllable, each syllable along a factor geodesic (axis
-        rays, excursion rays and the lifts of relhyp do).
-
-    Both hooks rest on how many leading letters or syllables c a vertex x
-    shares with s.  Along a path, each dist_along loop keeps c for the top
-    of x's stack: a push moves only it.
-    """
-    sp = Z.sp
-    if not isinstance(sp, (FreeGroupSpace, FreeProductSpace)) \
-            or Z.letters is None or Z.start != sp.identity:
-        return None
+def _gen_power(sp, g, n):
+    """g^n for a generator g of a free group, a grid or a free product."""
     if isinstance(sp, FreeGroupSpace):
-        s = tuple(c for (c,) in Z.letters)
-        if any(a == -b for a, b in zip(s, s[1:])):
-            return None  # the word is not reduced
-        return _TreeTarget(s)
-    return _SyllableTarget.read(sp, Z.letters)
+        return g * n
+    if isinstance(sp, GridSpace):
+        return tuple(c * n for c in g)
+    i, e = g
+    return ((i, _gen_power(sp.factors[i], e, n)),) if n else ()
 
 
+# The hooks of geodesics from o rest on how many leading letters or syllables
+# c a vertex x shares with the normal form s of their end.  Along a path,
+# each dist_along loop keeps c for the top of x's stack: a push moves only it.
 def _shared(xs, s):
     """How many leading entries xs shares with s."""
     c = 0
@@ -1686,30 +1691,21 @@ class _SyllableTarget:
     not a sweep of Z; on a grid stretch the argmin can tie.
     """
 
-    def __init__(self, sp, s, stretches, before):
+    def __init__(self, sp, s):
         self.sp = sp
-        self.s = s                  # the normal form s_1 ... s_m
-        self.stretches = stretches  # factor vertices along each s_j, from e
-        self.before = before        # |s_1| + ... + |s_c| for each c
+        self.s = s  # the normal form s_1 ... s_m
+        # |s_1| + ... + |s_c| for each c
+        self.before = list(itertools.accumulate(
+            (sp.factors[i].norm(e) for i, e in s), initial=0))
+        self._stretches = [None] * len(s)
 
-    @classmethod
-    def read(cls, sp, letters):
-        """The target read off a letter path from o, or None when a
-        syllable is not read along a factor geodesic."""
-        syllables, stretches, before = [], [], [0]
-        for i, g in letters:
-            f = sp.factors[i]
-            if not syllables or syllables[-1][0] != i:
-                syllables.append((i, f.identity))
-                stretches.append([f.identity])
-                before.append(before[-1])
-            e = f.mul(syllables[-1][1], g)
-            if f.norm(e) != len(stretches[-1]):
-                return None
-            syllables[-1] = (i, e)
-            stretches[-1].append(e)
-            before[-1] += 1
-        return cls(sp, tuple(syllables), stretches, before)
+    def _stretch(self, c):
+        """The factor vertices along s_{c+1}, from e, spelled on first use."""
+        if self._stretches[c] is None:
+            i, e = self.s[c]
+            f = self.sp.factors[i]
+            self._stretches[c] = f.geodesic(f.identity, e).vertex_list()
+        return self._stretches[c]
 
     def _stretch_dists(self, c, u):
         """d(p, e) over the vertices p of the stretch of s_{c+1}, identity
@@ -1717,7 +1713,7 @@ class _SyllableTarget:
         if c >= len(self.s) or u[0] != self.s[c][0]:
             return None
         f, e = self.sp.factors[u[0]], u[1]
-        return [f.dist(p, e) for p in self.stretches[c]]
+        return [f.dist(p, e) for p in self._stretch(c)]
 
     def nearest(self, x):
         c = _shared(x, self.s)
@@ -1727,7 +1723,7 @@ class _SyllableTarget:
             return [prefix]
         best, i = min(ds), self.s[c][0]
         return sorted((prefix + ((i, p),) if k else prefix
-                       for k, (d, p) in enumerate(zip(ds, self.stretches[c]))
+                       for k, (d, p) in enumerate(zip(ds, self._stretch(c)))
                        if d == best), key=self.sp.vertex_key)
 
     def dist_along(self, path):

@@ -281,13 +281,19 @@ class ConedBallOracle:
         return dist
 
 
-def naive_coned_dist(sp, x, y, universe, peripherals):
-    """BFS in the coned graph restricted to `universe`: ordinary edges plus
-    unit-cost jumps between members of one peripheral coset."""
+def _coset_members(universe, peripherals):
+    """coset_key -> the members of `universe` in that peripheral coset."""
     byc = {}
     for v in universe:
         for i in peripherals:
             byc.setdefault(coset_key(v, i), []).append(v)
+    return byc
+
+
+def naive_coned_dist(sp, x, y, universe, peripherals):
+    """BFS in the coned graph restricted to `universe`: ordinary edges plus
+    unit-cost jumps between members of one peripheral coset."""
+    byc = _coset_members(universe, peripherals)
     uni = set(universe)
     seen = {x: 0}
     frontier = deque([x])
@@ -303,6 +309,31 @@ def naive_coned_dist(sp, x, y, universe, peripherals):
                 seen[w] = seen[u] + 1
                 frontier.append(w)
     raise RuntimeError("not coned-connected inside the universe")
+
+
+class NaiveConedBFS:
+    """The coned graph of naive_coned_dist with its coset map built once:
+    distances_from(x) is one BFS that answers every pair (x, y) at once."""
+
+    def __init__(self, sp, universe, peripherals):
+        self.sp = sp
+        self.peripherals = peripherals
+        self.universe = set(universe)
+        self.byc = _coset_members(universe, peripherals)
+
+    def distances_from(self, x):
+        seen = {x: 0}
+        frontier = deque([x])
+        while frontier:
+            u = frontier.popleft()
+            nxt = [w for w in self.sp.neighbors(u) if w in self.universe]
+            for i in self.peripherals:
+                nxt.extend(self.byc.get(coset_key(u, i), ()))
+            for w in nxt:
+                if w != u and w not in seen:
+                    seen[w] = seen[u] + 1
+                    frontier.append(w)
+        return seen
 
 
 def brute_coset_projection(sp, x, i, prefix, reach):

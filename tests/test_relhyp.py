@@ -22,8 +22,7 @@ from coarselab.relhyp import (PeripheralCoset, big_projection, coned_dist,
 from coarselab.relhyp import \
     test_excursion_contracting as check_excursion_contracting
 from coarselab.space import (FreeGroupSpace, FreeProductSpace, GridSpace,
-                             PathSeg, build_space, distance_to_set,
-                             geodesic_hook)
+                             PathSeg, build_space, distance_to_set)
 
 K1 = sublinear.by_tag("1")
 KLOG = sublinear.by_tag("log")
@@ -112,11 +111,16 @@ def test_coned_ball_oracle_matches_naive_bfs(zz):
     universe = sorted(orc.vertices, key=zz.vertex_key)
     pool = sorted(oracles.bfs_ball(zz, (), 3), key=zz.vertex_key)
     pers = oracles.grid_factor_indices(zz)
-    for x in pool[:8]:
+    naive = oracles.NaiveConedBFS(zz, universe, pers)
+    wants = {x: naive.distances_from(x) for x in pool[:8]}
+    for x, want in wants.items():
         dist = orc.distances_from(x)
         for y in pool:
-            assert dist[y] == oracles.naive_coned_dist(
-                zz, x, y, universe, pers)
+            assert dist[y] == want[y]
+    # the one-BFS-per-source route cross-checked pair by pair on a few pairs
+    for x, y in zip(pool[:8:3], pool[::50]):
+        assert wants[x][y] == oracles.naive_coned_dist(
+            zz, x, y, universe, pers)
 
 
 def test_coned_never_exceeds_word_metric(zz):
@@ -306,15 +310,18 @@ def test_lift_distance_oracles_match_pointwise(data):
 
 
 def test_geodesic_dist_along_needs_a_geodesic_from_o(zz, f2, z2):
-    a, a_inv = zz.parse_word("a")[0], (0, (-1, 0))
-    assert geodesic_hook(PathSeg(zz, letters=[a, a_inv])) is None
-    assert geodesic_hook(
-        PathSeg(zz, start=zz.parse_word("t"), letters=[a])) is None
-    assert geodesic_hook(PathSeg(f2, letters=[(1,), (-1,)])) is None
-    assert geodesic_hook(PathSeg(f2, start=(2,), letters=[(1,)])) is None
-    assert geodesic_hook(PathSeg(z2, letters=[(1, 0)])) is None
-    assert geodesic_hook(PathSeg(zz, letters=[a, a])) is not None
-    assert geodesic_hook(PathSeg(f2, letters=[(1,), (2,)])) is not None
+    """A free-group or free-product geodesic has a hook exactly when it
+    starts at o; grid geodesics and hand-built paths have none."""
+    aa = zz.parse_word("a a")
+    assert zz.geodesic(zz.parse_word("t"), aa).hook is None
+    assert f2.geodesic((2,), (1,)).hook is None
+    assert z2.geodesic((0, 0), (2, -1)).hook is None
+    assert z2.geodesic((1, 1), (2, -1)).hook is None
+    from_o = [zz.geodesic((), aa), zz.geodesic((), ()),
+              f2.geodesic((), (1, 2)), f2.geodesic((), ())]
+    assert all(Z.hook is not None for Z in from_o)
+    for Z in from_o:
+        assert PathSeg(Z.sp, letters=Z.letters).hook is None
 
 
 LIFT_SPACES = [ZZ] + [build_space(s) for s in (

@@ -9,12 +9,12 @@ import oracles
 from coarselab import space
 from coarselab.errors import CertificationError, DomainError
 from coarselab.relhyp import (coned_dist, coned_distance,
-                              coned_distances_along_path, lift_coned_geodesic)
+                              coned_distances_along_path, excursion_ray,
+                              lift_coned_geodesic, peripheral_indices)
 from coarselab.space import (PathSeg, axis_ray, build_space, change_generators,
                              distance_to_set, distances_along_path,
                              distances_to_set, first_time_at_norm,
-                             geodesic_hook, is_quasi_geodesic,
-                             nearest_point_projection)
+                             is_quasi_geodesic, nearest_point_projection)
 
 
 def _sample(rng, seq, k):
@@ -454,7 +454,37 @@ GEODESIC_SPACES = {
     "free_group(2)": build_space("free_group(2)"),
     "Z2*Z": build_space("free_product(grid(2), free_group(1))"),
     "F2*Z": build_space("free_product(free_group(2), grid(1))"),
+    "Z2*Z*Z3": build_space("free_product(grid(2), free_group(1), grid(3))"),
 }
+
+
+@pytest.mark.parametrize("name", sorted(GEODESIC_SPACES))
+def test_ray_builders_keep_their_letters(name):
+    """axis_ray and excursion_ray are geodesics from o to g^n and to the
+    normal form they spell, and read the letters of their hand-spelled
+    loops; a size of 0 merges two free letters into one syllable."""
+    sp = GEODESIC_SPACES[name]
+    for g in sp.gens:
+        for n in (0, 1, 7):
+            ray = axis_ray(sp, n, gen=g)
+            assert ray.letters == [g] * n
+            assert ray.endpoint() == _word(sp, ray.letters)
+    pers = peripheral_indices(sp) \
+        if isinstance(sp, space.FreeProductSpace) else ()
+    if not pers:
+        return
+    i = pers[0]
+    step = (1,) + (0,) * (sp.factors[i].d - 1)
+    free = next(j for j in range(len(sp.factors)) if j not in pers)
+    sizes = [3, 0, 1, 0, 0, -2, 5]
+    letters = []
+    for n in sizes:
+        letters.extend([(i, step)] * max(0, n))
+        letters.append((free, sp.factors[free].gens[0]))
+    ray = excursion_ray(sp, len(sizes), lambda k: sizes[k - 1])
+    assert ray.letters == letters
+    assert (ray.q, ray.Q) == (1, 0) and ray.hook is not None
+    assert ray.endpoint() == _word(sp, letters)
 
 
 @settings(max_examples=200)
@@ -470,7 +500,6 @@ def test_axis_ray_dist_along_matches_pointwise(data):
     else:
         Z = sp.geodesic(sp.identity,
                         _word(sp, data.draw(st.lists(gens, max_size=20))))
-        Z.hook = geodesic_hook(Z)
     assert Z.hook is not None
     zs = Z.vertex_list()
     # start near vertex k of Z, step onto it, walk back along Z towards o
@@ -517,7 +546,6 @@ def test_nearest_hook_matches_the_sweep(name, data):
             x = sp.mul(w, ((0, (p, q)),)) if (p, q) != (0, 0) else w
             w = sp.mul(w, ((0, (a, b)),))
         Z = sp.geodesic(sp.identity, w)
-        Z.hook = geodesic_hook(Z)
     assert Z.hook is not None and Z.hook.nearest is not None
     zs = Z.vertex_list()
     if x is None:
@@ -544,7 +572,6 @@ def test_nearest_hook_matches_the_sweep(name, data):
 ])
 def test_nearest_keeps_grid_stretch_ties(zz, w, x, expected):
     Z = zz.geodesic((), w)
-    Z.hook = geodesic_hook(Z)
     assert nearest_point_projection(zz, x, Z) == expected \
         == oracles.sweep_projection(zz, x, Z.vertex_list())
 
@@ -591,7 +618,6 @@ def test_distances_along_path_match_pointwise(name, data):
         # the closed form of a geodesic target on a path from o that
         # follows the target a while, then strays
         Z = sp.geodesic(sp.identity, x)
-        Z.hook = geodesic_hook(Z)
         zs = Z.vertex_list()
         letters = Z.letters[:data.draw(st.integers(0, len(Z.letters)))] \
             + path.letters
