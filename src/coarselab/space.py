@@ -146,8 +146,11 @@ class PathSeg:
         reader of the path recorded them first: geodesics from the base
         point (group geodesics, and is_quasi_geodesic's geodesic test), the
         path tree of path_metric, and prefix(), which slices its parent's.
-        The first two learn d(v_0, v_t), which is the norm only on a path
-        that starts at the base point, so they record nothing elsewhere."""
+        The geodesic test and the path tree learn d(v_0, v_t), the norm only
+        on a path that starts at the base point, so they record nothing
+        elsewhere.  is_quasi_geodesic's norm bound calls this method on a
+        path from the base point, so its sweep is recorded as well;
+        elsewhere it sweeps d(v_0, .) and records nothing."""
         if self._norms is None:
             if self.letters is not None:
                 self._norms = _norms_along(self.sp.right_acc(self.start),
@@ -1072,6 +1075,17 @@ def enumerate_target(sp, Z):
 def _norms_along(acc, letters):
     """acc.norm before and after pushing each letter, in order."""
     out = [acc.norm]
+    if isinstance(acc, FreeGroupSpace._RightAcc):
+        # the push of a free-group accumulator, inlined: no method call
+        # per letter
+        stack = acc.stack
+        for (letter,) in letters:
+            if stack and stack[-1] == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
+            out.append(len(stack))
+        return out
     for g in letters:
         acc.push(g)
         out.append(acc.norm)
@@ -1150,16 +1164,19 @@ def nearest_point_projection(sp, x, Z):
 class QGCheck:
     """Result of a quasi-geodesic certification.
 
-    `ok` is the verdict, final when is_quasi_geodesic returns.  `margin`
-    (the least slack; negative means a violation) and `witness` ((s, t, d)
-    of the lexicographically first pair attaining it, None when ok) are
-    measured on first read, by the exact search, and kept.  `pairs` counts
-    the pairs the search has evaluated: those of the decision, plus those
-    of the measurement once it has run.
+    `ok` is the verdict, final when is_quasi_geodesic returns, and `rung`
+    the step of its ladder that decided: "geodesic", "backtrack", "bound"
+    or "tree".  `margin` (the least slack; negative means a violation) and
+    `witness` ((s, t, d) of the lexicographically first pair attaining it,
+    None when ok) are measured on first read, by the exact search, and
+    kept.  `pairs` counts the pairs the decision evaluated (those of the
+    norm bound, its exact witness, and the path tree's, as far as each
+    ran), plus those of the measurement once it has run.
     """
 
-    def __init__(self, ok, margin=None, measure=None, pairs=0):
+    def __init__(self, ok, rung, margin=None, measure=None, pairs=0):
         self.ok = ok
+        self.rung = rung
         self.pairs = pairs
         self._margin, self._witness = margin, None
         self._measure = measure  # () -> (margin, witness, pairs), or None
@@ -1366,21 +1383,31 @@ def is_quasi_geodesic(path, q, Q):
     d(v_s, v_t) - ((t - s)/q - Q) over s < t, and the path passes when no
     lo(s, t) is below -1e-9.
 
-    The call only decides.  Two shortcuts decide without a path tree:
-      * a geodesic path (d(v_0, v_{n-1}) = n - 1) has d = t - s for every
-        pair, so it passes, with least slack at t - s = 1.  On a letter
-        path step s has length ||g_s||, one norm per distinct letter, and
-        the end distance is the last recorded norm (PathSeg.norms) on a
-        path from the base point that has them, else one sp.dist
-        (geodesics know their endpoint); on a vertex path each step and
-        the end distance is one sp.dist.  A geodesic path from the base
-        point then records its norms, 0, 1, ..., n - 1, as path_metric's
-        path tree records the depths it reads;
-      * a path that steps straight back (g_{s+1} = g_s^-1 on a letter path,
-        v_{s+2} = v_s on a vertex path) has lo(s, s + 2) = Q - 2/q, so it
-        fails when that is below -1e-9.
-    Otherwise _slack_search runs over path_metric(path) with its floor at
-    0 and stops at the first violation.
+    The call only decides, on the first rung of this ladder that can; the
+    returned QGCheck names it in `rung`:
+      * "geodesic": a geodesic path (d(v_0, v_{n-1}) = n - 1) has d = t - s
+        for every pair, so it passes, with least slack at t - s = 1.  On a
+        letter path step s has length ||g_s||, one norm per distinct
+        letter, and the end distance is one sp.dist to the end the path
+        knows (geodesics and Morse probes know theirs), unless the path is
+        from the base point and has its norms recorded, or knows no end:
+        then it is the last entry of D below.  On a vertex path each step
+        and the end distance is one sp.dist.  A geodesic path from the base
+        point then has its norms, 0, 1, ..., n - 1, recorded;
+      * "backtrack": a path that steps straight back (g_{s+1} = g_s^-1 on a
+        letter path, v_{s+2} = v_s on a vertex path) has lo(s, s + 2) =
+        Q - 2/q, so it fails when that is below -1e-9;
+      * "bound": with D_t = d(v_0, v_t), |D_t - D_s| <= d(v_s, v_t), so
+        lb(s, t) = |D_t - D_s| - ((t - s)/q - Q) bounds the slack from
+        below, and D is 1-Lipschitz along the path, so _slack_search runs
+        on it with its floor at 0.  No lb below -1e-9 proves that every
+        pair passes.  Otherwise the search's witness pair is measured
+        exactly (one PathSeg.dist_between), and the path fails when its
+        slack is below -1e-9.  D is PathSeg.norms() on a path from the
+        base point (so it is recorded), else one distances_along_path
+        sweep from v_0;
+      * "tree": _slack_search over path_metric(path), with its floor at 0,
+        stopping at the first violation.
 
     The returned QGCheck measures `margin` (the least slack) and `witness`
     (the lexicographically first pair (s, t, d) attaining it, as an
@@ -1392,18 +1419,26 @@ def is_quasi_geodesic(path, q, Q):
         raise DomainError(f"need q >= 1 and Q >= 0, got ({q}, {Q})")
     n = len(path)
     if n <= 1:
-        return QGCheck(True, margin=float("inf"))
+        return QGCheck(True, "geodesic", margin=float("inf"))
     sp, letters = path.sp, path.letters
     at_o = path.start == sp.basepoint
+
+    def from_start():  # D_t = d(v_0, v_t)
+        if at_o:
+            return path.norms()
+        return distances_along_path(sp, path.start, path)
+
+    D = None
     if letters is not None:
         step = {g: sp.norm(sp.mul_gen(sp.identity, g)) for g in set(letters)}
         if max(step.values()) > 1:
             s = next(s for s, g in enumerate(letters) if step[g] > 1)
             _raise_jump(s, step[letters[s]])
-        if at_o and path._norms is not None:
-            end = path._norms[-1]
+        if path._end is None or at_o and path._norms is not None:
+            D = from_start()
+            end = D[-1]
         else:
-            end = sp.dist(path.start, path.endpoint())
+            end = sp.dist(path.start, path._end)
     else:
         vs = path.vertex_list()
         for s in range(n - 1):
@@ -1414,7 +1449,11 @@ def is_quasi_geodesic(path, q, Q):
     if end == n - 1:
         if at_o and path._norms is None:
             path._norms = list(range(n))
-        return QGCheck(True, margin=float(1 - (1 / q - Q)))
+        return QGCheck(True, "geodesic", margin=float(1 - (1 / q - Q)))
+
+    def measure():
+        return _slack_search(path_metric(path), n, q, Q)
+
     if Q - 2 / q < -1e-9:
         if letters is not None:
             inv = {g: sp.gen_inv(g) for g in step}
@@ -1422,13 +1461,20 @@ def is_quasi_geodesic(path, q, Q):
         else:
             back = any(u == w for u, w in zip(vs, vs[2:]))
         if back:
-            return QGCheck(False, measure=lambda: _slack_search(
-                path_metric(path), n, q, Q))
+            return QGCheck(False, "backtrack", measure=measure)
+    D = np.asarray(D if D is not None else from_start())
+    worst, (a, b, _), pairs = _slack_search(
+        lambda s, t: np.abs(D[t] - D[s]), n, q, Q, floor=0.0)
+    if worst >= -1e-9:
+        return QGCheck(True, "bound", measure=measure, pairs=pairs)
+    pairs += 1
+    if path.dist_between(a, b) - ((b - a) / q - Q) < -1e-9:
+        return QGCheck(False, "bound", measure=measure, pairs=pairs)
     dist = path_metric(path)
-    worst, _, pairs = _slack_search(dist, n, q, Q, floor=0.0)
-    ok = worst >= -1e-9
-    return QGCheck(ok, measure=lambda: _slack_search(dist, n, q, Q),
-                   pairs=pairs)
+    worst, _, tree_pairs = _slack_search(dist, n, q, Q, floor=0.0)
+    return QGCheck(worst >= -1e-9, "tree",
+                   measure=lambda: _slack_search(dist, n, q, Q),
+                   pairs=pairs + tree_pairs)
 
 
 def _slack_search(dist, n, q, Q, floor=None):
@@ -1614,7 +1660,8 @@ def axis_ray(sp, length, gen=None):
         seg.q, seg.Q = 1, 0
         return seg
     # a negative length spells the empty ray, as [g] * length does
-    seg = sp.geodesic(sp.identity, _gen_power(sp, g, max(length, 0)))
+    n = max(length, 0)
+    seg = sp.geodesic(sp.identity, _gen_power(sp, g, n))
     if isinstance(sp, GridSpace):
         axis = next(i for i, c in enumerate(g) if c != 0)
         sign = 1 if g[axis] > 0 else -1
@@ -1622,7 +1669,7 @@ def axis_ray(sp, length, gen=None):
         def dist(x):
             along = x[axis] * sign
             off = sum(abs(c) for i, c in enumerate(x) if i != axis)
-            return off + max(0, -along, along - length)
+            return off + max(0, -along, along - n)
 
         seg.hook = _Pointwise(dist)
     return seg

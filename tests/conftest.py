@@ -26,3 +26,14 @@ def zz():
 @pytest.fixture(scope="session")
 def loopy():
     return space.LoopyRaySpace(30)
+
+
+@pytest.fixture
+def trees(monkeypatch):
+    """The paths that space.path_metric reads (into a path tree on free
+    groups and free products) while the test runs, in order."""
+    built = []
+    metric = space.path_metric
+    monkeypatch.setattr(space, "path_metric",
+                        lambda p: built.append(p) or metric(p))
+    return built

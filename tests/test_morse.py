@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import oracles
 from coarselab import morse, space, sublinear
 from coarselab.errors import (DomainError, Inconclusive, NotSublinear,
                               PreconditionError)
@@ -202,6 +203,22 @@ def test_spaced_detours_certify(f2, q):
         if q == 1:
             assert len(path) == len(base) + 2 * depth
         assert is_quasi_geodesic(path, q, Q).ok
+
+
+@pytest.mark.parametrize("q", [1.5, 3])
+def test_probe_family_certifies_without_a_path_tree(f2, q, trees):
+    """Detour and L-shaped probes on F_2 are decided by the geodesic test
+    or the norm bound of is_quasi_geodesic, never by a path tree; the
+    all-pairs loop agrees on the three longest."""
+    goal = axis_ray(f2, 120).endpoint()
+    fam = probe_family(f2, goal, q, 4, 12, seed=0)
+    assert trees == []
+    longest = sorted(fam, key=len)[-3:]
+    assert all(len(beta) > 121 for beta in longest)
+    for beta in longest:
+        assert oracles.all_pairs_quasi_geodesic(f2, beta.vertex_list(), q, 4)[0]
+        assert is_quasi_geodesic(beta, q, 4).rung == "bound"
+    assert trees == []
 
 
 def test_probe_family_geodesic_constants_give_single_geodesic(f2):

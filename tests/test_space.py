@@ -245,51 +245,74 @@ def test_quasi_geodesic_repeated_vertex_is_a_zero_step(name):
     assert not is_quasi_geodesic(PathSeg(sp, vertices=vs), 1, 0)
 
 
+def _in_form(sp, form, letters, start=None):
+    seg = PathSeg(sp, start=start, letters=letters)
+    return seg if form == "letters" else PathSeg(sp, vertices=seg.vertex_list())
+
+
 @pytest.mark.parametrize("form", ["letters", "vertices"])
-def test_quasi_geodesic_builds_a_path_tree_only_when_it_must(f2, form):
+def test_quasi_geodesic_builds_a_path_tree_only_when_it_must(f2, form, trees):
     """A path that steps straight back fails (1.5, 0) with no path tree and
     no pair evaluated; reading its witness builds one tree and finds the
     all-pairs witness, which need not be the backtrack.  A passing path
-    that is no geodesic builds one tree, and reading its margin reuses
-    it.  At (3, 1) a backtrack has slack 1/3, and a path whose least slack
-    is -1/3 fails: the decision skips no pair below its floor of 0."""
-    def path(letters):
-        seg = PathSeg(f2, start=(), letters=letters)
-        return seg if form == "letters" else \
-            PathSeg(f2, vertices=seg.vertex_list())
+    that is no geodesic is certified by the norm bound with no tree, and
+    reading its margin builds one.  At (3, 1) a backtrack has slack 1/3,
+    and a path whose least slack is -1/3 fails on the bound's witness,
+    measured exactly, again with no tree."""
+    a, b, A, B = (1,), (2,), (-1,), (-2,)
+    back = _in_form(f2, form, [a, a, b, a, A, b, B, B, a])
+    vs = back.vertex_list()
+    got = is_quasi_geodesic(back, 1.5, 0)
+    assert (got.ok, got.rung, got.pairs, len(trees)) == \
+        (False, "backtrack", 0, 0)
+    expected = oracles.all_pairs_quasi_geodesic(f2, vs, 1.5, 0)
+    assert got.witness == expected[2] != (3, 5, 0)
+    assert (got.margin, len(trees)) == (expected[1], 1)
+    assert got.pairs > 0
 
-    trees = []
-    metric = space.path_metric
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(space, "path_metric",
-                   lambda p: trees.append(p) or metric(p))
-        a, b, A, B = (1,), (2,), (-1,), (-2,)
-        back = path([a, a, b, a, A, b, B, B, a])
-        vs = back.vertex_list()
-        got = is_quasi_geodesic(back, 1.5, 0)
-        assert (got.ok, got.pairs, len(trees)) == (False, 0, 0)
-        expected = oracles.all_pairs_quasi_geodesic(f2, vs, 1.5, 0)
-        assert got.witness == expected[2] != (3, 5, 0)
-        assert (got.margin, len(trees)) == (expected[1], 1)
-        assert got.pairs > 0
+    trees.clear()
+    wiggle = _in_form(f2, form, [a, b, B, a])
+    got = is_quasi_geodesic(wiggle, 1.5, 2)
+    assert (got.ok, got.rung, len(trees)) == (True, "bound", 0)
+    pairs = got.pairs
+    assert pairs > 0
+    assert (got.margin, got.witness) == oracles.all_pairs_quasi_geodesic(
+        f2, wiggle.vertex_list(), 1.5, 2)[1:]
+    assert len(trees) == 1 and got.pairs > pairs
 
-        trees.clear()
-        wiggle = path([a, b, B, a])
-        got = is_quasi_geodesic(wiggle, 1.5, 2)
-        assert got.ok and len(trees) == 1
-        pairs = got.pairs
-        assert pairs > 0
-        assert (got.margin, got.witness) == oracles.all_pairs_quasi_geodesic(
-            f2, wiggle.vertex_list(), 1.5, 2)[1:]
-        assert len(trees) == 1 and got.pairs > pairs
+    trees.clear()
+    near = _in_form(f2, form, [a, b, A, a, a, A])
+    got = is_quasi_geodesic(near, 3, 1)
+    assert (got.ok, got.rung, len(trees)) == (False, "bound", 0)
+    assert (False, got.margin, got.witness) == \
+        oracles.all_pairs_quasi_geodesic(f2, near.vertex_list(), 3, 1)
+    assert got.margin == pytest.approx(-1 / 3)
 
-        trees.clear()
-        near = path([a, b, A, a, a, A])
-        got = is_quasi_geodesic(near, 3, 1)
-        assert not got.ok and len(trees) == 1
-        assert (False, got.margin, got.witness) == \
-            oracles.all_pairs_quasi_geodesic(f2, near.vertex_list(), 3, 1)
-        assert got.margin == pytest.approx(-1 / 3)
+
+@pytest.mark.parametrize("form", ["letters", "vertices"])
+def test_quasi_geodesic_falls_back_to_a_path_tree(f2, zz, form, trees):
+    """The norm bound decides only where it is exact enough.  On Z^2*Z,
+    a, b, A at (1.5, 0) has no backtrack, and the bound's witness (1, 3)
+    has lb = -4/3 but d = 2 (a grid turn): the path builds one tree, which
+    finds the all-pairs violation at (0, 3).  Away from o the bound reads
+    d(v_0, .), not the norms: the wiggle from A has norms 1, 0, 1, 0, 1,
+    whose bound falls to -2/3 at (0, 4), where d = 2, while d(v_0, .)
+    certifies the path."""
+    a, b, A = (0, (1, 0)), (0, (0, 1)), (0, (-1, 0))
+    turn = _in_form(zz, form, [a, b, A])
+    got = is_quasi_geodesic(turn, 1.5, 0)
+    assert (got.ok, got.rung, len(trees)) == (False, "tree", 1)
+    assert (got.ok, got.margin, got.witness) == \
+        oracles.all_pairs_quasi_geodesic(zz, turn.vertex_list(), 1.5, 0)
+    assert got.witness[:2] == (0, 3) and len(trees) == 1
+
+    trees.clear()
+    wiggle = _in_form(f2, form, [(1,), (2,), (-2,), (1,)], start=(-1,))
+    got = is_quasi_geodesic(wiggle, 1.5, 2)
+    assert (got.ok, got.rung, len(trees)) == (True, "bound", 0)
+    assert wiggle._norms is None
+    assert (True, got.margin, None) == oracles.all_pairs_quasi_geodesic(
+        f2, wiggle.vertex_list(), 1.5, 2)
 
 
 NORM_SPACES = ("free_group(2)", "Z2*Z")
@@ -485,6 +508,18 @@ def test_ray_builders_keep_their_letters(name):
     assert ray.letters == letters
     assert (ray.q, ray.Q) == (1, 0) and ray.hook is not None
     assert ray.endpoint() == _word(sp, letters)
+
+
+@pytest.mark.parametrize("length", [-3, 0, 5])
+def test_grid_axis_ray_hook_matches_the_sweep(z2, length):
+    """The grid axis ray's closed-form hook measures against the ray it
+    spells, which is the one vertex o at a negative length."""
+    xs = sorted(oracles.bfs_ball(z2, z2.identity, 4), key=z2.vertex_key)
+    for g in z2.gens:
+        Z = axis_ray(z2, length, gen=g)
+        assert len(Z) == max(length, 0) + 1
+        assert [distance_to_set(z2, x, Z) for x in xs] == \
+            [min(distances_along_path(z2, x, Z)) for x in xs]
 
 
 @settings(max_examples=200)
