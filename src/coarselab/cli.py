@@ -34,6 +34,13 @@ _int = int
 _float = float
 
 
+def _length(s):
+    n = int(s)
+    if n < 0:
+        raise ValueError(f"need a length >= 0, got {n}")
+    return n
+
+
 def _bool(s):
     if s.lower() in ("1", "true", "yes", "on"):
         return True
@@ -69,7 +76,7 @@ SCHEMA = {
     },
     "morse": {
         "target": (_str, "axis"),
-        "length": (_int, 600),
+        "length": (_length, 600),
         "kappa": (_kappa, "1"),
         "kappa_prime": (_kappa, "1"),
         "r": (_float, 100.0),
@@ -86,7 +93,7 @@ SCHEMA = {
     },
     "contract": {
         "target": (_str, "axis"),
-        "length": (_int, 600),
+        "length": (_length, 600),
         "kappa": (_kappa, "1"),
         "c1": (_float, 0.5),
         "samples": (_int, 160),
@@ -338,14 +345,13 @@ def _run_contract(sp, cfg, seed, out_dir, regen):
 def _run_excursion(sp, cfg, seed, out_dir, regen):
     relhyp.require_relhyp(sp)
     gamma = relhyp.excursion_ray(sp, cfg["syllables"], _sizes_fn(cfg["sizes"]))
-    constants = relhyp.default_constants(sp)
     if cfg["contracting"]:
         consts, v = relhyp.test_excursion_contracting(
-            sp, gamma, cfg["kappa"], cfg["samples"], seed, constants=constants)
+            sp, gamma, cfg["kappa"], cfg["samples"], seed)
         extra = {"C2": consts.C2}
     else:
-        rows, E, v = relhyp.excursion_profile(sp, gamma, constants.D0,
-                                              cfg["kappa"])
+        D0 = relhyp.default_constants(sp).D0
+        rows, E, v = relhyp.excursion_profile(sp, gamma, D0, cfg["kappa"])
         extra = {"E": E}
         randwalk.write_excursion_csv(os.path.join(out_dir, "excursion.csv"),
                                      rows)

@@ -36,6 +36,10 @@ from .sublinear import TOL, estimation_constant, evaluate, small_compared
 #: genuinely growing rather than bounded
 BAND_SLOPE = 0.25
 
+#: ratio d/r at the horizon below which two rays, or walks and their proxy
+#: rays, count as traveling together
+TRACK_RATIO = 0.05
+
 
 # ---------------------------------------------------------------------------
 # result and constant containers
@@ -114,16 +118,15 @@ class ProjectionConstants:
 class MorseGauge:
     """An evaluable gauge (q, Q) -> m, normalized so m >= max(q, Q)."""
 
-    def __init__(self, fn, provenance="constant"):
+    def __init__(self, fn):
         self._fn = fn
-        self.provenance = provenance
 
     def __call__(self, q, Q):
         return max(self._fn(q, Q), q, Q)
 
     @classmethod
     def constant(cls, M):
-        return cls(lambda q, Q: M, provenance="constant")
+        return cls(lambda q, Q: M)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +177,9 @@ def symmetry_transfer(sp, alpha, beta, m, kappa):
                    parameters={"m": m, "kappa": kappa.tag}, space=sp.kind)
 
 
-def fellow_traveling_profile(sp, alpha, beta, horizon, threshold=0.05):
+def fellow_traveling_profile(sp, alpha, beta, horizon):
     """Ratios d(alpha_r, beta_r)/r for r = 1..horizon plus the equivalence
-    verdict: tail below `threshold` and decaying across dyadic bands."""
+    verdict: tail below TRACK_RATIO and decaying across dyadic bands."""
     ratios = []
     for r in range(1, horizon + 1):
         try:
@@ -196,8 +199,9 @@ def fellow_traveling_profile(sp, alpha, beta, horizon, threshold=0.05):
         hi = lo
     bands.reverse()
     decreasing = all(b2 < b1 - TOL for b1, b2 in zip(bands, bands[1:]))
-    equivalent = tail_max <= threshold and (decreasing or tail_max <= TOL)
-    verdict = Verdict(equivalent, test="fellow_traveling", margin=threshold - tail_max,
+    equivalent = tail_max <= TRACK_RATIO and (decreasing or tail_max <= TOL)
+    verdict = Verdict(equivalent, test="fellow_traveling",
+                      margin=TRACK_RATIO - tail_max,
                       parameters={"horizon": horizon, "bands": bands},
                       space=sp.kind)
     return ratios, verdict
@@ -466,7 +470,7 @@ def _band_trend_fail(band_maxes):
     return slope > BAND_SLOPE
 
 
-def _default_pair_points(sp, Z, rng, samples, max_len=256):
+def _default_pair_points(sp, Z, rng, samples):
     """Base points for contraction pairs at dyadic length scales.
 
     Random walks alone are too diffusive to expose linear projection
@@ -477,7 +481,7 @@ def _default_pair_points(sp, Z, rng, samples, max_len=256):
     out = []
     lengths = []
     L = 4
-    while L <= max_len:
+    while L <= 256:
         lengths.append(L)
         L *= 2
     for i in range(samples):
@@ -490,7 +494,7 @@ def _default_pair_points(sp, Z, rng, samples, max_len=256):
 
 
 def test_kappa_contracting(sp, Z, proj, kappa, C1, samples, seed,
-                           points=None, min_pairs=10):
+                           points=None):
     """Fit C2 for the kappa-weakly-contracting condition and judge stability.
 
     Over sampled pairs (x, y) with d(x, y) <= C1 * d(x, Z), the ratio
@@ -540,7 +544,7 @@ def test_kappa_contracting(sp, Z, proj, kappa, C1, samples, seed,
             band = sp.norm(x).bit_length()
             band_ratio[band] = max(band_ratio.get(band, 0.0), ratio)
         eligible += counted
-    if eligible < min_pairs or len(band_ratio) < 3:
+    if eligible < 10 or len(band_ratio) < 3:
         raise Inconclusive(
             f"only {eligible} eligible pairs across {len(band_ratio)} bands")
     bands = [band_ratio[b] for b in sorted(band_ratio)]
@@ -558,7 +562,7 @@ D1_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
 D2_CAP = 50.0
 
 
-def fit_kappa_projection(sp, Z, proj, kappa, samples, seed, points=None):
+def fit_kappa_projection(sp, Z, proj, kappa, samples, seed):
     """Least (D1, D2) with diam({z} u proj(x)) <= D1 d(x,z) + D2 kappa(||x||).
 
     D1 is scanned over a fixed grid (smallest first) and D2 is the induced
@@ -566,8 +570,7 @@ def fit_kappa_projection(sp, Z, proj, kappa, samples, seed, points=None):
     The corollary bound diam({x} u proj(x)) <= (D1+1) d(x,Z) + D2 kappa(||x||)
     is then asserted on the same sample.
     """
-    rng = rng_for(seed, 3)
-    xs = list(points) if points is not None else _default_pair_points(sp, Z, rng, samples)
+    xs = _default_pair_points(sp, Z, rng_for(seed, 3), samples)
     z_verts = _sp.enumerate_target(sp, Z)
     constraints = []  # (diam, d(x,z), kappa(||x||))
     corollary = []    # (diam({x} u proj x), d(x, Z), kappa(||x||))
@@ -629,9 +632,7 @@ def surgery(sp, gamma, alpha, r, R):
     if max(middle.norms()) > R:
         raise CertificationError("splice geodesic leaves B(o, R); raise R")
     prefix_letters = alpha.prefix(t_half + 1).step_letters()
-    tail_letters = PathSeg(sp, vertices=gamma.vertex_list()[t_R:]).step_letters() \
-        if gamma.letters is None else gamma.letters[t_R:]
-    letters = prefix_letters + middle.step_letters() + tail_letters
+    letters = prefix_letters + middle.step_letters() + gamma.step_letters()[t_R:]
     out = PathSeg(sp, start=alpha.start, letters=letters, q=9 * q, Q=Q)
     check = is_quasi_geodesic(out, 9 * q, Q)
     if not check:
@@ -757,10 +758,10 @@ def derive_gauge(q, Q, C1, C2, D1, D2, kappa):
 def derived_gauge(C1, C2, D1, D2, kappa):
     """MorseGauge closing over the constants: (q, Q) -> m_Z(q, Q)."""
     fn = lambda q, Q: derive_gauge(q, Q, C1, C2, D1, D2, kappa).m_Z
-    return MorseGauge(fn, provenance="derived")
+    return MorseGauge(fn)
 
 
-def radius_contraction_rho(gauge, r, tol_factor=1e-6):
+def radius_contraction_rho(gauge, r):
     """rho(r) = sup{s : s <= 4r and s <= 18 * gauge(12r/s, 0)}.
 
     The left constraint increases and the right side is nonincreasing in s
@@ -781,8 +782,7 @@ def radius_contraction_rho(gauge, r, tol_factor=1e-6):
     if hi <= rhs(hi):
         return hi
     lo = min(1e-9 * r, hi / 2)
-    tol = tol_factor * r
-    while hi - lo > tol:
+    while hi - lo > 1e-6 * r:
         mid = (lo + hi) / 2
         if mid <= rhs(mid):
             lo = mid

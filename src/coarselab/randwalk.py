@@ -35,7 +35,7 @@ import numpy as np
 
 from . import relhyp as _rh
 from .errors import DomainError, Inconclusive
-from .morse import Verdict, _band_trend_fail
+from .morse import TRACK_RATIO, Verdict, _band_trend_fail
 from .seeds import derive_seed
 from .space import FlatCode, FlatPack, PathSeg, _int_items, \
     distance_to_set, distances_along_path, reduce_flat
@@ -354,7 +354,7 @@ class DriftReport:
     subadditive: bool
 
 
-def drift(paths, batches=30):
+def drift(paths):
     """Escape-rate estimate at the final index with a batch-means CI and a
     subadditivity sanity check across dyadic prefixes."""
     if len(paths) < 30:
@@ -363,7 +363,7 @@ def drift(paths, batches=30):
     n = paths[0].length
     finals = [s.norms[n] / n for s in stats]
     ell = sum(finals) / len(finals)
-    b = max(2, min(batches, len(finals) // 2))
+    b = max(2, min(30, len(finals) // 2))
     size = len(finals) // b
     means = [sum(finals[i * size:(i + 1) * size]) / size for i in range(b)]
     mu = sum(means) / b
@@ -457,12 +457,11 @@ def _quantile(sorted_vals, q):
     return sorted_vals[i]
 
 
-def peripheral_projection_growth(paths, lo=2 ** 7, hi=2 ** 13, quantile=0.99,
-                                 alpha=0.05):
+def peripheral_projection_growth(paths, lo=2 ** 7, hi=2 ** 13):
     """0.99-quantile of sup_P d_P(o, w_n) per dyadic n, judged against log n.
 
     The verdict passes iff the quantile / log n sequence shows no
-    increasing trend (one-sided Mann-Kendall sign test at level alpha).
+    increasing trend (one-sided Mann-Kendall sign test at level 0.05).
     Walks trapped in one peripheral coset grow like the coset itself and
     fail.
     """
@@ -476,13 +475,13 @@ def peripheral_projection_growth(paths, lo=2 ** 7, hi=2 ** 13, quantile=0.99,
     ratios = []
     for k in ks:
         vals = sorted(s.max_peripheral[k] for s in stats)
-        q = _quantile(vals, quantile)
+        q = _quantile(vals, 0.99)
         rows.append((k, q))
         ratios.append(q / math.log(k))
     p = mann_kendall_increasing(ratios)
-    return rows, Verdict(p > alpha, test="peripheral_projection_growth",
-                         margin=p - alpha,
-                         parameters={"quantile": quantile, "ratios": ratios,
+    return rows, Verdict(p > 0.05, test="peripheral_projection_growth",
+                         margin=p - 0.05,
+                         parameters={"quantile": 0.99, "ratios": ratios,
                                      "p_value": p, "table": rows})
 
 
@@ -497,24 +496,24 @@ class RayProxy:
     stability: float       # coned deviation of the half-horizon proxy
 
 
-def limit_ray_proxy(sp, path, N=None):
-    """Finite-horizon stand-in for the limit ray of one walk.
+def limit_ray_proxy(sp, path):
+    """Finite-horizon stand-in for the limit ray of one walk, at the
+    horizon N = path.length.
 
     On relhyp spaces this is the lift of the coned geodesic [o, w_N], the
-    normal-form geodesic certified once at (1, 0); on everything else, the
-    geodesic to w_N.  The stability field measures how far the half-horizon
-    proxy strays from the full one: the coned length of its tail past the
-    longest common normal-form prefix (0 when one extends the other).
+    normal-form geodesic certified once at (1, 0), which the path keeps for
+    its walk-ray excursions; on everything else, the geodesic to w_N.  The
+    stability field measures how far the half-horizon proxy strays from the
+    full one: the coned length of its tail past the longest common
+    normal-form prefix (0 when one extends the other).
     """
-    N = N if N is not None else path.length
+    N = path.length
     pos = path.positions_at({N, N // 2})
     wN, wHalf = pos[N], pos[N // 2]
     relhyp = isinstance(sp, _rh.FreeProductSpace) and \
         bool(_rh.peripheral_indices(sp))
     if relhyp:
-        value, seg, consts = _coned_lift(path, N, wN)
-        if N == path.length:
-            path._lift = value, seg, consts
+        value, seg, consts = path._lift = _coned_lift(path, N, wN)
         if value < 10:
             raise Inconclusive(
                 f"walk did not progress in the coned graph (d_Ghat = "
@@ -535,11 +534,11 @@ def limit_ray_proxy(sp, path, N=None):
                     stability=max(0.0, float(stability)))
 
 
-def tracking_profile(paths, proxies, threshold=0.05):
+def tracking_profile(paths, proxies):
     """Distance from w_n to the proxy ray at dyadic n <= N/2, per path.
 
     Returns rows (n, median d/n, median d/log^2 n) and two verdicts: the
-    d/n medians must fall below `threshold` by the last band, and the
+    d/n medians must fall below TRACK_RATIO by the last band, and the
     d/log^2 n medians must stay bounded across bands.
     """
     if len(paths) != len(proxies):
@@ -557,8 +556,8 @@ def tracking_profile(paths, proxies, threshold=0.05):
         med = ds[len(ds) // 2]
         rows.append((n, med / n, med / max(math.log(n) ** 2, 1.0)))
     ratio_n = [r[1] for r in rows]
-    v1 = Verdict(ratio_n[-1] <= threshold and ratio_n[-1] <= ratio_n[0] + 1e-9,
-                 test="tracking_sublinear", margin=threshold - ratio_n[-1],
+    v1 = Verdict(ratio_n[-1] <= TRACK_RATIO and ratio_n[-1] <= ratio_n[0] + 1e-9,
+                 test="tracking_sublinear", margin=TRACK_RATIO - ratio_n[-1],
                  parameters={"medians": ratio_n})
     ratio_log2 = [r[2] for r in rows]
     v2 = Verdict(not _band_trend_fail(ratio_log2), test="tracking_log2",
@@ -632,26 +631,25 @@ def hitting_histogram(paths):
     return {c: hist[c] / total for c in sorted(hist)}
 
 
-def excursion_of_walk_ray(sp, paths, kappa, constants=None, quantile=0.95,
-                          stability_factor=1.5):
+def excursion_of_walk_ray(sp, paths, kappa):
     """Fitted excursion constants E_gamma of walk limit-ray proxies.
 
     Computes the excursion profile of each path's proxy at horizons N and
-    N/2; the verdict passes iff the 0.95-quantile of E_gamma at the full
-    horizon stays within `stability_factor` of the half-horizon quantile
-    (so doubling the horizon does not inflate excursions).
+    N/2, under the space's default constants; the verdict passes iff the
+    0.95-quantile of E_gamma at the full horizon is at most 1.5 times the
+    half-horizon quantile (so doubling the horizon does not inflate
+    excursions).
     """
-    _rh.require_relhyp(sp)
-    constants = constants if constants is not None else _rh.default_constants(sp)
+    constants = _rh.default_constants(sp)
     results = [_walk_ray_excursions(path, kappa, constants) for path in paths]
     full = sorted(r[0] for r in results)
     half = sorted(r[1] for r in results)
-    qf = _quantile(full, quantile)
-    qh = _quantile(half, quantile)
-    passed = qf <= qh * stability_factor + 1e-9
+    qf = _quantile(full, 0.95)
+    qh = _quantile(half, 0.95)
+    passed = qf <= qh * 1.5 + 1e-9
     return full, Verdict(passed, test="walk_ray_excursion",
-                         margin=qh * stability_factor - qf,
-                         parameters={"quantile": quantile, "q_full": qf,
+                         margin=qh * 1.5 - qf,
+                         parameters={"quantile": 0.95, "q_full": qf,
                                      "q_half": qh, "kappa": kappa.tag})
 
 

@@ -144,12 +144,21 @@ def coned_dist(sp, x, y):
 
 
 def coned_dist_to_coset(sp, v, P):
-    """d_Ghat(v, P): drop the entry syllable's cost if v opens with one."""
-    z = sp.mul(sp.inv(P.rep), v)
-    d = coned_norm(sp, z)
-    if z and z[0][0] == P.factor:
-        d -= _coned_costs(sp)[P.factor](z[0][1])
-    return d
+    """d_Ghat(v, P): the coned cost of z = rep^-1 v, less that of z's first
+    syllable when it lies in P's factor.
+
+    z is priced without being built.  Past the common syllable prefix of
+    rep and v, with a and b their rests, z spells a^-1 then b, the two
+    facing syllables a[0]^-1 b[0] merged when they share a factor, and a
+    syllable costs what its inverse does.  z opens in P's factor only when
+    a is empty, since rep never ends in P's factor."""
+    rep, j = P.rep, 0
+    while j < min(len(rep), len(v)) and rep[j] == v[j]:
+        j += 1
+    a, b = rep[j:], v[j:]
+    if not a:
+        return coned_norm(sp, b[1:] if b and b[0][0] == P.factor else b)
+    return coned_norm(sp, a[1:] + sp.mul(sp.inv(a[:1]), b[:1]) + b[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +228,13 @@ def _formula_terms(sp, pairs):
     return out
 
 
-def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0,
-                         terms=None):
+def fit_distance_formula(sp, pairs, K, constants=None, terms=None):
     """Least (M, A) with S/M - A <= d_G(x,y) <= M*S + A over the sample,
     where S = sum_P floor_K(d_P(x,y)) + d_Ghat(x,y).
 
-    M is minimized first (any additive slack up to `additive_cap` may be
-    spent), then A is the least additive constant valid for that M; both
-    are closed-form maxima over the per-pair constraints.
+    M is minimized first (any additive slack up to 20 may be spent), then
+    A is the least additive constant valid for that M; both are
+    closed-form maxima over the per-pair constraints.
 
     `terms` is _formula_terms(sp, pairs), passed by a caller that fits the
     same pairs at several K; it is computed here otherwise.
@@ -244,8 +252,8 @@ def fit_distance_formula(sp, pairs, K, constants=None, additive_cap=20.0,
     M = 1.0
     for _, _, d, S in rows:
         if S > 0:
-            M = max(M, (d - additive_cap) / S)
-        M = max(M, S / (d + additive_cap))
+            M = max(M, (d - 20.0) / S)
+        M = max(M, S / (d + 20.0))
     A = 0.0
     for _, _, d, S in rows:
         A = max(A, d - M * S, S / M - d)
@@ -288,7 +296,6 @@ class DeepDecomposition:
     components: list
     D: float
     R: float
-    t: float
 
     def transition_indices(self, length):
         deep = set()
@@ -342,13 +349,13 @@ def coset_runs(sp, geodesic, D):
             for (_, (_, first, last)), coset in zip(peripheral, cosets)]
 
 
-def deep_components(sp, geodesic, D, R, t=3.0):
+def deep_components(sp, geodesic, D, R):
     """Maximal (D, R)-deep ranges of a geodesic with their cosets.
 
     A point is deep when it sits strictly more than R inside a coset run
     (runs clipped by the ends of the path are not trimmed there, matching
     a ray prefix).  Components of distinct cosets are disjoint whenever
-    R >= D (asserted), and each lies within the t*D-neighborhood of its
+    R >= D (asserted), and each lies within the 3D-neighborhood of its
     coset.
     """
     n = len(geodesic)
@@ -364,7 +371,7 @@ def deep_components(sp, geodesic, D, R, t=3.0):
             raise CertificationError(
                 f"deep components overlap at indices {c2.start}..{c1.end}; "
                 f"use R >= D (got D={D}, R={R})")
-    return DeepDecomposition(components=comps, D=D, R=R, t=t)
+    return DeepDecomposition(components=comps, D=D, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +503,10 @@ class ProjectionOracle:
     """Precomputed Pi_gamma machinery for one ray prefix.
 
     Projecting many points onto the same gamma dominates the contraction
-    tests, so the coset runs, the gamma vertex list, and each run's coned
-    position are computed once here.  A run contributes its excursion
-    segment when its coset sits within coned distance R1 of pi_gamma(x);
-    since each run's representative lies on gamma, that coned distance is
-    |coned position of the run - coned position of pi_gamma(x)| up to the
-    run's span in Ghat, evaluated directly per query instead.
+    tests, so the coset runs and the gamma vertex list are computed once
+    here.  A run contributes its excursion segment when its coset sits
+    within coned distance R1 of pi_gamma(x), measured per query by
+    coned_dist_to_coset.
     """
 
     def __init__(self, sp, gamma, constants):
@@ -511,24 +516,14 @@ class ProjectionOracle:
         self.constants = constants
         self.runs = coset_runs(sp, gamma, constants.D0)
         self._verts = gamma.vertex_list()
-        self._rep_inv = [sp.inv(c.rep) for _, _, c in self.runs]
-        self._costs = _coned_costs(sp)
-
-    def _coned_to_coset(self, idx, v):
-        coset = self.runs[idx][2]
-        z = self.sp.mul(self._rep_inv[idx], v)
-        d = sum(self._costs[i](e) for i, e in z)
-        if z and z[0][0] == coset.factor:
-            d -= self._costs[coset.factor](z[0][1])
-        return d
 
     def project(self, x):
         j = coned_nearest_index(self.sp, self.gamma, x)
         pivot = self._verts[j]
         points = []
         cosets = []
-        for idx, (a, b, coset) in enumerate(self.runs):
-            if self._coned_to_coset(idx, pivot) <= self.constants.R1:
+        for a, b, coset in self.runs:
+            if coned_dist_to_coset(self.sp, pivot, coset) <= self.constants.R1:
                 cosets.append(coset)
                 points.extend(self._verts[a:b + 1])
         if not points:
@@ -536,7 +531,7 @@ class ProjectionOracle:
         return BigProjection(points=points, pi_index=j, cosets=cosets)
 
 
-def big_projection(sp, gamma, x, constants, oracle=None):
+def big_projection(sp, gamma, x, constants):
     """The coarse projection onto gamma built from peripheral excursions.
 
     pi_gamma(x) is the coned nearest point; every peripheral coset that
@@ -544,9 +539,7 @@ def big_projection(sp, gamma, x, constants, oracle=None):
     contributes its whole excursion segment.  With no such coset the
     projection degenerates to {pi_gamma(x)}.
     """
-    if oracle is None:
-        oracle = ProjectionOracle(sp, gamma, constants)
-    return oracle.project(x)
+    return ProjectionOracle(sp, gamma, constants).project(x)
 
 
 def nearest_transition_past(sp, gamma, x, constants):
@@ -555,30 +548,25 @@ def nearest_transition_past(sp, gamma, x, constants):
     bp = big_projection(sp, gamma, x, constants)
     if not bp.cosets:
         return gamma.vertex(bp.pi_index)
-    dd = deep_components(sp, gamma, D=constants.D0,
-                         R=0 if constants.D0 == 0 else constants.D0)
-    last = max(c.end for c in dd.components if c.coset in set(bp.cosets))
-    deep = set()
-    for c in dd.components:
-        deep.update(range(c.start, c.end + 1))
-    for k in range(last, len(gamma)):
-        if k not in deep:
+    dd = deep_components(sp, gamma, D=constants.D0, R=constants.D0)
+    last = max(c.end for c in dd.components if c.coset in bp.cosets)
+    for k in dd.transition_indices(len(gamma)):
+        if k >= last:
             return gamma.vertex(k)
     raise DomainError("gamma too short: no transition point past the deep "
                       "components feeding the projection")
 
 
-def test_excursion_contracting(sp, gamma, kappa, samples, seed,
-                               constants=None, C1=0.5, D2_band_check=True):
+def test_excursion_contracting(sp, gamma, kappa, samples, seed):
     """Excursion rays should be kappa-weakly contracting under Pi_gamma.
 
     Preconditions the excursion profile, then runs the generic contraction
     tester with the big projection.  Additionally asserts the coned-level
     bound: sampled pairs x, y with d_G(x, y) <= C1 * d_G(x, gamma) have
-    d_Ghat(Pi(x), Pi(y)) bounded (no growth across norm bands).
+    d_Ghat(Pi(x), Pi(y)) bounded (no growth across norm bands).  C1 is
+    0.5 and the constants are the space's defaults.
     """
-    require_relhyp(sp)
-    constants = constants if constants is not None else default_constants(sp)
+    constants = default_constants(sp)
     _, _, pre = excursion_profile(sp, gamma, constants.D0, kappa)
     if not pre:
         raise PreconditionError(
@@ -586,9 +574,10 @@ def test_excursion_contracting(sp, gamma, kappa, samples, seed,
             witness=pre.parameters.get("bands"))
     oracle = ProjectionOracle(sp, gamma, constants)
     proj = lambda v: oracle.project(v).points
+    C1 = 0.5
     cc, verdict = _morse.test_kappa_contracting(
         sp, gamma, proj, kappa, C1, samples, seed)
-    if verdict and D2_band_check:
+    if verdict:
         rng = rng_for(seed, 17)
         band = {}
         pts = _morse._default_pair_points(sp, gamma, rng, samples)

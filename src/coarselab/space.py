@@ -1526,7 +1526,7 @@ def first_time_at_norm(path, r):
         raise DomainError(f"path never attains norm {r}") from None
 
 
-def change_generators(sp, new_gens, radius=8, cap=200_000):
+def change_generators(sp, new_gens, radius=8):
     """Compare the word metrics of two generating sets of the same group.
 
     Returns (wrapped space, measured (k, K)) where k is the worst mutual
@@ -1539,12 +1539,12 @@ def change_generators(sp, new_gens, radius=8, cap=200_000):
     closure = set(new_gens) | {sp.inv(g) for g in new_gens}
     wrapped = _RegeneratedSpace(sp, sorted(closure, key=sp.vertex_key))
     probe = wrapped.ball(sp.identity, 2 * max(sp.norm(g) for g in closure) + 2,
-                         cap=cap)
+                         cap=200_000)
     for g in sp.gens:
         if g not in probe:
             raise DomainError("new set does not generate (old generator "
                               f"{g!r} unreachable at small radius)")
-    old_ball = sp.ball(sp.identity, radius, cap=cap)
+    old_ball = sp.ball(sp.identity, radius, cap=200_000)
     k = 1.0
     for v, d_old in old_ball.items():
         if v == sp.identity:
@@ -1585,10 +1585,7 @@ class _RegeneratedSpace(GroupSpace):
     def vertex_key(self, v):
         return self.base.vertex_key(v)
 
-    def dist(self, x, y, budget=300_000):
-        return self.norm(self.mul(self.inv(x), y), budget=budget)
-
-    def norm(self, v, budget=300_000):
+    def norm(self, v):
         got = self._norm_memo.get(v)
         if got is not None:
             return got
@@ -1624,7 +1621,7 @@ class _RegeneratedSpace(GroupSpace):
                         side[w] = depth
                         nxt.append(w)
             frontier[:] = nxt
-            if len(side_a) + len(side_b) > budget:
+            if len(side_a) + len(side_b) > 300_000:
                 raise DomainError("distance BFS budget exceeded")
             if depth_a + depth_b > 64:
                 raise DomainError("distance search too deep")

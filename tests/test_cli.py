@@ -75,6 +75,11 @@ def test_validate_reports_line_numbers(tmp_path):
     with pytest.raises(ConfigError, match=r":11: bad value for 'kappa'"):
         validate_config(path)
 
+    for sec in ("morse", "contract"):
+        path = _write(tmp_path, GAUGE_CONFIG + f"\n[{sec}]\nlength = -3\n")
+        with pytest.raises(ConfigError, match=r":13: bad value for 'length'"):
+            validate_config(path)
+
     path = _write(tmp_path, GAUGE_CONFIG.replace("free_group(2)", "torus(3)"))
     with pytest.raises(ConfigError, match=r":3: bad space spec"):
         validate_config(path)

@@ -195,6 +195,117 @@ def test_every_public_definition_is_referenced():
     assert unreferenced_public_definitions(modules, readers) == []
 
 
+def unset_defaulted_parameters(modules, callers):
+    """(file, line, function, parameter) of each defaulted parameter of a
+    function in `modules` that no call in `callers` passes.
+
+    Both arguments map a file name to its text.  Calls are matched to
+    definitions by name alone: ``f(...)`` and ``obj.f(...)`` reach every
+    function and method named ``f`` (after ``from m import f as g``,
+    ``g(...)`` reaches ``f``), and ``C(...)`` reaches ``C.__init__``.  A
+    method's first parameter is bound, so a call's positional arguments
+    fill the parameters after it (static methods excepted).  A call sets a
+    parameter by keyword or by position, and a ``*args`` or ``**kwargs``
+    in it sets every parameter.  A closure's default-binding idiom, a
+    parameter of a nested function whose default is a bare name
+    (``_t=ts``), is exempt.
+    """
+    defs = {}   # called name -> [(file, line, function, positional, defaulted)]
+
+    def visit(name, body, cls, nested):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(name, node.body, node.name, nested)
+                continue
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    visit(name, getattr(node, field, []), cls, nested)
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            bound = cls is not None and not static
+            defaults = [*zip(params[len(params) - len(a.defaults):], a.defaults),
+                        *zip(a.kwonlyargs, a.kw_defaults)]
+            defaulted = [p.arg for p, d in defaults if d is not None
+                         and not (nested and isinstance(d, ast.Name))]
+            if defaulted:
+                key = cls if cls and node.name == "__init__" else node.name
+                defs.setdefault(key, []).append(
+                    (name, node.lineno, node.name,
+                     [p.arg for p in params[bound:]], defaulted))
+            visit(name, node.body, None, True)
+
+    for name, source in modules.items():
+        visit(name, ast.parse(source).body, None, False)
+    passed = {}   # called name -> parameters some call sets
+    for source in callers.values():
+        tree = ast.parse(source)
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                key = alias.get(node.func.id, node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                key = node.func.attr
+            else:
+                continue
+            got = passed.setdefault(key, set())
+            splat = (any(isinstance(arg, ast.Starred) for arg in node.args)
+                     or any(k.arg is None for k in node.keywords))
+            for _, _, _, positional, defaulted in defs.get(key, ()):
+                got.update(defaulted if splat else positional[:len(node.args)])
+            got.update(k.arg for k in node.keywords)
+    return sorted((name, line, fn, p)
+                  for key, entries in defs.items()
+                  for name, line, fn, _, defaulted in entries
+                  for p in defaulted if p not in passed.get(key, ()))
+
+
+def test_checker_flags_an_unset_defaulted_parameter():
+    module = ("def by_keyword(x, a=1, b=2):\n"
+              "    pass\n"
+              "def by_position(x, a=1, b=2):\n"
+              "    pass\n"
+              "def aliased(a=1):\n"
+              "    pass\n"
+              "class Box:\n"
+              "    def __init__(self, size=1, fill=0):\n"
+              "        def inner(t, _size=size, scale=2):\n"
+              "            return t * _size * scale\n"
+              "        self.f = inner\n"
+              "    def grow(self, by=1, *, to=None):\n"
+              "        pass\n"
+              "def spread(a=1, b=2):\n"
+              "    pass\n"
+              "def splat(a=1, b=2):\n"
+              "    pass\n")
+    caller = ("from m import aliased as alias, by_position\n"
+              "by_keyword(0, b=3)\n"
+              "by_position(0, 1)\n"
+              "alias(2)\n"
+              "box = Box(3)\n"
+              "box.grow(2)\n"
+              "spread(*args)\n"
+              "splat(**kwargs)\n")
+    assert unset_defaulted_parameters({"m.py": module}, {"t.py": caller}) == [
+        ("m.py", 1, "by_keyword", "a"), ("m.py", 3, "by_position", "b"),
+        ("m.py", 8, "__init__", "fill"), ("m.py", 9, "inner", "scale"),
+        ("m.py", 12, "grow", "to")]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = {str(p): p.read_text()
+               for d in (SRC, TESTS, TESTS.parent / "bench")
+               for p in sorted(d.glob("*.py"))}
+    assert unset_defaulted_parameters(modules, callers) == []
+
+
 # the program runs in one process, and numpy serves only array arithmetic:
 # walks draw from random.Random, whose stream the outputs are pinned to, in
 # one getrandbits batch per walk that numpy turns into random() values

@@ -330,6 +330,22 @@ LIFT_SPACES = [ZZ] + [build_space(s) for s in (
 
 
 @given(data=st.data())
+def test_coned_dist_to_coset_matches_the_built_product(data):
+    # d_Ghat(v, P) is the coned cost of z = rep^-1 v built in full, less
+    # that of z's first syllable when it lies in P's factor; v and rep
+    # share a drawn prefix, and every space runs in each example
+    for sp in LIFT_SPACES:
+        gens = st.sampled_from(sp.gens)
+        base, x, y = (_word(sp, data.draw(st.lists(gens, max_size=20)))
+                      for _ in "bxy")
+        i = data.draw(st.sampled_from(peripheral_indices(sp)))
+        v, P = sp.mul(base, x), coset_of(sp, sp.mul(base, y), i)
+        z = sp.mul(sp.inv(P.rep), v)
+        entry = coned_norm(sp, z[:1]) if z and z[0][0] == i else 0
+        assert coned_dist_to_coset(sp, v, P) == coned_norm(sp, z) - entry
+
+
+@given(data=st.data())
 def test_lift_passes_through_every_report_vertex(data):
     # every space in each example, so the test keeps one id
     for sp in LIFT_SPACES:
@@ -507,6 +523,17 @@ def test_big_projection_degenerates_without_nearby_cosets(zz, consts):
     assert bp.cosets == []
     assert bp.points == [gamma.vertex(bp.pi_index)]
     assert bp.pi_index == 5
+    # with no coset to pass, the transition point is pi_gamma(x) itself
+    assert nearest_transition_past(zz, gamma, x, consts) == gamma.vertex(5)
+
+
+def test_nearest_transition_past_needs_a_transition_point(zz, consts):
+    # gamma ends inside the deep component that feeds the projection
+    gamma = PathSeg(zz, letters=[(0, (1, 0))] * 10, q=1, Q=0)
+    x = zz.parse_word("a a a b b b")
+    assert big_projection(zz, gamma, x, consts).cosets == [coset_of(zz, (), 0)]
+    with pytest.raises(DomainError, match="no transition point"):
+        nearest_transition_past(zz, gamma, x, consts)
 
 
 def test_coned_projection_bound_on_samples(zz, consts):
