@@ -426,8 +426,9 @@ def _run_surgery(sp, cfg, seed, out_dir, regen):
     z_R = gamma.vertex(space.first_time_at_norm(gamma, int(R)))
     failures = 0
     for s in seeds:
-        # a genuinely non-geodesic alpha ending on gamma at norm R
-        alpha = morse.probe_family(sp, z_R, 2.0, 4, 1, s)[0]
+        # a genuinely non-geodesic alpha ending on gamma at norm R: probe 0
+        # is the geodesic itself, probe 1 a detour probe
+        alpha = morse.probe_family(sp, z_R, 2.0, 4, 2, s)[1]
         try:
             spliced = morse.surgery(sp, gamma, alpha, r, R)
         except (PreconditionError, CertificationError, DomainError):

@@ -302,8 +302,11 @@ def probe_family(sp, target, q, Q, count, seed):
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
     goal = target.endpoint() if isinstance(target, PathSeg) else target
+    # every geodesic probe is this one path, and so is every detour base:
+    # it only ever records the same (q, Q) and the same norms
+    geo = sp.geodesic(sp.basepoint, goal)
     if q == 1 and Q == 0:
-        return [sp.geodesic(sp.basepoint, goal)]
+        return [geo]
     probes = []
     max_depth = max(0, int(q * Q / 2))
     for i in range(count):
@@ -312,12 +315,11 @@ def probe_family(sp, target, q, Q, count, seed):
         for attempt in range(6):
             kind = (i + attempt) % 3
             if kind == 0 or max_depth == 0 and kind == 1:
-                cand = sp.geodesic(sp.basepoint, goal)
+                cand = geo
             elif kind == 1:
-                base = sp.geodesic(sp.basepoint, goal)
                 depth = rng.randint(1, max_depth)
-                n_det = rng.randint(1, max(1, len(base) // 40 + 1))
-                cand = _insert_detours(sp, base, rng, depth, n_det, q)
+                n_det = rng.randint(1, max(1, len(geo) // 40 + 1))
+                cand = _insert_detours(sp, geo, rng, depth, n_det, q)
             else:
                 # L-shape: geodesic through a waypoint off the direct route
                 budget = max(1, min(int((q - 1) * sp.norm(goal) / 2 + Q), 40))
@@ -612,6 +614,14 @@ def surgery(sp, gamma, alpha, r, R):
     gamma must be a geodesic attaining norm R with d(gamma_r, alpha) <= r/2.
     The output equals alpha up to norm r/2, equals gamma outside B(o, R),
     and is certified (9q, Q) where (q, Q) are alpha's constants.
+
+    The splice from alpha's vertex a at norm r/2 to gamma's vertex b at
+    norm R is a geodesic that takes every step shrinking the norm first: it
+    descends from a, each step one nearer both o and b, then follows the
+    geodesic to b.  Taken in that order it stays inside B(o, max(|a|, |b|))
+    on free groups, grids and free products of them.  The geodesic from a
+    to b alone need not: a grid syllable spelled axis by axis can grow one
+    coordinate before it shrinks another.
     """
     if not is_quasi_geodesic(gamma, 1, 0):
         raise PreconditionError("gamma is not geodesic")
@@ -627,12 +637,25 @@ def surgery(sp, gamma, alpha, r, R):
     t_R = first_time_at_norm(gamma, R)
     a_half = alpha.vertex(t_half)
     g_R = gamma.vertex(t_R)
-    middle = sp.geodesic(a_half, g_R)
+    # descend from a_half while some step is one nearer both o and g_R
+    w, down = a_half, []
+    while True:
+        nw, dw = sp.norm(w), sp.dist(w, g_R)
+        for g in sp.gens:
+            v = sp.mul_gen(w, g)
+            if sp.norm(v) < nw and sp.dist(v, g_R) < dw:
+                w = v
+                down.append(g)
+                break
+        else:
+            break
+    middle = PathSeg(sp, start=a_half,
+                     letters=down + sp.geodesic(w, g_R).step_letters())
     # middle must stay inside B(o, R) so the outside-of-B(o,R) clause holds
     if max(middle.norms()) > R:
         raise CertificationError("splice geodesic leaves B(o, R); raise R")
     prefix_letters = alpha.prefix(t_half + 1).step_letters()
-    letters = prefix_letters + middle.step_letters() + gamma.step_letters()[t_R:]
+    letters = prefix_letters + middle.letters + gamma.step_letters()[t_R:]
     out = PathSeg(sp, start=alpha.start, letters=letters, q=9 * q, Q=Q)
     check = is_quasi_geodesic(out, 9 * q, Q)
     if not check:

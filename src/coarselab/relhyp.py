@@ -17,6 +17,7 @@ small balls by the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import morse as _morse
@@ -77,9 +78,11 @@ def coset_of(sp, v, i):
     return PeripheralCoset(factor=i, rep=rep)
 
 
+@functools.lru_cache(maxsize=8)
 def _coned_costs(sp):
     """Per-factor syllable costs of d_Ghat: a peripheral syllable is one
-    coset shortcut, a free syllable costs its length."""
+    coset shortcut, a free syllable costs its length.  Built once per
+    space: coned_norm alone asks for it on every call."""
     pers = set(peripheral_indices(sp))
     return tuple((lambda e: 1) if i in pers else f.norm
                  for i, f in enumerate(sp.factors))

@@ -57,7 +57,8 @@ class PathSeg:
     form (grid axes, loopy-ray prefixes).
 
     `end` is the last vertex of a letter path, when its builder knows it
-    (geodesics and lifts do); otherwise the first `endpoint()` call replays
+    (geodesics, lifts and probes do); `endpoint()` and `vertex()` at the
+    last index read it, and otherwise the first `endpoint()` call replays
     the letters.  is_quasi_geodesic reads it to tell a geodesic path.
     `norms` is the list of vertex norms, when its builder knows it; see
     `norms()` for who records them later.
@@ -92,14 +93,15 @@ class PathSeg:
     def vertex(self, i):
         if self._vertices is not None:
             return self._vertices[i]
+        if i == len(self.letters) and self._end is not None:
+            return self._end
         norms = self._norms
         if isinstance(self.sp, FreeGroupSpace) and self.start == () \
                 and norms is not None and norms[i] == i:
             # from the identity, norm i after i letters means none cancels
             return tuple(itertools.chain.from_iterable(self.letters[:i]))
         acc = self.sp.right_acc(self.start)
-        for g in self.letters[:i]:
-            acc.push(g)
+        deque(_pushes(acc, self.letters[:i]), maxlen=0)
         return acc.value()
 
     def vertices_at(self, indices):
@@ -1072,9 +1074,8 @@ def enumerate_target(sp, Z):
     return list(Z)
 
 
-def _norms_along(acc, letters):
-    """acc.norm before and after pushing each letter, in order."""
-    out = [acc.norm]
+def _pushes(acc, letters):
+    """Push each letter onto acc in order, yielding acc.norm after each."""
     if isinstance(acc, FreeGroupSpace._RightAcc):
         # the push of a free-group accumulator, inlined: no method call
         # per letter
@@ -1084,12 +1085,16 @@ def _norms_along(acc, letters):
                 stack.pop()
             else:
                 stack.append(letter)
-            out.append(len(stack))
-        return out
+            yield len(stack)
+        return
     for g in letters:
         acc.push(g)
-        out.append(acc.norm)
-    return out
+        yield acc.norm
+
+
+def _norms_along(acc, letters):
+    """acc.norm before and after pushing each letter, in order."""
+    return [acc.norm, *_pushes(acc, letters)]
 
 
 def distances_along_path(sp, x, path):

@@ -13,10 +13,16 @@ estimation constants
 which is finite for every sublinear kappa: once kappa(t0) <= t0 we have
 kappa(t + c*kappa(t)) <= kappa((1+c) t) <= (1+c) kappa(t), so the grid
 supremum plus a tail monotonicity check settles the value.
+
+Every scan is one array pass over the cached, read-only `log_grid`.  Its
+values are fn's own, mapped point by point and clamped to >= 1 like
+`evaluate`, so they equal `evaluate` bit for bit; a gauge's values on the
+grid itself are computed once.  Numpy only compares and reduces them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,10 +36,23 @@ DEFAULT_GRID_CAP = 1.0e6
 DEFAULT_GRID_POINTS = 512
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a float array, without the numpy.ma import that the
+    first np.unique call of a process pays."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+@functools.lru_cache(maxsize=8)
 def log_grid(cap: float = DEFAULT_GRID_CAP) -> np.ndarray:
-    """Log-spaced scan grid on [0, cap], anchored so that 0 and 1 are exact."""
+    """Log-spaced scan grid on [0, cap], anchored so that 0 and 1 are exact.
+
+    Built once per cap and shared by every scan, so it is read-only."""
     g = np.geomspace(1e-3, cap, DEFAULT_GRID_POINTS)
-    g = np.unique(np.concatenate(([0.0, 1.0], g)))
+    g = _sorted_unique(np.concatenate(([0.0, 1.0], g)))
+    g.flags.writeable = False
     return g
 
 
@@ -65,6 +84,21 @@ def evaluate(f: SublinearFn, t: float) -> float:
     return v if v >= 1.0 else 1.0
 
 
+def _evaluate_points(f: SublinearFn, ts: np.ndarray) -> np.ndarray:
+    """evaluate(f, t) for each t of the float array ts, one fn call each."""
+    vs = np.fromiter(map(f.fn, ts.tolist()), dtype=float, count=len(ts))
+    return np.where(vs >= 1.0, vs, 1.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _on_log_grid(f: SublinearFn) -> np.ndarray:
+    """evaluate(f, t) at each t of log_grid(f.grid_cap), point by point and
+    once per gauge: the values every scan on that grid starts from."""
+    vs = _evaluate_points(f, log_grid(f.grid_cap))
+    vs.flags.writeable = False
+    return vs
+
+
 def _upper_concave_hull(ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Values of the least concave majorant of the points (ts, vs) at ts.
 
@@ -92,17 +126,19 @@ def _upper_concave_hull(ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_sublinear_on_grid(raw: Callable[[float], float], ts: np.ndarray) -> None:
-    """Reject raw functions whose ratio raw(t)/t is nondecreasing at the tail.
+def _check_sublinear_on_grid(ts: np.ndarray, vs: np.ndarray) -> None:
+    """Reject raw values vs at ts whose ratio vs/ts is nondecreasing at the
+    tail.
 
     This is a falsifier, not a proof of sublinearity: a ratio that still
     oscillates at the tail (e.g. a dyadic staircase) passes, while any
     function whose ratio has stopped decreasing (linear and worse) fails.
     """
-    tail = ts[ts >= 1.0]
+    at_tail = ts >= 1.0
+    tail = ts[at_tail]
     if len(tail) < 8:
         raise DomainError("grid too coarse to witness sublinearity")
-    ratios = np.array([max(raw(t), 1.0) / t for t in tail])
+    ratios = vs[at_tail] / tail
     q = max(len(ratios) // 4, 4)
     window = ratios[-q:]
     if not np.any(np.diff(window) < -TOL):
@@ -122,10 +158,12 @@ def concavify(raw: Callable[[float], float], grid: Sequence[float] | None = None
     C = max(hull/raw) is recorded on the result as ``concavify_ratio``.
     Rejects raw functions that are not sublinear on the grid.
     """
-    ts = np.asarray(grid if grid is not None else log_grid(), dtype=float)
-    ts = np.unique(ts)
-    _check_sublinear_on_grid(raw, ts)
-    vs = np.array([max(raw(t), 1.0) for t in ts])
+    ts = _sorted_unique(np.asarray(grid if grid is not None else log_grid(),
+                                   dtype=float))
+    # one pass of raw over the grid feeds both the check and the hull
+    vs = np.maximum(np.fromiter(map(raw, ts.tolist()), dtype=float,
+                                count=len(ts)), 1.0)
+    _check_sublinear_on_grid(ts, vs)
     hull = _upper_concave_hull(ts, vs)
     # concave majorant of nondecreasing-at-scale data can still dip on noisy
     # input; a running max keeps monotonicity without raising the hull gap
@@ -158,15 +196,9 @@ def check_scaling(f: SublinearFn, lam: float) -> tuple[bool, float]:
     """
     if lam <= 1:
         raise DomainError(f"scaling lemma needs lambda > 1, got {lam}")
-    worst = 0.0
-    ok = True
-    for t in log_grid(f.grid_cap):
-        lhs = evaluate(f, lam * t)
-        rhs = lam * evaluate(f, t)
-        worst = max(worst, lhs / rhs)
-        if lhs > rhs + TOL:
-            ok = False
-    return ok, worst
+    lhs = _evaluate_points(f, lam * log_grid(f.grid_cap))
+    rhs = lam * _on_log_grid(f)
+    return not np.any(lhs > rhs + TOL), max(0.0, float(np.max(lhs / rhs)))
 
 
 def small_compared(D: float, r: float, f: SublinearFn) -> bool:
@@ -200,18 +232,21 @@ def estimation_constant(f: SublinearFn, c: float,
     """
     if c < 0:
         raise DomainError(f"estimation constant needs c >= 0, got {c}")
-    ts = np.asarray(grid if grid is not None else log_grid(f.grid_cap), dtype=float)
-    ratios = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        ft = evaluate(f, t)
-        ratios[i] = evaluate(f, t + c * ft) / ft
+    if grid is None:
+        ts, ft = log_grid(f.grid_cap), _on_log_grid(f)
+    else:
+        ts = np.asarray(grid, dtype=float)
+        if np.any(ts < 0):
+            raise DomainError("sublinear functions are defined on t >= 0, "
+                              f"got {float(ts[np.argmax(ts < 0)])}")
+        ft = _evaluate_points(f, ts)
+    ratios = _evaluate_points(f, ts + c * ft) / ft
     i_best = int(np.argmax(ratios))
     m = float(ratios[i_best])
 
     # tail sanity: a crossing point f(t0) <= t0 must exist below the cap, and
     # the ratio must have stopped growing on the last quarter of the grid
-    crossing = next((t for t in ts if t > 0 and evaluate(f, t) <= t), None)
-    if crossing is None:
+    if not np.any((ts > 0) & (ft <= ts)):
         raise Inconclusive(
             f"no t <= {ts[-1]:g} with f(t) <= t; cannot bound the tail",
             detail=list(zip(ts[-8:], ratios[-8:])),
@@ -301,5 +336,6 @@ def from_table(path: str, tag: str = "table") -> SublinearFn:
             return float(_v[-1])
         return float(np.interp(t, _t, _v))
 
-    grid = np.unique(np.concatenate((log_grid(float(ts[-1]) if ts[-1] > 1 else 10.0), ts)))
+    # concavify sorts the grid and drops repeats
+    grid = np.concatenate((log_grid(float(ts[-1]) if ts[-1] > 1 else 10.0), ts))
     return concavify(raw, grid=grid, tag=tag)

@@ -72,7 +72,8 @@ def test_exact_lemma_suite():
     gamma = axis_ray(f2, 140)
     target = gamma.vertex(120)
     for s in range(50):
-        alpha = morse.probe_family(f2, target, 2.0, 4, 1, seed=s)[0]
+        # probe 0 is the geodesic to the target; probe 1 is a detour probe
+        alpha = morse.probe_family(f2, target, 2.0, 4, 2, seed=s)[1]
         out = morse.surgery(f2, gamma, alpha, r, R)
         t = first_time_at_norm(alpha, r // 2)
         assert out.vertex_list()[:t + 1] == alpha.vertex_list()[:t + 1]

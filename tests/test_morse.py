@@ -16,7 +16,7 @@ from coarselab.morse import (MorseGauge, Verdict, _band_trend_fail,
 # aliased so pytest does not collect the library entry points as tests
 from coarselab.morse import test_kappa_contracting as check_contracting
 from coarselab.morse import test_kappa_morse as check_morse
-from coarselab.seeds import rng_for
+from coarselab.seeds import derive_seed, rng_for
 from coarselab.space import PathSeg, axis_ray, is_quasi_geodesic
 
 K1 = sublinear.by_tag("1")
@@ -385,12 +385,8 @@ def test_fit_projection_free_group_axis(f2):
 # ---------------------------------------------------------------------------
 # surgery
 
-def test_surgery_postconditions_exact(f2):
-    r, R = 40, 120
-    gamma = axis_ray(f2, 140)
-    target = gamma.vertex(120)
-    alpha = probe_family(f2, target, 2.0, 4, 1, seed=11)[0]
-    out = surgery(f2, gamma, alpha, r, R)
+def _assert_surgery_postconditions(sp, gamma, alpha, r, R):
+    out = surgery(sp, gamma, alpha, r, R)
     # prefix equality up to norm r/2
     t = space.first_time_at_norm(alpha, r // 2)
     assert out.vertex_list()[:t + 1] == alpha.vertex_list()[:t + 1]
@@ -400,6 +396,29 @@ def test_surgery_postconditions_exact(f2):
     # certification
     assert out.q == 9 * alpha.q and out.Q == alpha.Q
     assert is_quasi_geodesic(out, out.q, out.Q).ok
+
+
+def test_surgery_postconditions_exact(f2):
+    gamma = axis_ray(f2, 140)
+    # probe 0 is the geodesic to the target; probe 1 is a detour probe
+    geo, alpha = probe_family(f2, gamma.vertex(120), 2.0, 4, 2, seed=11)
+    assert len(geo) == 121 and len(alpha) > 121
+    for beta in (geo, alpha):
+        _assert_surgery_postconditions(f2, gamma, beta, 40, 120)
+
+
+def test_surgery_splices_inside_the_ball_on_a_grid_syllable():
+    # fixture 2 of the [surgery] section at seed 7011: alpha leaves the
+    # a-axis at norm 20 through (18, 2), and the geodesic from there to
+    # (120, 0) spelled axis by axis reaches norm 122 > R
+    sp = space.build_space("free_product(grid(2), free_group(1))")
+    gamma = axis_ray(sp, 122)
+    z_R = gamma.vertex(space.first_time_at_norm(gamma, 120))
+    alpha = probe_family(sp, z_R, 2.0, 4, 2, derive_seed(7011, 77, 2))[1]
+    a_half = alpha.vertex(space.first_time_at_norm(alpha, 20))
+    assert a_half == ((0, (18, 2)),)
+    assert max(sp.geodesic(a_half, z_R).norms()) == 122
+    _assert_surgery_postconditions(sp, gamma, alpha, 40, 120)
 
 
 def test_surgery_requires_geodesic_gamma(f2):

@@ -131,6 +131,15 @@ def test_coned_never_exceeds_word_metric(zz):
         assert coned_dist(zz, x, y) <= zz.dist(x, y)
 
 
+def test_coned_costs_are_built_once_per_space(zz):
+    costs = relhyp._coned_costs(zz)
+    assert relhyp._coned_costs(zz) is costs
+    other = FreeProductSpace([GridSpace(2), FreeGroupSpace(1)])
+    assert relhyp._coned_costs(other) is not costs
+    # a grid(2) syllable is one coset shortcut, a free syllable its length
+    assert [c(e) for c, e in zip(costs, ((3, -4), (1,) * 5))] == [1, 5]
+
+
 # ---------------------------------------------------------------------------
 # coset projections
 

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,48 @@ def test_log_grid_anchors():
     assert 1.0 in g
     assert g[-1] == 1.0e6
     assert np.all(np.diff(g) > 0)
+
+
+@pytest.mark.parametrize("cap", [1.0e6, 10.0, 1234.5])
+def test_log_grid_is_shared_read_only_and_equals_the_unique_construction(cap):
+    g = log_grid(cap)
+    assert log_grid(cap) is g
+    assert not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    ref = np.unique(np.concatenate(
+        ([0.0, 1.0], np.geomspace(1e-3, cap, sublinear.DEFAULT_GRID_POINTS))))
+    assert g.tobytes() == ref.tobytes()
+
+
+def _table_gauge(tmp_path):
+    p = tmp_path / "gauge.txt"
+    p.write_text("0 1\n3 2.5\n10 4\n100 8\n1000 10\n5000 11\n")
+    return from_table(str(p), tag="toy")
+
+
+@pytest.mark.parametrize("tag", TAGS + ("table",))
+def test_array_evaluator_equals_evaluate_bit_for_bit(tag, tmp_path):
+    f = _table_gauge(tmp_path) if tag == "table" else by_tag(tag)
+    ts = log_grid(f.grid_cap)
+    assert sublinear._on_log_grid(f).tolist() == [evaluate(f, t) for t in ts]
+    # and at the points a scan evaluates off the grid
+    for pts in (2.0 * ts, ts + 37.0 * sublinear._on_log_grid(f)):
+        want = [evaluate(f, t) for t in pts.tolist()]
+        assert sublinear._evaluate_points(f, pts).tolist() == want
+
+
+def test_deriving_a_gauge_leaves_numpy_ma_unimported():
+    code = ("import sys\n"
+            "from coarselab import morse, sublinear\n"
+            "morse.derive_gauge(2, 4, 0.5, 1, 1, 1, sublinear.by_tag('log'))\n"
+            "morse.derive_gauge(2, 4, 0.5, 0, 1, 0, sublinear.by_tag('1'))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(sublinear.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -118,14 +164,15 @@ def test_estimation_constant_trivial_gauge():
 
 
 @pytest.mark.parametrize("tag", ("log", "sqrt", "log^2"))
-@pytest.mark.parametrize("c", (0.5, 2.0, 10.0))
+@pytest.mark.parametrize("c", (0.0, 0.5, 2.0, 10.0, 36.5, 37.0, 98765.0))
 def test_estimation_constant_matches_brute_force(tag, c):
+    # exactly: the array scan must pick the oracle's value and first argmax
     f = by_tag(tag)
     ts = log_grid(f.grid_cap)
-    ec = estimation_constant(f, c, grid=ts)
-    brute, _ = oracles.brute_estimation_constant(lambda t: evaluate(f, t), c, ts)
-    assert ec.m == pytest.approx(max(brute, 1.0), abs=1e-12)
-    assert ec.m >= 1.0
+    brute, arg = oracles.brute_estimation_constant(lambda t: evaluate(f, t), c, ts)
+    for ec in (estimation_constant(f, c, grid=ts), estimation_constant(f, c)):
+        assert (ec.m, ec.witness_t) == (max(brute, 1.0), arg)
+        assert ec.m >= 1.0
 
 
 def test_estimation_constant_superlinear_is_inconclusive():
@@ -138,6 +185,12 @@ def test_estimation_constant_superlinear_is_inconclusive():
 def test_estimation_constant_rejects_negative_c():
     with pytest.raises(DomainError):
         estimation_constant(by_tag("log"), -0.5)
+
+
+@pytest.mark.parametrize("tag", ("1", "log"))
+def test_estimation_constant_rejects_a_negative_grid_point(tag):
+    with pytest.raises(DomainError, match="t >= 0, got -2.0"):
+        estimation_constant(by_tag(tag), 2.0, grid=[0.0, 1.0, -2.0, 5.0])
 
 
 # ---------------------------------------------------------------------------
