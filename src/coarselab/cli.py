@@ -71,7 +71,6 @@ SCHEMA = {
         "seed": (_int, None),
         "space": (_str, None),
         "out": (_str, "results"),
-        "jobs": (_int, 1),      # accepted; has no effect (single-process)
         "tests": (_str, ""),
     },
     "morse": {
@@ -151,7 +150,6 @@ class ExperimentConfig:
     seed: int
     space_spec: str
     out: str
-    jobs: int
     tests: list
     sections: dict = field(default_factory=dict)
 
@@ -231,7 +229,7 @@ def validate_config(path):
         if t not in parsed:
             err(f"test {t!r} has no [{t}] section", "tests", section="experiment")
     return ExperimentConfig(path=path, seed=exp["seed"], space_spec=exp["space"],
-                            out=exp["out"], jobs=exp["jobs"], tests=tests,
+                            out=exp["out"], tests=tests,
                             sections=parsed)
 
 
@@ -498,14 +496,10 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # orchestration
 
-def run_experiment(config, tests=None, seed=None, jobs=None, out=None,
+def run_experiment(config, tests=None, seed=None, out=None,
                    regen_fixtures=False):
-    """Run the selected sections and write `summary.json`; returns
-    (summary dict, exit code).
-
-    `jobs`, like `--jobs` and the config's `jobs` key, is accepted and has
-    no effect: every section runs in this one process.
-    """
+    """Run the selected sections, all in this one process, and write
+    `summary.json`; returns (summary dict, exit code)."""
     sp = space.build_space(config.space_spec)
     seed = config.seed if seed is None else seed
     out_dir = config.out if out is None else out
@@ -583,7 +577,7 @@ def main(argv=None):
     tests = None if args.section is None else [args.section]
     try:
         summary, code = run_experiment(config, tests=tests, seed=seed,
-                                       jobs=args.jobs, out=args.out,
+                                       out=args.out,
                                        regen_fixtures=args.regen_fixtures)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -212,11 +212,8 @@ def fellow_traveling_profile(sp, alpha, beta, horizon):
 
 def _random_walk_vertex(sp, rng, steps, start=None):
     if sp.is_group:
-        acc = sp.right_acc(start if start is not None else sp.identity)
-        gens = sp.gens
-        for _ in range(steps):
-            acc.push(rng.choice(gens))
-        return acc.value()
+        return PathSeg(sp, start=start, letters=[
+            rng.choice(sp.gens) for _ in range(steps)]).endpoint()
     v = start if start is not None else sp.basepoint
     for _ in range(steps):
         v = rng.choice(sp.sorted_neighbors(v))
@@ -227,11 +224,8 @@ def _straight_vertex(sp, rng, steps, start=None):
     """Endpoint of a straight generator power (graph spaces fall back to a
     walk that never backtracks, the closest available analogue)."""
     if sp.is_group:
-        acc = sp.right_acc(start if start is not None else sp.identity)
-        g = rng.choice(sp.gens)
-        for _ in range(steps):
-            acc.push(g)
-        return acc.value()
+        return PathSeg(sp, start=start,
+                       letters=[rng.choice(sp.gens)] * steps).endpoint()
     v = start if start is not None else sp.basepoint
     prev = None
     for _ in range(steps):
@@ -392,11 +386,9 @@ def test_kappa_morse(sp, Z, kappa, kappa_prime, r, R, q, Q, probes, seed,
             extra = [rng.choice(sp.gens)
                      for _ in range(rng.randint(0, perturb_budget))]
             if extra:
-                end = sp.right_acc(beta.endpoint())
-                for g in extra:
-                    end.push(g)
+                end = PathSeg(sp, start=beta.endpoint(), letters=extra)
                 cand = PathSeg(sp, start=beta.start,
-                               letters=beta.letters + extra, end=end.value())
+                               letters=beta.letters + extra, end=end.endpoint())
                 if is_quasi_geodesic(cand, q, Q):
                     beta = cand
         try:
@@ -527,11 +519,8 @@ def test_kappa_contracting(sp, Z, proj, kappa, C1, samples, seed,
         candidates = [_random_walk_vertex(sp, prng, prng.randint(1, radius),
                                           start=x)]
         if sp.is_group:
-            for g in sp.gens:
-                acc = sp.right_acc(x)
-                for _ in range(radius):
-                    acc.push(g)
-                candidates.append(acc.value())
+            candidates += [PathSeg(sp, start=x, letters=[g] * radius).endpoint()
+                           for g in sp.gens]
         else:
             candidates.append(_straight_vertex(sp, prng, radius, start=x))
         px = proj(x)

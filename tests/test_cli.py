@@ -55,7 +55,7 @@ def test_validate_minimal_config(tmp_path):
     assert cfg.seed == 11
     assert cfg.space_spec == "free_group(2)"
     assert cfg.tests == ["gauge"]
-    assert cfg.jobs == 1 and cfg.out == "results"
+    assert cfg.out == "results"
 
 
 def test_validate_reports_line_numbers(tmp_path):
@@ -69,6 +69,11 @@ def test_validate_reports_line_numbers(tmp_path):
 
     path = _write(tmp_path, GAUGE_CONFIG.replace("q = 2", "quux = 2"))
     with pytest.raises(ConfigError, match=r":6: unknown key 'quux'"):
+        validate_config(path)
+
+    path = _write(tmp_path,
+                  GAUGE_CONFIG.replace("seed = 11", "seed = 11\njobs = 2"))
+    with pytest.raises(ConfigError, match=r":3: unknown key 'jobs'"):
         validate_config(path)
 
     path = _write(tmp_path, GAUGE_CONFIG + "kappa = linear\n")
@@ -232,7 +237,7 @@ def test_reruns_are_byte_identical(tmp_path):
     text = WALK_FAIL_CONFIG
     cfg = validate_config(_write(tmp_path, text))
     run_experiment(cfg, out=str(tmp_path / "r1"))
-    run_experiment(cfg, out=str(tmp_path / "r2"), jobs=2)
+    run_experiment(cfg, out=str(tmp_path / "r2"))
     for name in ("summary.json", "walk_stats.csv"):
         a = (tmp_path / "r1" / name).read_bytes()
         b = (tmp_path / "r2" / name).read_bytes()

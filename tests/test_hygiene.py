@@ -388,3 +388,44 @@ def test_checker_flags_a_catch_all_handler():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_exceptions_are_caught_by_type(path):
     assert catch_all_handlers(path.read_text()) == []
+
+
+def stray_pushes(sources):
+    """(file, line) of each ``obj.push`` attribute read (a call, or a bound
+    method taken for one) outside the module-level function ``_pushes`` of
+    space.py, the one replay of letters on an accumulator.
+
+    `sources` maps a file name to its text."""
+    out = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        exempt = {id(n) for node in tree.body
+                  if name == "space.py" and isinstance(node, ast.FunctionDef)
+                  and node.name == "_pushes" for n in ast.walk(node)}
+        out += [(name, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "push"
+                and isinstance(node.ctx, ast.Load) and id(node) not in exempt]
+    return sorted(out)
+
+
+def test_checker_flags_a_stray_push():
+    space = ("def _pushes(acc, letters):\n"
+             "    for g in letters:\n"
+             "        acc.push(g)\n"
+             "        yield acc.norm\n"
+             "class Acc:\n"
+             "    def push(self, g):\n"
+             "        self.stack.append(g)\n"
+             "def replay(acc, letters):\n"
+             "    push = acc.push\n"
+             "    for g in letters:\n"
+             "        push(g)\n")
+    other = ("def _pushes(acc, letters):\n"
+             "    acc.push(letters[0])\n")
+    assert stray_pushes({"space.py": space, "morse.py": other}) == [
+        ("morse.py", 2), ("space.py", 9)]
+
+
+def test_every_push_goes_through_pushes():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stray_pushes(sources) == []

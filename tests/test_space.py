@@ -87,19 +87,56 @@ def test_pathseg_needs_a_vertex(f2):
         PathSeg(f2, vertices=[])
 
 
-def test_pathseg_one_sweep_lookups(zz):
-    start = zz.parse_word("t a")
-    letters = [(0, (1, 0)), (1, (1,)), (0, (0, 1)), (0, (0, 1)), (1, (-1,)),
-               (1, (-1,))]
-    vs = PathSeg(zz, start=start, letters=letters).vertex_list()
-    pairs = [(a, b) for a in range(len(vs)) for b in range(a, len(vs))]
-    for seg in (PathSeg(zz, start=start, letters=letters),
-                PathSeg(zz, vertices=vs)):
-        assert list(seg.vertices_at([0, 2, 2, 6])) == [vs[0], vs[2], vs[2], vs[6]]
+# name -> (space, letters spelling a start off o, path letters that cancel
+# into the start and back out of it); the regenerated space covers the
+# generic accumulator
+LOOKUP_PATHS = {
+    "free_group(2)": (build_space("free_group(2)"), [(1,), (2,)],
+                      [(-2,), (-1,), (2,), (2,), (-2,), (-2,), (1,)]),
+    "grid(2)": (build_space("grid(2)"), [(1, 0), (0, 1)],
+                [(-1, 0), (0, 1), (0, -1), (0, -1), (-1, 0), (1, 0)]),
+    "Z2*Z": (build_space("free_product(grid(2), free_group(1))"),
+             [(1, (1,)), (0, (1, 0))],
+             [(0, (1, 0)), (1, (1,)), (0, (0, 1)), (0, (0, 1)), (1, (-1,)),
+              (1, (-1,))]),
+    "grid(2)+regen": (change_generators(
+        build_space("grid(2)"), [(1, 0), (0, 1), (1, 1)], radius=3)[0],
+        [(1, 1)], [(1, 1), (-1, 0), (0, -1), (-1, -1), (0, 1), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_PATHS))
+def test_pathseg_one_sweep_lookups(name):
+    """The letter form and the vertex form of one path answer every lookup
+    alike, against vertices spelled by mul_gen, and refuse the same
+    indices."""
+    sp, start_letters, letters = LOOKUP_PATHS[name]
+    vs = [sp.identity]
+    for g in start_letters + letters:
+        vs.append(sp.mul_gen(vs[-1], g))
+    vs = vs[len(start_letters):]
+    n = len(vs)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    for seg in (PathSeg(sp, start=vs[0], letters=letters),
+                PathSeg(sp, vertices=vs)):
+        assert [seg.vertex(i) for i in range(n)] == vs
+        assert list(seg.vertices_at([0, 2, 2, n - 1])) == \
+            [vs[0], vs[2], vs[2], vs[-1]]
         assert [seg.dist_between(a, b) for a, b in pairs] == \
-            [zz.dist(vs[a], vs[b]) for a, b in pairs]
+            [sp.dist(vs[a], vs[b]) for a, b in pairs]
+        assert seg.norms() == [sp.norm(v) for v in vs]
+        assert seg.endpoint() == vs[-1]
+        for i in (n, -1):
+            with pytest.raises(IndexError):
+                seg.vertex(i)
+            with pytest.raises(IndexError):
+                list(seg.vertices_at([0, i]))
+        for a, b in ((2, 1), (0, n), (-1, 0)):
+            with pytest.raises(IndexError):
+                seg.dist_between(a, b)
+        assert seg.vertex_list() == vs
     with pytest.raises(DomainError):
-        list(PathSeg(zz, start=start, letters=letters).vertices_at([3, 1]))
+        list(PathSeg(sp, start=vs[0], letters=letters).vertices_at([3, 1]))
 
 
 def test_first_time_at_norm(f2):
