@@ -212,8 +212,9 @@ def fellow_traveling_profile(sp, alpha, beta, horizon):
 
 def _random_walk_vertex(sp, rng, steps, start=None):
     if sp.is_group:
+        gens = sp.gens
         return PathSeg(sp, start=start, letters=[
-            rng.choice(sp.gens) for _ in range(steps)]).endpoint()
+            rng.choice(gens) for _ in range(steps)]).endpoint()
     v = start if start is not None else sp.basepoint
     for _ in range(steps):
         v = rng.choice(sp.sorted_neighbors(v))
