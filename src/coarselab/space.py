@@ -131,8 +131,9 @@ class PathSeg:
             yield acc.value()
 
     def dist_between(self, a, b):
-        """d(vertex a, vertex b) for a <= b; on a letter path this is the
-        norm of the letters between them, so nothing before a is replayed."""
+        """d(vertex a, vertex b) for a <= b (IndexError otherwise); on a
+        letter path this is the norm of the letters between them, so
+        nothing before a is replayed."""
         if not 0 <= a <= b < len(self):
             raise IndexError(f"no vertex pair ({a}, {b}) on a "
                              f"{len(self)}-vertex path")
@@ -144,8 +145,8 @@ class PathSeg:
         """Materialize all vertices (use sparingly on long paths)."""
         if self._vertices is None:
             acc = self.sp.right_acc(self.start)
-            self._vertices = [acc.value(), *(acc.value() for _ in
-                                             _pushes(acc, self.letters))]
+            self._vertices = [acc.value(), *(
+                acc.value() for _ in _pushes(acc, self.letters))]
         return self._vertices
 
     def norms(self):

@@ -87,9 +87,8 @@ def test_pathseg_needs_a_vertex(f2):
         PathSeg(f2, vertices=[])
 
 
-# name -> (space, letters spelling a start off o, path letters that cancel
-# into the start and back out of it); the regenerated space covers the
-# generic accumulator
+# name -> (space, letters spelling a start off o, path letters); the
+# regenerated space covers the generic accumulator
 LOOKUP_PATHS = {
     "free_group(2)": (build_space("free_group(2)"), [(1,), (2,)],
                       [(-2,), (-1,), (2,), (2,), (-2,), (-2,), (1,)]),
