@@ -234,7 +234,7 @@ def validate_config(path):
 
 
 # ---------------------------------------------------------------------------
-# fixtures and targets
+# targets
 
 def _make_target(sp, name, length):
     if name == "axis":
@@ -281,26 +281,6 @@ def _step_measure(sp, support_spec):
     raise ConfigError(f"unknown support spec {support_spec!r}")
 
 
-def surgery_fixture_file(out_dir, sp):
-    safe = "".join(c if c.isalnum() else "_" for c in sp.kind)
-    return os.path.join(out_dir, "fixtures", f"surgery_{safe}.json")
-
-
-def load_surgery_fixtures(out_dir, sp, count, seed, regen=False):
-    """Per-fixture walk seeds, persisted so reruns share fixtures; regen
-    rewrites the file from the current seed."""
-    path = surgery_fixture_file(out_dir, sp)
-    if not regen and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        return data["seeds"]
-    seeds = [derive_seed(seed, 77, i) for i in range(count)]
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"version": __version__, "seeds": seeds}, fh, sort_keys=True)
-    return seeds
-
-
 # ---------------------------------------------------------------------------
 # section runners (each returns a result dict)
 
@@ -318,7 +298,7 @@ def _record(name, verdict=None, expect="pass", extra=None, error=None):
     return rec
 
 
-def _run_morse(sp, cfg, seed, out_dir, regen):
+def _run_morse(sp, cfg, seed, out_dir):
     Z = _make_target(sp, cfg["target"], cfg["length"])
     if cfg["gauge"] == "derive":
         gauge = morse.derived_gauge(cfg["c1"], cfg["c2"], cfg["d1"], cfg["d2"],
@@ -331,7 +311,7 @@ def _run_morse(sp, cfg, seed, out_dir, regen):
     return _record("morse", v, cfg["expect"])
 
 
-def _run_contract(sp, cfg, seed, out_dir, regen):
+def _run_contract(sp, cfg, seed, out_dir):
     Z = _make_target(sp, cfg["target"], cfg["length"])
     proj = _target_projection(sp, Z)
     consts, v = morse.test_kappa_contracting(sp, Z, proj, cfg["kappa"],
@@ -340,7 +320,7 @@ def _run_contract(sp, cfg, seed, out_dir, regen):
                    extra={"C1": consts.C1, "C2": consts.C2})
 
 
-def _run_excursion(sp, cfg, seed, out_dir, regen):
+def _run_excursion(sp, cfg, seed, out_dir):
     relhyp.require_relhyp(sp)
     gamma = relhyp.excursion_ray(sp, cfg["syllables"], _sizes_fn(cfg["sizes"]))
     if cfg["contracting"]:
@@ -356,7 +336,7 @@ def _run_excursion(sp, cfg, seed, out_dir, regen):
     return _record("excursion", v, cfg["expect"], extra=extra)
 
 
-def _run_walk(sp, cfg, seed, out_dir, regen):
+def _run_walk(sp, cfg, seed, out_dir):
     mu = _step_measure(sp, cfg["support"])
     paths = randwalk.sample_paths(sp, mu, cfg["n"], cfg["count"], seed)
     stat = cfg["statistic"]
@@ -403,7 +383,7 @@ def _run_walk(sp, cfg, seed, out_dir, regen):
     return _record("walk", v, cfg["expect"], extra=extra)
 
 
-def _run_gauge(sp, cfg, seed, out_dir, regen):
+def _run_gauge(sp, cfg, seed, out_dir):
     der = morse.derive_gauge(cfg["q"], cfg["big_q"], cfg["c1"], cfg["c2"],
                              cfg["d1"], cfg["d2"], cfg["kappa"])
     v = morse.Verdict(True, test="gauge", margin=der.m_Z,
@@ -414,11 +394,10 @@ def _run_gauge(sp, cfg, seed, out_dir, regen):
     return _record("gauge", v, "pass", extra={"m_Z": der.m_Z})
 
 
-def _run_surgery(sp, cfg, seed, out_dir, regen):
+def _run_surgery(sp, cfg, seed, out_dir):
     if not sp.is_group:
         raise ConfigError("surgery needs a group space")
-    seeds = load_surgery_fixtures(out_dir, sp, cfg["fixtures"], seed,
-                                  regen=regen)
+    seeds = [derive_seed(seed, 77, i) for i in range(cfg["fixtures"])]
     r, R = cfg["r"], cfg["big_r"]
     gamma = space.axis_ray(sp, int(R) + 2)
     z_R = gamma.vertex(space.first_time_at_norm(gamma, int(R)))
@@ -465,7 +444,7 @@ def _random_pairs(sp, count, radius, seed):
     return pairs
 
 
-def _run_distance_formula(sp, cfg, seed, out_dir, regen):
+def _run_distance_formula(sp, cfg, seed, out_dir):
     relhyp.require_relhyp(sp)
     pairs = _random_pairs(sp, cfg["pairs"], cfg["radius"], seed)
     # x^-1 y once per pair for both fits
@@ -496,8 +475,7 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # orchestration
 
-def run_experiment(config, tests=None, seed=None, out=None,
-                   regen_fixtures=False):
+def run_experiment(config, tests=None, seed=None, out=None):
     """Run the selected sections, all in this one process, and write
     `summary.json`; returns (summary dict, exit code)."""
     sp = space.build_space(config.space_spec)
@@ -512,7 +490,7 @@ def run_experiment(config, tests=None, seed=None, out=None,
             continue
         runner = _RUNNERS[name]
         try:
-            results.append(runner(sp, cfg, seed, out_dir, regen_fixtures))
+            results.append(runner(sp, cfg, seed, out_dir))
         except (Inconclusive, PreconditionError, DomainError, ConfigError,
                 GenerationError, CertificationError, NotSublinear) as e:
             rec = _record(name, expect=cfg.get("expect", "pass"),
@@ -559,7 +537,6 @@ def _parser():
         sp.add_argument("--jobs", type=int, default=None,
                         help="accepted for old scripts; has no effect")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--regen-fixtures", action="store_true")
         sp.set_defaults(section=names[cmd])
     return p
 
@@ -571,14 +548,10 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    seed = args.seed
-    if seed is None and "COARSELAB_SEED" in os.environ:
-        seed = int(os.environ["COARSELAB_SEED"])
     tests = None if args.section is None else [args.section]
     try:
-        summary, code = run_experiment(config, tests=tests, seed=seed,
-                                       out=args.out,
-                                       regen_fixtures=args.regen_fixtures)
+        summary, code = run_experiment(config, tests=tests, seed=args.seed,
+                                       out=args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -563,7 +563,7 @@ def fit_kappa_projection(sp, Z, proj, kappa, samples, seed):
     is then asserted on the same sample.
     """
     xs = _default_pair_points(sp, Z, rng_for(seed, 3), samples)
-    z_verts = _sp.enumerate_target(sp, Z)
+    z_verts = Z.vertex_list()
     constraints = []  # (diam, d(x,z), kappa(||x||))
     corollary = []    # (diam({x} u proj x), d(x, Z), kappa(||x||))
     for i, x in enumerate(xs):

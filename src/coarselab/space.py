@@ -114,21 +114,21 @@ class PathSeg:
 
     def vertices_at(self, indices):
         """Yield vertex i for each i of the non-decreasing `indices`, all
-        from one sweep of the letters (each `vertex(i)` replays i letters)."""
-        if self._vertices is not None:
-            for i in indices:
-                self._check(i)
-                yield self._vertices[i]
-            return
-        acc = self.sp.right_acc(self.start)
+        from one sweep of the letters (each `vertex(i)` replays i letters).
+        A decreasing index raises DomainError on either form."""
+        vs = self._vertices
+        acc = None if vs is not None else self.sp.right_acc(self.start)
         done = 0
         for i in indices:
             self._check(i)
             if i < done:
                 raise DomainError("vertices_at needs non-decreasing indices")
-            deque(_pushes(acc, self.letters[done:i]), maxlen=0)
+            if acc is None:
+                yield vs[i]
+            else:
+                deque(_pushes(acc, self.letters[done:i]), maxlen=0)
+                yield acc.value()
             done = i
-            yield acc.value()
 
     def dist_between(self, a, b):
         """d(vertex a, vertex b) for a <= b (IndexError otherwise); on a
@@ -1065,13 +1065,6 @@ def _split_args(body):
     return parts
 
 
-def enumerate_target(sp, Z):
-    """The vertex list behind a projection target (PathSeg or iterable)."""
-    if isinstance(Z, PathSeg):
-        return Z.vertex_list()
-    return list(Z)
-
-
 def _pushes(acc, letters):
     """Push each letter onto acc in order, yielding acc.norm after each:
     the one replay of letters in the package."""
@@ -1097,34 +1090,28 @@ def _norms_along(acc, letters):
 
 
 def distances_along_path(sp, x, path):
-    """d(x, v) for every vertex v of `path`, in one linear sweep.
+    """d(x, v) for every vertex v of the PathSeg `path`, in one linear sweep.
 
     On group spaces d(x, v) = ||x^-1 v|| and x^-1 (v g) = (x^-1 v) g, so a
     right accumulator started at x^-1 * path.start and pushed with each
-    letter of the path reads off every distance.  Other paths and spaces
-    fall back to one distance query per vertex.
+    letter of the path reads off every distance.  Vertex-form paths and
+    other spaces fall back to one distance query per vertex.
     """
-    if sp.is_group and isinstance(path, PathSeg) and path.letters is not None:
+    if sp.is_group and path.letters is not None:
         return _norms_along(sp.right_acc(sp.mul(sp.inv(x), path.start)),
                             path.letters)
-    vs = path.vertex_list() if isinstance(path, PathSeg) else list(path)
-    return [sp.dist(x, v) for v in vs]
+    return [sp.dist(x, v) for v in path.vertex_list()]
 
 
 def distances_to_set(sp, path, Z):
-    """d(v, Z) for every vertex v of the PathSeg `path`, exactly.
+    """d(v, Z) for every vertex v of the PathSeg `path`, exactly, where the
+    target Z is a PathSeg.
 
-    A PathSeg target with a `hook` answers in closed form; any other
-    target (a PathSeg without one, or an iterable of vertices) costs one
-    distances_along_path sweep of Z per vertex.
+    A target with a `hook` answers in closed form; a target without one
+    costs one distances_along_path sweep of Z per vertex.
     """
-    if isinstance(Z, PathSeg):
-        if Z.hook is not None:
-            return Z.hook.dist_along(path)
-    else:
-        Z = list(Z)
-        if not Z:
-            raise DomainError("empty projection target")
+    if Z.hook is not None:
+        return Z.hook.dist_along(path)
     return [min(distances_along_path(sp, x, Z)) for x in path.vertex_list()]
 
 
@@ -1147,22 +1134,19 @@ class _Pointwise:
 
 
 def nearest_point_projection(sp, x, Z):
-    """The full argmin set of d(x, .) over Z, sorted by sp.vertex_key.
+    """The full argmin set of d(x, .) over the PathSeg target Z, sorted by
+    sp.vertex_key.
 
-    A PathSeg target whose hook has a `nearest` (geodesics from o on free
-    groups and free products) answers in closed form; any other target
-    costs one distances_along_path sweep of Z.
+    A target whose hook has a `nearest` (geodesics from o on free groups
+    and free products) answers in closed form; any other target costs one
+    distances_along_path sweep of Z.
     """
-    if isinstance(Z, PathSeg) and Z.hook is not None \
-            and Z.hook.nearest is not None:
+    if Z.hook is not None and Z.hook.nearest is not None:
         return Z.hook.nearest(x)
-    vs = enumerate_target(sp, Z)
-    if not vs:
-        raise DomainError("empty projection target")
-    ds = distances_along_path(sp, x, Z if isinstance(Z, PathSeg) else vs)
+    ds = distances_along_path(sp, x, Z)
     best = min(ds)
-    out = sorted({v for v, d in zip(vs, ds) if d == best}, key=sp.vertex_key)
-    return out
+    return sorted({v for v, d in zip(Z.vertex_list(), ds) if d == best},
+                  key=sp.vertex_key)
 
 
 class QGCheck:

@@ -221,9 +221,9 @@ class EstimationConstant:
             raise DomainError(f"estimation constant below 1: {self.m}")
 
 
-def estimation_constant(f: SublinearFn, c: float,
-                        grid: Sequence[float] | None = None) -> EstimationConstant:
-    """Compute m = sup_t f(t + c f(t))/f(t) by grid scan plus tail check.
+def estimation_constant(f: SublinearFn, c: float) -> EstimationConstant:
+    """Compute m = sup_t f(t + c f(t))/f(t) by a scan of the cached log grid
+    up to f.grid_cap, plus a tail check.
 
     The supremum is finite: for t >= t0 with f(t0) <= t0 the scaling lemma
     gives f(t + c f(t)) <= f((1+c) t) <= (1+c) f(t).  We require such a t0
@@ -232,14 +232,7 @@ def estimation_constant(f: SublinearFn, c: float,
     """
     if c < 0:
         raise DomainError(f"estimation constant needs c >= 0, got {c}")
-    if grid is None:
-        ts, ft = log_grid(f.grid_cap), _on_log_grid(f)
-    else:
-        ts = np.asarray(grid, dtype=float)
-        if np.any(ts < 0):
-            raise DomainError("sublinear functions are defined on t >= 0, "
-                              f"got {float(ts[np.argmax(ts < 0)])}")
-        ft = _evaluate_points(f, ts)
+    ts, ft = log_grid(f.grid_cap), _on_log_grid(f)
     ratios = _evaluate_points(f, ts + c * ft) / ft
     i_best = int(np.argmax(ratios))
     m = float(ratios[i_best])

@@ -7,8 +7,7 @@ import pytest
 
 import oracles
 from coarselab import cli, morse
-from coarselab.cli import (ConfigError, main, run_experiment,
-                           surgery_fixture_file, validate_config)
+from coarselab.cli import ConfigError, main, run_experiment, validate_config
 from coarselab.errors import (CertificationError, GenerationError,
                              Inconclusive, NotSublinear, PreconditionError)
 from coarselab.space import build_space
@@ -140,6 +139,36 @@ def test_expected_failure_flips_the_exit_code(tmp_path):
         "expect = fail", "expect = pass"), name="exp2.ini"))
     _, code2 = run_experiment(cfg2, out=str(tmp_path / "b"))
     assert code2 == 1
+
+
+FP = "free_product(grid(2), free_group(1))"
+
+
+@pytest.mark.parametrize("spec, body", [
+    ("free_group(2)", "[contract]\nlength = 200\nsamples = 40\n"),
+    ("grid(2)", "[contract]\ntarget = diagonal\nlength = 200\nsamples = 40\n"
+                "expect = fail\n"),
+    ("loopy_ray(12)", "[contract]\ntarget = ray\nlength = 200\nsamples = 40\n"),
+    # Q = 4 lets probe_family build graph detours as well as L-shapes
+    ("loopy_ray(12)", "[morse]\ntarget = ray\nlength = 200\nr = 50\n"
+                      "big_r = 150\nbig_q = 4\nprobes = 6\ngauge = 3\n"),
+    (FP, "[excursion]\nsyllables = 40\nsizes = linear\nexpect = fail\n"),
+    (FP, "[excursion]\nsyllables = 40\nsizes = const:3\n"),
+    (FP, "[excursion]\nsyllables = 40\ncontracting = yes\nsamples = 40\n"),
+    (FP, "[walk]\nn = 512\ncount = 40\nsupport = factor:1\n"),
+    (FP, "[walk]\nn = 512\ncount = 40\nstatistic = peripheral_growth\n"),
+], ids=["contract", "contract-diagonal", "contract-ray", "morse-ray",
+        "excursion-linear", "excursion-const", "excursion-contracting",
+        "walk-factor", "walk-peripheral-growth"])
+def test_section_options_run_ok(tmp_path, spec, body):
+    """Each runner option of the schema, run once at a small size: the
+    record meets its expectation and carries no error."""
+    text = f"[experiment]\nseed = 11\nspace = {spec}\n\n{body}"
+    summary, code = run_experiment(validate_config(_write(tmp_path, text)),
+                                   out=str(tmp_path / "out"))
+    (rec,) = summary["results"]
+    assert rec["ok"] and "error" not in rec
+    assert code == 0
 
 
 def test_module_errors_are_recorded_not_raised(tmp_path):
@@ -358,29 +387,48 @@ def test_random_pairs_match_one_push_per_step(spec, radius):
 # ---------------------------------------------------------------------------
 # surgery fixtures
 
-def test_surgery_fixtures_persist_and_regen(tmp_path):
-    text = """\
+SURGERY_CONFIG = """\
 [experiment]
 seed = 3
 space = free_group(2)
 
 [surgery]
-fixtures = 3
+fixtures = {fixtures}
 r = 20
 big_r = 60
 """
-    cfg = validate_config(_write(tmp_path, text))
-    out = str(tmp_path / "out")
-    summary, code = run_experiment(cfg, out=out)
-    assert code == 0 and summary["results"][0]["failures"] == 0
-    fx = surgery_fixture_file(out, build_space("free_group(2)"))
-    first = open(fx).read()
-    # rerun with a different seed: fixtures are reused, not rewritten
-    run_experiment(cfg, seed=99, out=out)
-    assert open(fx).read() == first
-    # regen rewrites them from the new seed
-    run_experiment(cfg, seed=99, out=out, regen_fixtures=True)
-    assert open(fx).read() != first
+
+
+def test_surgery_fixtures_follow_the_config_and_seed(tmp_path, monkeypatch):
+    """Surgery fixtures come from the seed and `fixtures` alone: a rerun
+    into a used out dir builds the probes a fresh run builds, reports the
+    same summary, and writes nothing beside it."""
+    probe_seeds = []
+    build = morse.probe_family
+
+    def recorded(*args):
+        probe_seeds.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(morse, "probe_family", recorded)
+
+    def run(fixtures, seed, out):
+        path = _write(tmp_path, SURGERY_CONFIG.format(fixtures=fixtures),
+                      name=f"exp{fixtures}.ini")
+        probe_seeds.clear()
+        summary, _ = run_experiment(validate_config(path), seed=seed,
+                                    out=str(tmp_path / out))
+        return summary, list(probe_seeds)
+
+    summary, _ = run(3, None, "used")
+    assert summary["ok"] and summary["results"][0]["failures"] == 0
+    for fixtures, seed in ((2, None), (3, 99)):
+        rerun = run(fixtures, seed, "used")
+        assert rerun == run(fixtures, seed, f"fresh-{fixtures}-{seed}")
+        (rec,) = rerun[0]["results"]
+        assert rec["verdict"]["parameters"]["fixtures"] == fixtures
+        assert len(rerun[1]) == fixtures
+        assert os.listdir(tmp_path / "used") == ["summary.json"]
 
 
 def test_surgery_does_not_count_a_type_error_as_a_failure(tmp_path,
@@ -422,14 +470,10 @@ def test_main_config_error_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_seed_precedence(tmp_path, monkeypatch):
+def test_seed_precedence(tmp_path):
     path = _write(tmp_path, GAUGE_CONFIG)
     out = str(tmp_path / "out")
-    monkeypatch.setenv("COARSELAB_SEED", "42")
-    main(["gauge", "--config", path, "--out", out])
-    assert json.loads(open(os.path.join(out, "summary.json")).read())["seed"] == 42
     main(["gauge", "--config", path, "--out", out, "--seed", "7"])
     assert json.loads(open(os.path.join(out, "summary.json")).read())["seed"] == 7
-    monkeypatch.delenv("COARSELAB_SEED")
     main(["gauge", "--config", path, "--out", out])
     assert json.loads(open(os.path.join(out, "summary.json")).read())["seed"] == 11

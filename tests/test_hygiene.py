@@ -429,3 +429,57 @@ def test_checker_flags_a_stray_push():
 def test_every_push_goes_through_pushes():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert stray_pushes(sources) == []
+
+
+# every verdict follows from the config and the seed it records, so the
+# program reads no setting from the environment
+ENV_NAMES = ("environ", "getenv")
+
+
+def environment_reads(sources):
+    """(file, line) of each read of the environment: any use of
+    ``os.getenv`` or ``os.environ`` (``os.environ[...]``,
+    ``os.environ.get``, ``in os.environ`` and the rest), and any ``from os
+    import`` of either.  A bare ``os.environ.setdefault(...)`` statement
+    sets a default for libraries the program loads and reads nothing, so
+    it is allowed.
+
+    `sources` maps a file name to its text."""
+    out = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        allowed = {id(node.value.func.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Expr)
+                   and isinstance(node.value, ast.Call)
+                   and isinstance(node.value.func, ast.Attribute)
+                   and node.value.func.attr == "setdefault"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ENV_NAMES
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and id(node) not in allowed):
+                out.append((name, node.lineno))
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and any(a.name in ENV_NAMES for a in node.names)):
+                out.append((name, node.lineno))
+    return sorted(out)
+
+
+def test_checker_flags_an_environment_read():
+    src = ("import os\n"
+           "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')\n"
+           "seed = os.getenv('SEED')\n"
+           "seed = os.environ['SEED']\n"
+           "seed = os.environ.get('SEED')\n"
+           "if 'SEED' in os.environ:\n"
+           "    pass\n"
+           "cap = os.environ.setdefault('CAP', '1')\n"
+           "from os import environ\n"
+           "path = os.path.join('a', 'b')\n")
+    assert environment_reads({"a.py": src}) == [
+        ("a.py", 3), ("a.py", 4), ("a.py", 5), ("a.py", 6), ("a.py", 8),
+        ("a.py", 9)]
+
+
+def test_no_source_reads_the_environment():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert environment_reads(sources) == []

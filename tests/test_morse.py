@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -130,6 +131,20 @@ def test_radius_contraction_rho_matches_brute_scan():
             best = s
         s += 0.01
     assert rho == pytest.approx(best, abs=0.05)
+
+
+@pytest.mark.parametrize("gauge, exact", [
+    # rhs(s) = 18 * 10 stays below 4r, so the sup is 180
+    (MorseGauge.constant(10.0), 180.0),
+    # s <= 18 * 12r / s, so the sup is sqrt(216 r)
+    (MorseGauge(lambda q, Q: q), math.sqrt(216 * 100.0)),
+], ids=["constant", "identity"])
+def test_radius_contraction_rho_bisects_below_4r(gauge, exact):
+    """Closed forms whose supremum lies below 4r, so the bisection runs;
+    it returns a feasible s within its tolerance of the sup."""
+    r = 100.0
+    rho = radius_contraction_rho(gauge, r)
+    assert 0 <= exact - rho <= 1e-6 * r
 
 
 # ---------------------------------------------------------------------------

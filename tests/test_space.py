@@ -121,6 +121,8 @@ def test_pathseg_one_sweep_lookups(name):
         assert [seg.vertex(i) for i in range(n)] == vs
         assert list(seg.vertices_at([0, 2, 2, n - 1])) == \
             [vs[0], vs[2], vs[2], vs[-1]]
+        with pytest.raises(DomainError):
+            list(seg.vertices_at([3, 1]))
         assert [seg.dist_between(a, b) for a, b in pairs] == \
             [sp.dist(vs[a], vs[b]) for a, b in pairs]
         assert seg.norms() == [sp.norm(v) for v in vs]
@@ -134,8 +136,6 @@ def test_pathseg_one_sweep_lookups(name):
             with pytest.raises(IndexError):
                 seg.dist_between(a, b)
         assert seg.vertex_list() == vs
-    with pytest.raises(DomainError):
-        list(PathSeg(sp, start=vs[0], letters=letters).vertices_at([3, 1]))
 
 
 def test_first_time_at_norm(f2):
