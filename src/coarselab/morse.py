@@ -285,7 +285,7 @@ def _insert_detours(sp, base, rng, depth, n_detours, q):
 
 def probe_family(sp, target, q, Q, count, seed):
     """`count` certified (q', Q')-quasi-geodesics from the base point to the
-    target (a vertex, or the endpoint of a ray prefix), q' <= q, Q' <= Q.
+    target vertex, q' <= q, Q' <= Q.
 
     Kinds rotate deterministically with the probe index: the lexicographic
     geodesic, detour insertions (depth limited by floor(qQ/2), which is what
@@ -296,10 +296,9 @@ def probe_family(sp, target, q, Q, count, seed):
     """
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
-    goal = target.endpoint() if isinstance(target, PathSeg) else target
     # every geodesic probe is this one path, and so is every detour base:
     # it only ever records the same (q, Q) and the same norms
-    geo = sp.geodesic(sp.basepoint, goal)
+    geo = sp.geodesic(sp.basepoint, target)
     if q == 1 and Q == 0:
         return [geo]
     probes = []
@@ -317,14 +316,14 @@ def probe_family(sp, target, q, Q, count, seed):
                 cand = _insert_detours(sp, geo, rng, depth, n_det, q)
             else:
                 # L-shape: geodesic through a waypoint off the direct route
-                budget = max(1, min(int((q - 1) * sp.norm(goal) / 2 + Q), 40))
+                budget = max(1, min(int((q - 1) * sp.norm(target) / 2 + Q), 40))
                 w = _random_walk_vertex(sp, rng, rng.randint(1, budget))
                 leg1 = sp.geodesic(sp.basepoint, w)
-                leg2 = sp.geodesic(w, goal)
+                leg2 = sp.geodesic(w, target)
                 if sp.is_group:
                     cand = PathSeg(sp, start=sp.basepoint,
                                    letters=leg1.step_letters() + leg2.step_letters(),
-                                   end=goal)
+                                   end=target)
                 else:
                     cand = PathSeg(sp, vertices=leg1.vertex_list()
                                    + leg2.vertex_list()[1:])
@@ -459,8 +458,6 @@ def _band_trend_fail(band_maxes):
     xbar = sum(xs) / n
     ybar = sum(ys) / n
     denom = sum((x - xbar) ** 2 for x in xs)
-    if denom <= 0:
-        return False
     slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
     return slope > BAND_SLOPE
 
@@ -663,17 +660,16 @@ QG_LADDER = ((1, 0), (1.5, 2), (2, 4), (3, 8))
 
 
 def cone_membership(sp, candidate, beta, r, gauge, kappa, probes, seed):
-    """Does the candidate lie in the cone set U(beta, r)?
+    """Does the candidate vertex lie in the cone set U(beta, r)?
 
-    For a vertex candidate of norm < r the answer is an immediate False per
-    the definition.  Otherwise, for each (q, Q) on the sampled ladder whose
+    For a candidate of norm < r the answer is an immediate False per the
+    definition.  Otherwise, for each (q, Q) on the sampled ladder whose
     gauge value is small compared to r, every probe alpha to the candidate
     must keep its norm-r prefix inside N_kappa(beta, gauge(q, Q)).
     """
-    goal = candidate.endpoint() if isinstance(candidate, PathSeg) else candidate
-    if not isinstance(candidate, PathSeg) and sp.norm(goal) < r:
+    if sp.norm(candidate) < r:
         return Verdict(False, test="cone_membership",
-                       witness={"reason": f"norm {sp.norm(goal)} < r = {r}"},
+                       witness={"reason": f"norm {sp.norm(candidate)} < r = {r}"},
                        parameters={"r": r}, seed=seed, space=sp.kind)
     worst = math.inf
     tested = 0
@@ -682,7 +678,7 @@ def cone_membership(sp, candidate, beta, r, gauge, kappa, probes, seed):
         if not small_compared(m, r, kappa):
             continue
         bound = {}
-        fam = probe_family(sp, goal, q, Q, probes, derive_seed(seed, li))
+        fam = probe_family(sp, candidate, q, Q, probes, derive_seed(seed, li))
         for i, alpha in enumerate(fam):
             tested += 1
             try:
@@ -748,13 +744,15 @@ def derive_gauge(q, Q, C1, C2, D1, D2, kappa):
         raise DomainError(f"gauge derivation needs q > 1, got {q}")
     if not 0 < C1 <= 0.5:
         raise DomainError(f"gauge derivation assumes 0 < C1 <= 1/2, got {C1}")
+    for name, c in (("Q", Q), ("C2", C2), ("D1", D1), ("D2", D2)):
+        if c < 0:
+            raise DomainError(f"gauge derivation needs {name} >= 0, got {c}")
     m0 = max((q * (q * C2 + q + 1) + Q) / C1,
              2 * C2 * (D1 + 1) / (q - 1),
              Q)
     m1 = q * (C2 + 1) * (D1 + 1)
     C3 = q * q + q * Q + Q
-    a = 2 * q * (C2 + 1) * D2 + (C2 * C2 * D2) / (m0 * (q + 1)) if m0 > 0 \
-        else 2 * q * (C2 + 1) * D2
+    a = 2 * q * (C2 + 1) * D2 + (C2 * C2 * D2) / (m0 * (q + 1))
     kap_2C3 = evaluate(kappa, 2 * C3)
     # ratio (a*(2*C3*kappa(s) + kappa(2*C3)) + Q) / kappa(s) decreases in s
     A = a * (2 * C3 * evaluate(kappa, 0.0) + kap_2C3) + Q

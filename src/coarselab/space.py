@@ -13,13 +13,16 @@ nearest-point projections.  Built-in kinds:
                            span n attached for each 2 <= n <= N.
 
 Group-structured spaces additionally provide right accumulators (w <- w*g
-for one generator g in O(1) amortized) so that norms and distances along
-long unit-speed paths cost O(length) overall instead of O(length^2).  A
-distance d(x, v) is the norm of x^-1 v, so one right sweep started at
-x^-1 * (path start) covers every vertex of a letter path.  `_pushes` is the
-one replay of letters on an accumulator: every vertex, norm and distance
-read off a letter path, and every word spelled letter by letter, goes
-through it (only _TreeTarget.dist_along inlines its own copy).
+for one generator g) so that norms and distances along long unit-speed
+paths cost O(length) overall instead of O(length^2): free groups and free
+products keep a stack in O(1) amortized per push, and every other group
+space, grids included, uses the generic one (GroupSpace._GenericAcc),
+which re-derives the norm after each push.  A distance d(x, v) is the
+norm of x^-1 v, so one right sweep started at x^-1 * (path start) covers
+every vertex of a letter path.  `_pushes` is the one replay of letters on
+an accumulator: every vertex, norm and distance read off a letter path,
+and every word spelled letter by letter, goes through it (only
+_TreeTarget.dist_along inlines its own copy).
 """
 
 from __future__ import annotations
@@ -313,8 +316,9 @@ class GroupSpace(GraphSpace):
     class _GenericAcc:
         """Fallback accumulator: tracks the element and re-derives the norm.
 
-        Costs one norm query per push; closed-form spaces override with
-        O(1) amortized versions.
+        Costs one norm query per push.  Free groups and free products
+        override it with O(1) amortized stacks; grids (O(d) per norm) and
+        regenerated spaces use it as it is.
         """
         __slots__ = ("sp", "cur", "norm")
 
@@ -378,12 +382,6 @@ class FreeGroupSpace(GroupSpace):
                 out.append(g)
         return tuple(out)
 
-    def mul_gen(self, v, g):
-        (letter,) = g
-        if v and v[-1] == -letter:
-            return v[:-1]
-        return v + (letter,)
-
     def inv(self, x):
         return tuple(-g for g in reversed(x))
 
@@ -400,13 +398,6 @@ class FreeGroupSpace(GroupSpace):
 
     def vertex_key(self, v):
         return (len(v), tuple(self._letter_rank[g] for g in v))
-
-    def step_generator(self, u, v):
-        if len(v) == len(u) + 1:
-            return (v[-1],)
-        if len(u) == len(v) + 1:
-            return (-u[-1],)
-        raise DomainError("vertices are not adjacent")
 
     class _RightAcc:
         __slots__ = ("stack",)
@@ -507,32 +498,6 @@ class GridSpace(GroupSpace):
     def vertex_key(self, v):
         return (self.norm(v), v)
 
-    def step_generator(self, u, v):
-        g = tuple(b - a for a, b in zip(u, v))
-        if sum(abs(c) for c in g) != 1:
-            raise DomainError("vertices are not adjacent")
-        return g
-
-    class _Acc:
-        __slots__ = ("coords", "norm")
-
-        def __init__(self, start):
-            self.coords = list(start)
-            self.norm = sum(abs(c) for c in start)
-
-        def push(self, g):
-            for i, gi in enumerate(g):
-                if gi:
-                    c = self.coords[i]
-                    self.norm += abs(c + gi) - abs(c)
-                    self.coords[i] = c + gi
-
-        def value(self):
-            return tuple(self.coords)
-
-    def right_acc(self, start=None):
-        return self._Acc(start if start is not None else self.identity)
-
     def geodesic_letters(self, x, y):
         """Axis-ordered staircase: move coordinate 0 first, then 1, etc."""
         letters = []
@@ -579,9 +544,6 @@ class FreeProductSpace(GroupSpace):
     @property
     def gens(self):
         return self._gens
-
-    def is_identity(self, x):
-        return x == ()
 
     def mul(self, x, y):
         out = list(x)
@@ -1195,8 +1157,8 @@ def path_metric(path):
     dist(s, t) maps index arrays s, t to the array of d(v_s, v_t).
 
     Free groups and free products read the path into a tree once
-    (_PathTree); grids take l^1 norms of coordinate differences; every
-    other space asks sp.dist pair by pair.
+    (_PathTree); every other space, grids included, asks sp.dist pair by
+    pair.
     """
     sp = path.sp
     if isinstance(sp, (FreeGroupSpace, FreeProductSpace)):
@@ -1204,13 +1166,6 @@ def path_metric(path):
         if path._norms is None and path.start == sp.identity:
             path._norms = tree.vdepth.tolist()
         return tree.dist
-    if isinstance(sp, GridSpace):
-        if path.letters is not None:
-            xs = np.cumsum(np.array([path.start, *path.letters],
-                                    dtype=np.int64), axis=0)
-        else:
-            xs = np.array(path.vertex_list(), dtype=np.int64)
-        return lambda s, t: np.abs(xs[s] - xs[t]).sum(axis=1)
     vs = path.vertex_list()
     return lambda s, t: np.array(
         [sp.dist(vs[i], vs[j]) for i, j in zip(s.tolist(), t.tolist())],

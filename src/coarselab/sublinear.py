@@ -69,9 +69,6 @@ class SublinearFn:
     tag: str
     grid_cap: float = DEFAULT_GRID_CAP
 
-    def __call__(self, t: float) -> float:
-        return evaluate(self, t)
-
     def __repr__(self) -> str:
         return f"SublinearFn({self.tag!r})"
 
@@ -118,10 +115,7 @@ def _upper_concave_hull(ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
     out = np.empty_like(vs)
     for a, b in zip(hull, hull[1:]):
         seg = slice(a, b + 1)
-        if ts[b] == ts[a]:
-            out[seg] = vs[b]
-        else:
-            out[seg] = vs[a] + (vs[b] - vs[a]) * (ts[seg] - ts[a]) / (ts[b] - ts[a])
+        out[seg] = vs[a] + (vs[b] - vs[a]) * (ts[seg] - ts[a]) / (ts[b] - ts[a])
     out[hull[-1]:] = vs[hull[-1]]
     return out
 

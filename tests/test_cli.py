@@ -204,6 +204,17 @@ count = 4
     assert "horizon N = 1" in rec["error"]
 
 
+def test_negative_gauge_constant_records_a_domain_error(tmp_path, capsys):
+    path = _write(tmp_path, GAUGE_CONFIG.replace("d2 = 1", "d2 = -2"))
+    out = tmp_path / "out"
+    assert main(["gauge", "--config", path, "--out", str(out)]) == 1
+    assert "gauge: ok" not in capsys.readouterr().out
+    (rec,) = json.loads((out / "summary.json").read_text())["results"]
+    assert rec["section"] == "gauge" and not rec["ok"]
+    assert rec["error"] == \
+        "DomainError: gauge derivation needs D2 >= 0, got -2.0"
+
+
 @pytest.mark.parametrize("exc", [GenerationError, CertificationError,
                                  NotSublinear])
 def test_section_errors_still_write_the_summary(tmp_path, monkeypatch, exc):

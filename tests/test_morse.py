@@ -112,6 +112,13 @@ def test_derive_gauge_rejects_bad_inputs():
         derive_gauge(1.0, 0, 0.5, 0, 1, 0, K1)
     with pytest.raises(DomainError):
         derive_gauge(2, 0, 0.6, 0, 1, 0, K1)
+    # a negative constant is named, however deep its first use would be
+    for name, args in (("Q", (2, -1, 0.5, 1, 1, 1)),
+                       ("C2", (2, 0, 0.5, -648, 1, 1)),
+                       ("D1", (2, 0, 0.5, 1, -1, 1)),
+                       ("D2", (2, 0, 0.5, 1, 1, -2))):
+        with pytest.raises(DomainError, match=f"needs {name} >= 0"):
+            derive_gauge(*args, K1)
 
 
 def test_radius_contraction_rho_tree_anchor():
@@ -395,6 +402,18 @@ def test_fit_projection_free_group_axis(f2):
     assert v
     assert consts.D1 <= 1.0
     assert consts.D2 <= 50.0
+
+
+def test_fit_projection_no_fit_reports_the_worst_constraint(f2):
+    """A projection to a far vertex leaves every D1 on the grid with a D2
+    above the cap: both constants are infinite and the verdict fails on
+    the constraint (diam, d(x, z), kappa) worst at the largest D1."""
+    far = (2,) * 200
+    consts, v = fit_kappa_projection(f2, axis_ray(f2, 60), lambda x: [far],
+                                     K1, 20, seed=1)
+    assert consts.D1 == consts.D2 == math.inf
+    assert not v
+    assert v.witness == {"constraint": (204, 8, 1.0)}
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,24 @@ def test_pathseg_one_sweep_lookups(name):
         assert seg.vertex_list() == vs
 
 
+@pytest.mark.parametrize("spec, u, v", [
+    ("free_group(2)", (1, 2), (2,)),
+    ("grid(2)", (0, 0), (1, 1)),
+    ("free_product(grid(2), free_group(1))", ((0, (1, 0)),), ((1, (1,)),)),
+])
+def test_steps_between_non_neighbours_raise(spec, u, v):
+    """step_generator recovers the generator of each edge and refuses two
+    vertices that are not adjacent, and so does step_letters on a vertex
+    path that jumps."""
+    sp = build_space(spec)
+    for g in sp.gens:
+        assert sp.step_generator(u, sp.mul_gen(u, g)) == g
+    with pytest.raises(DomainError, match="not adjacent"):
+        sp.step_generator(u, v)
+    with pytest.raises(DomainError, match="not adjacent"):
+        PathSeg(sp, vertices=[sp.identity, u, v]).step_letters()
+
+
 def test_first_time_at_norm(f2):
     seg = PathSeg(f2, start=(), letters=[(1,), (1,), (-1,), (1,), (1,)])
     assert first_time_at_norm(seg, 2) == 2
