@@ -56,6 +56,30 @@ def _kappa(s):
         raise ValueError(str(e)) from None
 
 
+def _sizes(s):
+    if s == "log":
+        return lambda k: max(1, int(math.log(k + 2)))
+    if s == "linear":
+        return lambda k: k + 1
+    if s.startswith("const:"):
+        c = int(s.split(":", 1)[1])
+        return lambda k: c
+    raise ValueError(f"unknown sizes spec {s!r}")
+
+
+def _support(s):
+    """generators -> None, factor:<i> -> the factor index i."""
+    if s == "generators":
+        return None
+    if s.startswith("factor:"):
+        return _length(s.split(":", 1)[1])
+    raise ValueError(f"unknown support spec {s!r}")
+
+
+def _gauge(s):
+    return s if s == "derive" else float(s)
+
+
 _EXPECT = ("pass", "fail")
 
 
@@ -83,7 +107,7 @@ SCHEMA = {
         "q": (_float, 1.5),
         "big_q": (_float, 0.0),
         "probes": (_int, 40),
-        "gauge": (_str, "derive"),
+        "gauge": (_gauge, "derive"),
         "c1": (_float, 0.5),
         "c2": (_float, 0.0),
         "d1": (_float, 1.0),
@@ -100,7 +124,7 @@ SCHEMA = {
     },
     "excursion": {
         "syllables": (_int, 200),
-        "sizes": (_str, "log"),
+        "sizes": (_sizes, "log"),
         "kappa": (_kappa, "log"),
         "contracting": (_bool, False),
         "samples": (_int, 80),
@@ -110,7 +134,7 @@ SCHEMA = {
         "statistic": (_str, "drift"),
         "n": (_int, 1024),
         "count": (_int, 200),
-        "support": (_str, "generators"),
+        "support": (_support, "generators"),
         "fraction": (_float, 0.5),
         "ell": (_float, -1.0),   # <0 means: use the measured drift
         "lo": (_float, 0.0),
@@ -136,7 +160,7 @@ SCHEMA = {
         "k": (_int, 5),
         "k2": (_int, 0),         # 0 disables the stability comparison
         "pairs": (_int, 500),
-        "radius": (_int, 30),
+        "radius": (_length, 30),
         "expect": (_expect, "pass"),
     },
 }
@@ -258,27 +282,16 @@ def _target_projection(sp, Z):
     return proj
 
 
-def _sizes_fn(spec):
-    if spec == "log":
-        return lambda k: max(1, int(math.log(k + 2)))
-    if spec == "linear":
-        return lambda k: k + 1
-    if spec.startswith("const:"):
-        c = int(spec.split(":", 1)[1])
-        return lambda k: c
-    raise ConfigError(f"unknown sizes spec {spec!r}")
-
-
-def _step_measure(sp, support_spec):
-    if support_spec == "generators":
+def _step_measure(sp, factor):
+    if factor is None:
         return randwalk.uniform_generator_measure(sp)
-    if support_spec.startswith("factor:"):
-        i = int(support_spec.split(":", 1)[1])
-        if not isinstance(sp, space.FreeProductSpace):
-            raise ConfigError("factor: support needs a free product")
-        gens = [(i, g) for g in sp.factors[i].gens]
-        return randwalk.StepMeasure.uniform(gens)
-    raise ConfigError(f"unknown support spec {support_spec!r}")
+    if not isinstance(sp, space.FreeProductSpace):
+        raise ConfigError("factor: support needs a free product")
+    if factor >= len(sp.factors):
+        raise ConfigError(f"factor:{factor} support, but {sp.kind} has "
+                          f"{len(sp.factors)} factors")
+    return randwalk.StepMeasure.uniform([(factor, g)
+                                         for g in sp.factors[factor].gens])
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +317,7 @@ def _run_morse(sp, cfg, seed, out_dir):
         gauge = morse.derived_gauge(cfg["c1"], cfg["c2"], cfg["d1"], cfg["d2"],
                                     cfg["kappa"])
     else:
-        gauge = morse.MorseGauge.constant(float(cfg["gauge"]))
+        gauge = morse.MorseGauge.constant(cfg["gauge"])
     v = morse.test_kappa_morse(sp, Z, cfg["kappa"], cfg["kappa_prime"],
                                cfg["r"], cfg["big_r"], cfg["q"], cfg["big_q"],
                                cfg["probes"], seed, gauge)
@@ -322,7 +335,7 @@ def _run_contract(sp, cfg, seed, out_dir):
 
 def _run_excursion(sp, cfg, seed, out_dir):
     relhyp.require_relhyp(sp)
-    gamma = relhyp.excursion_ray(sp, cfg["syllables"], _sizes_fn(cfg["sizes"]))
+    gamma = relhyp.excursion_ray(sp, cfg["syllables"], cfg["sizes"])
     if cfg["contracting"]:
         consts, v = relhyp.test_excursion_contracting(
             sp, gamma, cfg["kappa"], cfg["samples"], seed)

@@ -37,7 +37,7 @@ from . import relhyp as _rh
 from .errors import DomainError, Inconclusive
 from .morse import TRACK_RATIO, Verdict, _band_trend_fail
 from .seeds import derive_seed
-from .space import FlatCode, FlatPack, PathSeg, _int_items, \
+from .space import FlatCode, FlatPack, PathSeg, _int_items, _shared, \
     distance_to_set, distances_along_path, reduce_flat
 
 PROB_TOL = 1e-12
@@ -510,17 +510,13 @@ def limit_ray_proxy(sp, path):
     N = path.length
     pos = path.positions_at({N, N // 2})
     wN, wHalf = pos[N], pos[N // 2]
-    relhyp = isinstance(sp, _rh.FreeProductSpace) and \
-        bool(_rh.peripheral_indices(sp))
-    if relhyp:
+    if isinstance(sp, _rh.FreeProductSpace) and sp.peripheral:
         value, seg, consts = path._lift = _coned_lift(path, N, wN)
         if value < 10:
             raise Inconclusive(
                 f"walk did not progress in the coned graph (d_Ghat = "
                 f"{value} < 10)")
-        j = 0
-        while j < min(len(wN), len(wHalf)) and wN[j] == wHalf[j]:
-            j += 1
+        j = _shared(wN, wHalf)
         tail = wHalf[j:]
         # the divergent head syllables may still share a factor prefix
         stability = _rh.coned_dist(sp, (), tail)
@@ -603,7 +599,7 @@ def direction_cell(sp, v):
         if not v:
             return "other"
         i, e = v[0]
-        if i in _rh.peripheral_indices(sp):
+        if i in sp.peripheral:
             return f"P{i}"
         f = sp.factors[i]
         g = f.geodesic_letters(f.identity, e)[0]

@@ -2,8 +2,11 @@
 
 The groups here are free products whose grid factors of rank >= 2 act as
 peripheral subgroups (free products are hyperbolic relative to their
-factors, and the grid factors are the only non-hyperbolic ones).  Syllable
-normal form makes everything exactly computable:
+factors, and the grid factors are the only non-hyperbolic ones).
+FreeProductSpace owns these facts: its `peripheral` indices and its
+`coned_costs` syllable cost table, both fixed when the space is built, and
+`cost_between`, which prices the normal form of x^-1 y without building
+it.  Syllable normal form makes everything exactly computable:
 
 * the coned-off metric d_Ghat charges 1 per peripheral syllable (a coset
   shortcut edge) and full length per free syllable;
@@ -17,15 +20,14 @@ small balls by the test suite.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import morse as _morse
 from .errors import CertificationError, DomainError, PreconditionError
 from .morse import Verdict, _band_trend_fail
 from .seeds import rng_for
-from .space import (FreeProductSpace, GridSpace, _norms_along,
-                    distance_to_set, is_quasi_geodesic)
+from .space import (FreeProductSpace, _norms_along, distance_to_set,
+                    is_quasi_geodesic)
 from .sublinear import evaluate
 
 
@@ -34,14 +36,9 @@ def require_relhyp(sp):
     rank >= 2 (the peripheral structure everything here relies on)."""
     if not isinstance(sp, FreeProductSpace):
         raise DomainError(f"not a free product: {getattr(sp, 'kind', sp)!r}")
-    if not peripheral_indices(sp):
+    if not sp.peripheral:
         raise DomainError(f"{sp.kind} has no peripheral (grid, rank >= 2) factor")
     return sp
-
-
-def peripheral_indices(sp):
-    return tuple(i for i, f in enumerate(sp.factors)
-                 if isinstance(f, GridSpace) and f.d >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +75,9 @@ def coset_of(sp, v, i):
     return PeripheralCoset(factor=i, rep=rep)
 
 
-@functools.lru_cache(maxsize=8)
-def _coned_costs(sp):
-    """Per-factor syllable costs of d_Ghat: a peripheral syllable is one
-    coset shortcut, a free syllable costs its length.  Built once per
-    space: coned_norm alone asks for it on every call."""
-    pers = set(peripheral_indices(sp))
-    return tuple((lambda e: 1) if i in pers else f.norm
-                 for i, f in enumerate(sp.factors))
-
-
 def coned_norm(sp, v):
     """d_Ghat(o, v): 1 per peripheral syllable, full length otherwise."""
-    costs = _coned_costs(sp)
+    costs = sp.coned_costs
     return sum(costs[i](e) for i, e in v)
 
 
@@ -115,12 +102,11 @@ class ConedMetricReport:
     @property
     def edges(self):
         sp = self.sp
-        pers = set(peripheral_indices(sp))
         edges = []
         cur = self.start
         for i, e in self.syllables:
             f = sp.factors[i]
-            if i in pers and f.norm(e) > 1:
+            if i in sp.peripheral and f.norm(e) > 1:
                 nxt = sp.mul(cur, ((i, e),))
                 edges.append(("shortcut", cur, nxt, coset_of(sp, nxt, i), (i, e)))
                 cur = nxt
@@ -134,7 +120,7 @@ class ConedMetricReport:
 
 def coned_distance(sp, x, y):
     """d_Ghat(x, y) as a ConedMetricReport: one product z = x^-1 y, valued
-    by the closed form of coned_dist."""
+    by its coned cost."""
     require_relhyp(sp)
     z = sp.mul(sp.inv(x), y)
     return ConedMetricReport(sp=sp, value=coned_norm(sp, z), start=x, end=y,
@@ -142,26 +128,28 @@ def coned_distance(sp, x, y):
 
 
 def coned_dist(sp, x, y):
-    """Just the number: d_Ghat(x, y) by the syllable closed form."""
-    return coned_norm(sp, sp.mul(sp.inv(x), y))
+    """Just the number: d_Ghat(x, y), the coned cost of x^-1 y."""
+    return sp.cost_between(x, y, sp.coned_costs)
+
+
+def _entry(v, P):
+    """The first syllable of rep^-1 v when it lies in P's factor, else
+    None.  As rep never ends in P's factor, that happens only when v
+    extends rep by a syllable of P's factor."""
+    n = len(P.rep)
+    if len(v) > n and v[n][0] == P.factor and v[:n] == P.rep:
+        return v[n]
+    return None
 
 
 def coned_dist_to_coset(sp, v, P):
-    """d_Ghat(v, P): the coned cost of z = rep^-1 v, less that of z's first
-    syllable when it lies in P's factor.
-
-    z is priced without being built.  Past the common syllable prefix of
-    rep and v, with a and b their rests, z spells a^-1 then b, the two
-    facing syllables a[0]^-1 b[0] merged when they share a factor, and a
-    syllable costs what its inverse does.  z opens in P's factor only when
-    a is empty, since rep never ends in P's factor."""
-    rep, j = P.rep, 0
-    while j < min(len(rep), len(v)) and rep[j] == v[j]:
-        j += 1
-    a, b = rep[j:], v[j:]
-    if not a:
-        return coned_norm(sp, b[1:] if b and b[0][0] == P.factor else b)
-    return coned_norm(sp, a[1:] + sp.mul(sp.inv(a[:1]), b[:1]) + b[1:])
+    """d_Ghat(v, P): the coned cost of rep^-1 v, less that of its first
+    syllable when it lies in P's factor."""
+    d = sp.cost_between(P.rep, v, sp.coned_costs)
+    entry = _entry(v, P)
+    if entry is not None:
+        d -= sp.coned_costs[P.factor](entry[1])
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +158,8 @@ def coned_dist_to_coset(sp, v, P):
 def coset_projection(sp, x, P):
     """Nearest-point set of x on the coset (a singleton in free products:
     the entry vertex of the normal form, or the representative itself)."""
-    z = sp.mul(sp.inv(P.rep), x)
-    if z and z[0][0] == P.factor:
-        return [sp.mul(P.rep, (z[0],))]
-    return [P.rep]
+    entry = _entry(x, P)
+    return [P.rep if entry is None else P.rep + (entry,)]
 
 
 def peripheral_distance(sp, x, y, P):
@@ -187,12 +173,11 @@ def peripheral_distances(sp, x, y):
     These are exactly the cosets the normal form of x^-1 y travels through
     with a peripheral syllable, and d_P equals that syllable's norm.
     """
-    pers = set(peripheral_indices(sp))
     out = {}
     prefix = list(x)   # the running product x * (syllables so far)
     for syl in sp.mul(sp.inv(x), y):
         i, e = syl
-        if i in pers:
+        if i in sp.peripheral:
             out[coset_of(sp, tuple(prefix), i)] = sp.factors[i].norm(e)
         sp._push_syllable(prefix, syl)
     return out
@@ -215,8 +200,7 @@ def _formula_terms(sp, pairs):
     their norms, d_Ghat the sum of their coned costs, and the d_P are the
     norms of the peripheral ones (one coset each, as in
     peripheral_distances)."""
-    pers = set(peripheral_indices(sp))
-    costs = _coned_costs(sp)
+    pers, costs = sp.peripheral, sp.coned_costs
     out = []
     for x, y in pairs:
         d = c = 0
@@ -336,12 +320,11 @@ def coset_runs(sp, geodesic, D):
     whose cost grows with the square of the syllable count.
     """
     require_relhyp(sp)
-    pers = set(peripheral_indices(sp))
     n = len(geodesic)
     blocks = _syllable_blocks(sp, geodesic)
     nf = geodesic.endpoint()
     base = len(nf) - len(blocks)
-    peripheral = [(k, b) for k, b in enumerate(blocks) if b[0] in pers]
+    peripheral = [(k, b) for k, b in enumerate(blocks) if b[0] in sp.peripheral]
     if base == len(geodesic.start):
         cosets = [PeripheralCoset(factor=i, rep=nf[:base + k])
                   for k, (i, _, _) in peripheral]
@@ -385,10 +368,9 @@ def excursion_ray(sp, syllable_count, sizes):
     syllable (sizes(k), 0, ...) in the first peripheral factor is followed
     by one letter of the first other factor (a size of 0 merges two)."""
     require_relhyp(sp)
-    pers = peripheral_indices(sp)
-    i = pers[0]
+    i = sp.peripheral[0]
     zeros = (0,) * (sp.factors[i].d - 1)
-    free = next(j for j in range(len(sp.factors)) if j not in pers)
+    free = next(j for j in range(len(sp.factors)) if j not in sp.peripheral)
     fgen = sp.factors[free].gens[0]
     w = []
     for k in range(1, syllable_count + 1):
@@ -415,7 +397,7 @@ def excursion_profile(sp, gamma, D0, kappa):
     representative that does not extend the previous one (the fallback
     route of coset_runs) restarts the sum.
     """
-    costs = _coned_costs(sp)
+    costs = sp.coned_costs
     prev, sums = (), [0]   # sums[k]: coned norm of prev[:k]
     rows = []
     for a, b, coset in coset_runs(sp, gamma, D0):
@@ -483,7 +465,7 @@ def coned_distances_along_path(sp, x, path):
     so a right accumulator priced by coned syllable costs, started at
     x^-1 * path.start, reads off every distance.
     """
-    acc = sp.right_acc(sp.mul(sp.inv(x), path.start), costs=_coned_costs(sp))
+    acc = sp.right_acc(sp.mul(sp.inv(x), path.start), costs=sp.coned_costs)
     return _norms_along(acc, path.step_letters())
 
 

@@ -174,7 +174,9 @@ class PathSeg:
         if self._vertices is not None:
             return self._vertices[-1]
         if self._end is None:
-            self._end = self.vertex(len(self.letters))
+            acc = self.sp.right_acc(self.start)
+            deque(_pushes(acc, self.letters), maxlen=0)
+            self._end = acc.value()
         return self._end
 
     def prefix(self, n_vertices):
@@ -390,11 +392,7 @@ class FreeGroupSpace(GroupSpace):
 
     def dist(self, x, y):
         # cancel the common prefix, no need to build x^-1 y
-        i = 0
-        m = min(len(x), len(y))
-        while i < m and x[i] == y[i]:
-            i += 1
-        return (len(x) - i) + (len(y) - i)
+        return len(x) + len(y) - 2 * _shared(x, y)
 
     def vertex_key(self, v):
         return (len(v), tuple(self._letter_rank[g] for g in v))
@@ -425,10 +423,7 @@ class FreeGroupSpace(GroupSpace):
 
     def geodesic_letters(self, x, y):
         """The letters of the reduced word x^-1 y."""
-        i = 0
-        m = min(len(x), len(y))
-        while i < m and x[i] == y[i]:
-            i += 1
+        i = _shared(x, y)
         return [(-g,) for g in reversed(x[i:])] + [(g,) for g in y[i:]]
 
     def geodesic(self, x, y):
@@ -534,8 +529,15 @@ class FreeProductSpace(GroupSpace):
         self.factors = tuple(factors)
         self.kind = "free_product(" + ", ".join(f.kind for f in factors) + ")"
         self._gens = tuple((i, g) for i, f in enumerate(factors) for g in f.gens)
-        # per-factor syllable costs of the word metric (see _RightAcc)
+        # the peripheral factors are the grid factors of rank >= 2; the
+        # per-factor syllable costs (see _RightAcc) are the factor norms for
+        # the word metric, and for the coned-off metric of relhyp 1 per
+        # peripheral syllable (one coset shortcut) and the length otherwise
+        self.peripheral = tuple(i for i, f in enumerate(self.factors)
+                                if isinstance(f, GridSpace) and f.d >= 2)
         self._word_costs = tuple(f.norm for f in self.factors)
+        self.coned_costs = tuple((lambda e: 1) if i in self.peripheral
+                                 else f.norm for i, f in enumerate(self.factors))
 
     @property
     def identity(self):
@@ -574,16 +576,21 @@ class FreeProductSpace(GroupSpace):
         return sum(self.factors[i].norm(e) for i, e in v)
 
     def dist(self, x, y):
-        # cancel the common syllable prefix directly
-        j = 0
-        m = min(len(x), len(y))
-        while j < m and x[j] == y[j]:
-            j += 1
-        d = self.norm(x[j:]) + self.norm(y[j:])
-        if j < m and x[j][0] == y[j][0]:
-            f = self.factors[x[j][0]]
-            d -= f.norm(x[j][1]) + f.norm(y[j][1])
-            d += f.dist(x[j][1], y[j][1])
+        return self.cost_between(x, y, self._word_costs)
+
+    def cost_between(self, x, y, costs):
+        """The cost of the normal form of x^-1 y under the per-factor
+        syllable costs `costs`, priced without building it.  Past the
+        common syllable prefix of x and y, with a and b their rests, it
+        spells a^-1 then b, the two facing syllables a[0]^-1 b[0] merged
+        when they share a factor; a syllable costs what its inverse does."""
+        j = _shared(x, y)
+        a, b = x[j:], y[j:]
+        d = sum(costs[i](e) for i, e in a) + sum(costs[i](e) for i, e in b)
+        if a and b and a[0][0] == b[0][0]:
+            (i, u), (_, v) = a[0], b[0]
+            f = self.factors[i]
+            d += costs[i](f.mul(f.inv(u), v)) - costs[i](u) - costs[i](v)
         return d
 
     def vertex_key(self, v):
@@ -681,7 +688,7 @@ class FlatCode:
     normal form no row is zero and no two adjacent rows share an atom.
     Per atom: `owner` (the factor in a free product, else 0), `widths`,
     `letter` (j for a_j, 0 on a grid) and `peripheral` (a bool array, set
-    on the grid factors of rank >= 2 of a free product only).  Any other
+    on the factors in a free product's `peripheral` only).  Any other
     space raises DomainError.
     """
 
@@ -695,7 +702,7 @@ class FlatCode:
         for i, f in enumerate(sp.factors if self.product else (sp,)):
             self.first.append(len(atoms))
             if isinstance(f, GridSpace):
-                atoms.append((i, f.d, 0, self.product and f.d >= 2))
+                atoms.append((i, f.d, 0, self.product and i in sp.peripheral))
             else:
                 atoms += [(i, 1, j, False) for j in range(1, f.k + 1)]
         self.owner, self.widths, self.letter, per = zip(*atoms)
@@ -1601,7 +1608,7 @@ def axis_ray(sp, length, gen=None):
         return seg
     # a negative length spells the empty ray, as [g] * length does
     n = max(length, 0)
-    seg = sp.geodesic(sp.identity, _gen_power(sp, g, n))
+    seg = sp.geodesic(sp.identity, PathSeg(sp, letters=[g] * n).endpoint())
     if isinstance(sp, GridSpace):
         axis = next(i for i, c in enumerate(g) if c != 0)
         sign = 1 if g[axis] > 0 else -1
@@ -1613,16 +1620,6 @@ def axis_ray(sp, length, gen=None):
 
         seg.hook = _Pointwise(dist)
     return seg
-
-
-def _gen_power(sp, g, n):
-    """g^n for a generator g of a free group, a grid or a free product."""
-    if isinstance(sp, FreeGroupSpace):
-        return g * n
-    if isinstance(sp, GridSpace):
-        return tuple(c * n for c in g)
-    i, e = g
-    return ((i, _gen_power(sp.factors[i], e, n)),) if n else ()
 
 
 # The hooks of geodesics from o rest on how many leading letters or syllables

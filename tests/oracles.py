@@ -11,8 +11,7 @@ import random
 from collections import deque
 
 from coarselab.errors import DomainError
-from coarselab.relhyp import (coned_norm, coset_of, peripheral_indices,
-                              require_relhyp)
+from coarselab.relhyp import coned_norm, coset_of, require_relhyp
 from coarselab.seeds import rng_for
 from coarselab.space import DEFAULT_BALL_CAP, FreeProductSpace
 from coarselab.sublinear import evaluate
@@ -205,7 +204,7 @@ def coset_runs_by_block(sp, path, D):
     peripheral letters, fattened by D and clipped to the path, whose coset
     is that of the vertex after the block's first letter.  Every such
     vertex is replayed from the start of the path."""
-    pers = set(peripheral_indices(sp))
+    pers = sp.peripheral
     letters = path.step_letters()
     n = len(path)
     runs = []
@@ -251,7 +250,7 @@ class ConedBallOracle:
         self.radius = radius
         self.vertices = set(sp.ball((), radius, cap=cap))
         self._cosets = {}
-        for i in peripheral_indices(sp):
+        for i in sp.peripheral:
             groups = {}
             for v in self.vertices:
                 groups.setdefault(coset_of(sp, v, i), []).append(v)

@@ -88,6 +88,17 @@ def test_validate_reports_line_numbers(tmp_path):
     with pytest.raises(ConfigError, match=r":3: bad space spec"):
         validate_config(path)
 
+    # values a runner used to parse, and crash on, at run time
+    for sec, key, value in (("excursion", "sizes", "const:x"),
+                            ("excursion", "sizes", "cubic"),
+                            ("walk", "support", "factor:x"),
+                            ("walk", "support", "factor:-1"),
+                            ("morse", "gauge", "abc"),
+                            ("distance_formula", "radius", "-1")):
+        path = _write(tmp_path, GAUGE_CONFIG + f"\n[{sec}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf":13: bad value for '{key}'"):
+            validate_config(path)
+
 
 def test_bad_free_product_factor_is_named_by_its_kind(tmp_path):
     path = _write(tmp_path, GAUGE_CONFIG.replace(
@@ -169,6 +180,18 @@ def test_section_options_run_ok(tmp_path, spec, body):
     (rec,) = summary["results"]
     assert rec["ok"] and "error" not in rec
     assert code == 0
+
+
+def test_support_on_a_missing_factor_is_a_section_record(tmp_path):
+    text = f"[experiment]\nseed = 11\nspace = {FP}\n\n" \
+        "[walk]\nn = 16\ncount = 4\nsupport = factor:7\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, text),
+                 "--out", str(out)]) == 1
+    (rec,) = json.loads((out / "summary.json").read_text())["results"]
+    assert rec["section"] == "walk" and not rec["ok"]
+    assert rec["error"] == f"ConfigError: factor:7 support, but {FP} has " \
+        "2 factors"
 
 
 def test_module_errors_are_recorded_not_raised(tmp_path):

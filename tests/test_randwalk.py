@@ -130,8 +130,7 @@ def _walk_case(name, f2, zz):
 
 
 def _pers(sp):
-    return relhyp.peripheral_indices(sp) \
-        if isinstance(sp, FreeProductSpace) else ()
+    return sp.peripheral if isinstance(sp, FreeProductSpace) else ()
 
 
 def _max_peripheral(sp, w):

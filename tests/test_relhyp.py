@@ -17,8 +17,7 @@ from coarselab.relhyp import (PeripheralCoset, big_projection, coned_dist,
                               excursion_ray, fit_distance_formula,
                               lift_coned_geodesic, nearest_transition_past,
                               normal_form, peripheral_distance,
-                              peripheral_distances, peripheral_indices,
-                              require_relhyp)
+                              peripheral_distances, require_relhyp)
 from coarselab.relhyp import \
     test_excursion_contracting as check_excursion_contracting
 from coarselab.space import (FreeGroupSpace, FreeProductSpace, GridSpace,
@@ -46,7 +45,7 @@ def _random_vertex(sp, rng, length):
 # peripheral structure
 
 def test_peripheral_structure(zz, f2):
-    assert peripheral_indices(zz) == (0,)
+    assert zz.peripheral == (0,)
     assert require_relhyp(zz) is zz
     with pytest.raises(DomainError):
         require_relhyp(f2)   # not a free product at all
@@ -132,10 +131,10 @@ def test_coned_never_exceeds_word_metric(zz):
 
 
 def test_coned_costs_are_built_once_per_space(zz):
-    costs = relhyp._coned_costs(zz)
-    assert relhyp._coned_costs(zz) is costs
+    costs = zz.coned_costs
+    assert zz.coned_costs is costs
     other = FreeProductSpace([GridSpace(2), FreeGroupSpace(1)])
-    assert relhyp._coned_costs(other) is not costs
+    assert other.coned_costs is not costs
     # a grid(2) syllable is one coset shortcut, a free syllable its length
     assert [c(e) for c, e in zip(costs, ((3, -4), (1,) * 5))] == [1, 5]
 
@@ -338,20 +337,71 @@ LIFT_SPACES = [ZZ] + [build_space(s) for s in (
     "free_product(free_group(2), grid(2))")]
 
 
+def _factor_element(f, letters):
+    """The factor element the letters spell, or the first generator when
+    they spell the identity."""
+    e = _word(f, letters)
+    return f.gens[0] if f.is_identity(e) else e
+
+
+def _built_cost(sp, x, y, costs):
+    return sum(costs[i](e) for i, e in sp.mul(sp.inv(x), y))
+
+
 @given(data=st.data())
 def test_coned_dist_to_coset_matches_the_built_product(data):
     # d_Ghat(v, P) is the coned cost of z = rep^-1 v built in full, less
-    # that of z's first syllable when it lies in P's factor; v and rep
-    # share a drawn prefix, and every space runs in each example
+    # that of z's first syllable when it lies in P's factor, and the
+    # projection of v is rep times that syllable, or rep; v and rep share a
+    # drawn prefix, or v enters P's factor right after rep, and every space
+    # runs in each example
     for sp in LIFT_SPACES:
         gens = st.sampled_from(sp.gens)
         base, x, y = (_word(sp, data.draw(st.lists(gens, max_size=20)))
                       for _ in "bxy")
-        i = data.draw(st.sampled_from(peripheral_indices(sp)))
-        v, P = sp.mul(base, x), coset_of(sp, sp.mul(base, y), i)
-        z = sp.mul(sp.inv(P.rep), v)
-        entry = coned_norm(sp, z[:1]) if z and z[0][0] == i else 0
-        assert coned_dist_to_coset(sp, v, P) == coned_norm(sp, z) - entry
+        i = data.draw(st.sampled_from(sp.peripheral))
+        f = sp.factors[i]
+        u = _factor_element(f, data.draw(st.lists(st.sampled_from(f.gens),
+                                                   max_size=6)))
+        P = coset_of(sp, sp.mul(base, y), i)
+        for v in (sp.mul(base, x), sp.mul(sp.mul(P.rep, ((i, u),)), x)):
+            z = sp.mul(sp.inv(P.rep), v)
+            enters = bool(z) and z[0][0] == i
+            entry = coned_norm(sp, z[:1]) if enters else 0
+            assert coned_dist_to_coset(sp, v, P) == coned_norm(sp, z) - entry
+            assert coset_projection(sp, v, P) == \
+                [sp.mul(P.rep, z[:1]) if enters else P.rep]
+
+
+@given(data=st.data())
+def test_cost_between_prices_the_built_product(data):
+    # cost_between against x^-1 y built in full, under the word and the
+    # coned costs, on x = y, on pairs after a long shared prefix, and on
+    # pairs whose rests open in one factor, so the facing syllables merge;
+    # every space runs in each example
+    for sp in LIFT_SPACES:
+        gens = st.sampled_from(sp.gens)
+        base = _word(sp, data.draw(st.lists(gens, min_size=10, max_size=40)))
+        x, y = (sp.mul(base, _word(sp, data.draw(st.lists(gens, max_size=12))))
+                for _ in "xy")
+        i = data.draw(st.integers(0, len(sp.factors) - 1))
+        f = sp.factors[i]
+        u = _factor_element(f, data.draw(st.lists(st.sampled_from(f.gens),
+                                                   max_size=6)))
+        v = f.mul(u, _factor_element(f, data.draw(
+            st.lists(st.sampled_from(f.gens), max_size=6))))
+        if f.is_identity(v):
+            v = f.mul(u, u)
+        rep = coset_of(sp, base, i).rep
+        facing = (sp.mul(rep, ((i, u),)), sp.mul(rep, ((i, v),)))
+        assert facing[0][len(rep)][0] == facing[1][len(rep)][0] == i
+        for a, b in ((x, x), (x, y), (y, x), facing):
+            for costs in (sp._word_costs, sp.coned_costs):
+                assert sp.cost_between(a, b, costs) == _built_cost(sp, a, b,
+                                                                    costs)
+            assert sp.dist(a, b) == _built_cost(sp, a, b, sp._word_costs)
+            assert coned_dist(sp, a, b) == _built_cost(sp, a, b,
+                                                       sp.coned_costs)
 
 
 @given(data=st.data())

@@ -10,7 +10,7 @@ from coarselab import space
 from coarselab.errors import CertificationError, DomainError
 from coarselab.relhyp import (coned_dist, coned_distance,
                               coned_distances_along_path, excursion_ray,
-                              lift_coned_geodesic, peripheral_indices)
+                              lift_coned_geodesic)
 from coarselab.space import (PathSeg, axis_ray, build_space, change_generators,
                              distance_to_set, distances_along_path,
                              distances_to_set, first_time_at_norm,
@@ -546,8 +546,7 @@ def test_ray_builders_keep_their_letters(name):
             ray = axis_ray(sp, n, gen=g)
             assert ray.letters == [g] * n
             assert ray.endpoint() == _word(sp, ray.letters)
-    pers = peripheral_indices(sp) \
-        if isinstance(sp, space.FreeProductSpace) else ()
+    pers = sp.peripheral if isinstance(sp, space.FreeProductSpace) else ()
     if not pers:
         return
     i = pers[0]
