@@ -5,6 +5,14 @@ Morse/contraction testers, free-product (relatively hyperbolic) machinery,
 and seeded random-walk statistics, all at desk scale.
 """
 
+import os
+
+# The package calls no BLAS routine, yet importing numpy starts an OpenBLAS
+# worker pool whose idle thread burns CPU on a second core.  OpenBLAS reads
+# this variable once, when numpy first loads, so it must be set before any
+# submodule imports numpy; a value the user already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 SCHEMA_VERSION = 1

@@ -41,6 +41,13 @@ def _length(s):
     return n
 
 
+def _count(s):
+    n = int(s)
+    if n < 1:
+        raise ValueError(f"need a count >= 1, got {n}")
+    return n
+
+
 def _bool(s):
     if s.lower() in ("1", "true", "yes", "on"):
         return True
@@ -106,7 +113,7 @@ SCHEMA = {
         "big_r": (_float, 400.0),
         "q": (_float, 1.5),
         "big_q": (_float, 0.0),
-        "probes": (_int, 40),
+        "probes": (_count, 40),
         "gauge": (_gauge, "derive"),
         "c1": (_float, 0.5),
         "c2": (_float, 0.0),
@@ -119,21 +126,21 @@ SCHEMA = {
         "length": (_length, 600),
         "kappa": (_kappa, "1"),
         "c1": (_float, 0.5),
-        "samples": (_int, 160),
+        "samples": (_count, 160),
         "expect": (_expect, "pass"),
     },
     "excursion": {
-        "syllables": (_int, 200),
+        "syllables": (_count, 200),
         "sizes": (_sizes, "log"),
         "kappa": (_kappa, "log"),
         "contracting": (_bool, False),
-        "samples": (_int, 80),
+        "samples": (_count, 80),
         "expect": (_expect, "pass"),
     },
     "walk": {
         "statistic": (_str, "drift"),
-        "n": (_int, 1024),
-        "count": (_int, 200),
+        "n": (_count, 1024),
+        "count": (_count, 200),
         "support": (_support, "generators"),
         "fraction": (_float, 0.5),
         "ell": (_float, -1.0),   # <0 means: use the measured drift
@@ -151,7 +158,7 @@ SCHEMA = {
         "kappa": (_kappa, "1"),
     },
     "surgery": {
-        "fixtures": (_int, 50),
+        "fixtures": (_count, 50),
         "r": (_float, 40.0),
         "big_r": (_float, 120.0),
         "expect": (_expect, "pass"),
@@ -159,7 +166,7 @@ SCHEMA = {
     "distance_formula": {
         "k": (_int, 5),
         "k2": (_int, 0),         # 0 disables the stability comparison
-        "pairs": (_int, 500),
+        "pairs": (_count, 500),
         "radius": (_length, 30),
         "expect": (_expect, "pass"),
     },

@@ -16,10 +16,10 @@ become rows of integer vectors, each packed into one int64, that
 space.reduce_flat takes to normal form block by block in numpy, a few
 walks at a time.  Other spaces (change_generators wrappers, the loopy ray)
 raise DomainError.  One statistics pass over 400 paths of length 2^12
-replays in 0.22 s on free_group(2), 0.24 s on free_group(3) and 0.21-0.22 s
-on free_product(grid(2), free_group(1)) (three passes each, one core,
-Python 3.11, numpy 2.4, shared 2-core host), so a 10^4-path ensemble takes
-about 6 s.
+replays in 0.13-0.16 s on free_group(2), 0.14-0.17 s on free_group(3) and
+0.14-0.21 s on free_product(grid(2), free_group(1)) (twelve passes each in
+four processes, one thread, Python 3.11, numpy 2.4, shared 2-core host), so
+a 10^4-path ensemble takes about 4 s.
 """
 
 from __future__ import annotations

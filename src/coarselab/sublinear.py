@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class SublinearFn:
     fn: Callable[[float], float]
     tag: str
     grid_cap: float = DEFAULT_GRID_CAP
+    # fn's values before the clamp at each t of a float array, bit for bit,
+    # for a gauge with such a form; scans then call no Python fn per point
+    points: Callable[[np.ndarray], Iterable[float]] | None = None
 
     def __repr__(self) -> str:
         return f"SublinearFn({self.tag!r})"
@@ -82,8 +85,10 @@ def evaluate(f: SublinearFn, t: float) -> float:
 
 
 def _evaluate_points(f: SublinearFn, ts: np.ndarray) -> np.ndarray:
-    """evaluate(f, t) for each t of the float array ts, one fn call each."""
-    vs = np.fromiter(map(f.fn, ts.tolist()), dtype=float, count=len(ts))
+    """evaluate(f, t) for each t of the float array ts, through f.points
+    where f has it and one fn call per point otherwise."""
+    vals = f.points(ts) if f.points else map(f.fn, ts.tolist())
+    vs = np.fromiter(vals, dtype=float, count=len(ts))
     return np.where(vs >= 1.0, vs, 1.0)
 
 
@@ -255,7 +260,9 @@ def _kappa_one() -> SublinearFn:
 
 
 def _kappa_log() -> SublinearFn:
-    return SublinearFn(lambda t: max(1.0, math.log(math.e + t)), "log")
+    # points adds e in float64 and takes math.log of each sum, as fn does
+    return SublinearFn(lambda t: max(1.0, math.log(math.e + t)), "log",
+                       points=lambda ts: map(math.log, (math.e + ts).tolist()))
 
 
 def _kappa_sqrt() -> SublinearFn:

@@ -100,6 +100,19 @@ def test_validate_reports_line_numbers(tmp_path):
             validate_config(path)
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("sec, key", [
+    ("morse", "probes"), ("contract", "samples"), ("excursion", "syllables"),
+    ("excursion", "samples"), ("walk", "n"), ("walk", "count"),
+    ("surgery", "fixtures"), ("distance_formula", "pairs")])
+def test_a_count_below_one_is_a_config_error(tmp_path, sec, key, value):
+    # a section that sampled nothing would otherwise pass having checked nothing
+    path = _write(tmp_path, GAUGE_CONFIG + f"\n[{sec}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError,
+                       match=rf":13: bad value for '{key}': need a count >= 1"):
+        validate_config(path)
+
+
 def test_bad_free_product_factor_is_named_by_its_kind(tmp_path):
     path = _write(tmp_path, GAUGE_CONFIG.replace(
         "free_group(2)", "free_product(loopy_ray(3), free_group(1))"))

@@ -1,6 +1,9 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -483,3 +486,92 @@ def test_checker_flags_an_environment_read():
 def test_no_source_reads_the_environment():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert environment_reads(sources) == []
+
+
+# importing the package caps OpenBLAS at one thread (__init__.py), which
+# loses nothing only while no module calls a BLAS-backed numpy routine
+BLAS_NAMES = ("dot", "vdot", "matmul", "inner", "outer", "tensordot",
+              "einsum", "polyfit", "linalg")
+
+
+def blas_calls(source):
+    """(line, name) of each use of a BLAS-backed numpy routine: ``np.<name>``
+    for a name in BLAS_NAMES, under any alias of numpy (``linalg`` stands
+    for all of ``np.linalg``), an import of such a name or of
+    ``numpy.linalg``, any ``.dot`` method, and the ``@`` operator (``@``
+    for both)."""
+    tree = ast.parse(source)
+    numpy = {"numpy"} | {a.asname for node in ast.walk(tree)
+                         if isinstance(node, ast.Import)
+                         for a in node.names if a.name == "numpy" and a.asname}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "dot" or (node.attr in BLAS_NAMES
+                                       and isinstance(node.value, ast.Name)
+                                       and node.value.id in numpy)):
+            out.append((node.lineno, node.attr))
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.MatMult)):
+            out.append((node.lineno, "@"))
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            if node.module.startswith("numpy.linalg"):
+                out.append((node.lineno, "linalg"))
+            elif node.module == "numpy":
+                out += [(node.lineno, a.name) for a in node.names
+                        if a.name in BLAS_NAMES]
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, "linalg") for a in node.names
+                    if a.name.startswith("numpy.linalg")]
+    return sorted(out)
+
+
+def test_checker_flags_a_blas_call():
+    src = ("import numpy as xp\n"
+           "import numpy.linalg\n"
+           "from numpy import einsum, sort\n"
+           "from numpy.linalg import norm\n"
+           "a = xp.dot(x, y) + x.dot(y)\n"
+           "b = x @ y\n"
+           "b @= y\n"
+           "c = numpy.linalg.norm(x) + xp.outer(x, y)[0]\n"
+           "d = xp.polyfit(x, y, 1) + xp.inner(x, y)\n"
+           "e = xp.sort(x) + xp.cumsum(x) + np.inner(x, y) + inner(x, y)\n"
+           "@decorator\n"
+           "def f(dot):\n"
+           "    return xp.einsum\n")
+    assert blas_calls(src) == [
+        (2, "linalg"), (3, "einsum"), (4, "linalg"), (5, "dot"), (5, "dot"),
+        (6, "@"), (7, "@"), (8, "linalg"), (8, "outer"), (9, "inner"),
+        (9, "polyfit"), (13, "einsum")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_blas_backed_numpy_calls(path):
+    assert blas_calls(path.read_text()) == []
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def _after_import(env, expression):
+    """What a fresh process with environment `env` prints for `expression`
+    once it has imported coarselab.space, and numpy with it."""
+    code = f"import os\nimport coarselab.space\nprint({expression})\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**env, "PYTHONPATH": str(SRC.parent)})
+    return out.stdout.strip()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc/self/task to count threads")
+def test_importing_the_package_starts_no_thread():
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    assert _after_import(env, "len(os.listdir('/proc/self/task'))") == "1"
+
+
+def test_a_thread_count_the_user_set_is_kept():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    assert _after_import(env, "os.environ['OPENBLAS_NUM_THREADS']") == "2"
