@@ -439,36 +439,37 @@ def _run_surgery(sp, cfg, seed, out_dir):
     return _record("surgery", v, cfg["expect"], extra={"failures": failures})
 
 
-# pairs whose walks _random_pairs reduces together, which bounds the rows
-# alive at once
-_PAIR_CHUNK = 256
+# pairs whose walks _random_pairs draws and reduces together, which bounds
+# the rows alive at once
+_PAIR_CHUNK = 128
 
 
 def _random_pairs(sp, count, radius, seed):
     """`count` pairs of ends of random generator walks of 0 to `radius`
-    steps, pair i drawn from its own stream: a step count, then one
-    generator index per step, as morse._random_walk_vertex draws them.  The
-    walks of _PAIR_CHUNK pairs are reduced together by the space's
-    FlatCode.gen_words."""
+    steps, and their distance-formula terms (relhyp._formula_terms).
+
+    Pair i is drawn from its own stream, rng_for(seed, 13, i): for each of
+    its two walks a step count, then one generator index per step, as
+    randint and choice would draw them one at a time
+    (randwalk._pair_draws).  The walks of _PAIR_CHUNK pairs are drawn
+    together, and one reduce_flat pass of the space's FlatCode spells their
+    ends and the normal forms of x^-1 y that the terms read."""
     code = space.FlatCode(sp)
-    gens = range(len(sp.gens))
-    pairs = []
+    pairs, terms = [], []
     for lo in range(0, count, _PAIR_CHUNK):
-        walks = []
-        for i in range(lo, min(lo + _PAIR_CHUNK, count)):
-            rng = rng_for(seed, 13, i)
-            walks += ([rng.choice(gens) for _ in range(rng.randint(0, radius))]
-                      for _ in range(2))
-        ends = code.gen_words(walks)
-        pairs += zip(ends[0::2], ends[1::2])
-    return pairs
+        rngs = [rng_for(seed, 13, i)
+                for i in range(lo, min(lo + _PAIR_CHUNK, count))]
+        walk, index = randwalk._pair_draws(rngs, radius, len(sp.gens))
+        ends, ts = code.walk_pairs(walk, index, len(rngs))
+        pairs += ends
+        terms += ts
+    return pairs, terms
 
 
 def _run_distance_formula(sp, cfg, seed, out_dir):
     relhyp.require_relhyp(sp)
-    pairs = _random_pairs(sp, cfg["pairs"], cfg["radius"], seed)
-    # x^-1 y once per pair for both fits
-    terms = relhyp._formula_terms(sp, pairs)
+    # the terms of x^-1 y once per pair for both fits
+    pairs, terms = _random_pairs(sp, cfg["pairs"], cfg["radius"], seed)
     fit = relhyp.fit_distance_formula(sp, pairs, cfg["k"], terms=terms)
     extra = {"M": fit.M, "A": fit.A, "K": fit.K}
     ok = True

@@ -151,6 +151,75 @@ def _draws(seed, m, cum):
     return d
 
 
+def _pair_words(radius, n):
+    """The 32-bit words drawn up front for one pair of _pair_draws: about
+    what an average pair uses, two step counts and radius steps (a step
+    takes 2^k / n words on average, k = n.bit_length()); about a third of
+    the pairs draw more (1,000 pairs at radius 30 over 6 generators)."""
+    return 2 + radius * (1 << n.bit_length()) // n
+
+
+def _words(rngs, k):
+    """The next k 32-bit words of each Random in rngs, one row each: one
+    getrandbits(32 k) call yields, least significant first, the words that
+    k getrandbits(j <= 32) calls would each take the top j bits of."""
+    return np.frombuffer(b"".join(r.getrandbits(32 * k).to_bytes(4 * k, "little")
+                                  for r in rngs), "<u4").reshape(len(rngs), k)
+
+
+def _pair_draws(rngs, radius, n):
+    """Two walks per Random in rngs, each drawn as randint(0, radius) steps
+    and then one choice over range(n) per step; returns (walk, index), the
+    step indices in order, walk 2 p and 2 p + 1 being those of rngs[p].
+
+    CPython draws from [0, m) by taking the top m.bit_length() bits of one
+    32-bit word, and a further word while that is m or more, so each word
+    of a row is decoded both ways at once, and cumulative counts of the
+    accepted ones find where each count and each walk ends.  A row that
+    runs out of words draws more from its Random and is decoded again."""
+    kc, kg = (radius + 1).bit_length(), n.bit_length()
+    if kc > 32:
+        raise DomainError(f"walks of up to {radius} steps: the step count "
+                          "must fit in a 32-bit word")
+    budget = _pair_words(radius, n)
+    rows, w = np.arange(len(rngs)), _words(rngs, budget)
+    walks, steps = [], []
+    while len(rows):
+        r, j = np.arange(len(rows)), np.arange(w.shape[1])
+        count, gen = w >> (32 - kc), w >> (32 - kg)
+        cok, gok = count <= radius, gen < n
+        seen = np.cumsum(gok, axis=1, dtype=np.int32)   # steps drawn so far
+
+        def walk(after):
+            """(count word, last step word) of the walk drawn after word
+            `after`, each len(j) where the words run out."""
+            later = cok & (j > after[:, None])
+            at = np.argmax(later, axis=1)
+            m = count[r, at].astype(np.int64)
+            end = (seen < (seen[r, at] + m)[:, None]).sum(axis=1)
+            end = np.where(m > 0, end, at)
+            have = later[r, at]
+            return np.where(have, at, len(j)), np.where(have, end, len(j))
+
+        c1, e1 = walk(np.full(len(rows), -1))
+        c2, e2 = walk(e1)
+        ok = e2 < len(j)
+        sel = gok & (((c1[:, None] < j) & (j <= e1[:, None]))
+                     | ((c2[:, None] < j) & (j <= e2[:, None])))
+        sel &= ok[:, None]
+        rr, jj = np.nonzero(sel)
+        walks.append(2 * rows[rr] + (jj > c2[rr]))
+        steps.append(gen[rr, jj])
+        rows, w = rows[~ok], w[~ok]
+        if len(rows):
+            w = np.hstack([w, _words([rngs[p] for p in rows.tolist()], budget)])
+    walk, index = np.concatenate(walks), np.concatenate(steps).astype(np.int64)
+    if len(walks) > 1:
+        order = np.argsort(walk, kind="stable")
+        walk, index = walk[order], index[order]
+    return walk, index
+
+
 # ---------------------------------------------------------------------------
 # sample paths
 
@@ -207,10 +276,12 @@ class SamplePath:
 _GROUP_STEPS = 1 << 14
 
 
-def _flat_walks(jobs, words=False):
+def _flat_walks(jobs, words=False, head=False):
     """For each (path, non-decreasing indices) job, the list of (norm, coned
     norm, max peripheral norm, w_k or None) at each index k; every path
-    shares one step table.  w_k is decoded only if `words`.
+    shares one step table.  w_k is decoded only if `words`, and with `head`
+    only its first flat row is: w_k is then the element of that row, the
+    first syllable of w_k or, on F_k factors, its first run of one letter.
 
     This is the one replay of every walk.  The draws of all jobs are
     expanded into the FlatCode rows of their steps, one block per gap
@@ -295,9 +366,12 @@ def _flat_walks(jobs, words=False):
                     break
             if lo < hi:
                 n0, c0, m0 = push(stack, lo, hi, n0, c0, m0)
-            w = code.element(code.decode(itertools.chain.from_iterable(
-                zip(F[lo:hi], P[lo:hi]) for lo, hi, *_ in stack), pack)) \
-                if words else None
+            w = None
+            if words:
+                slices = [(t[0], t[0] + 1) for t in stack[:1]] if head \
+                    else [t[:2] for t in stack]
+                w = code.element(code.decode(itertools.chain.from_iterable(
+                    zip(F[lo:hi], P[lo:hi]) for lo, hi in slices), pack))
             states.append((n0, c0, m0, w))
         out.append(states)
     return out
@@ -323,22 +397,26 @@ def sample_paths(sp, mu, n, count, seed):
     return [SamplePath(sp, mu, n, derive_seed(seed, i)) for i in range(count)]
 
 
-def ensemble_stats(paths):
-    """PathStats for every path, index-ordered; each path keeps its own.
-
-    Walks that share a step table are replayed together, in groups of
-    about _GROUP_STEPS steps."""
+def _replay_groups(paths):
+    """The paths in order, cut into groups that share a step table, each
+    of about _GROUP_STEPS steps, to be replayed together."""
     group, steps = [], 0
     for p in paths:
-        if p._stats is not None:
-            continue
         if group and ((p.sp, p.mu) != (group[0].sp, group[0].mu)
                       or steps + p.length > _GROUP_STEPS):
-            _flat_stats(group)
+            yield group
             group, steps = [], 0
         group.append(p)
         steps += p.length
     if group:
+        yield group
+
+
+def ensemble_stats(paths):
+    """PathStats for every path, index-ordered; each path keeps its own.
+
+    Walks that share a step table are replayed together (_replay_groups)."""
+    for group in _replay_groups([p for p in paths if p._stats is None]):
         _flat_stats(group)
     return [p.stats() for p in paths]
 
@@ -617,12 +695,17 @@ def direction_cell(sp, v):
 
 
 def hitting_histogram(paths):
-    """Empirical distribution of proxy-ray initial cells; sums to 1."""
+    """Empirical distribution of proxy-ray initial cells; sums to 1.
+
+    Each walk is replayed once, with the others of its _replay_groups
+    group, and of its end only the first flat row is decoded: the cell
+    reads nothing past the first letter of the first syllable."""
     hist = {}
-    for path in paths:
-        w = path.positions_at({path.length})[path.length]
-        c = direction_cell(path.sp, w)
-        hist[c] = hist.get(c, 0) + 1
+    for group in _replay_groups(paths):
+        jobs = [(p, [p.length]) for p in group]
+        for p, ((*_, w),) in zip(group, _flat_walks(jobs, words=True, head=True)):
+            c = direction_cell(p.sp, w)
+            hist[c] = hist.get(c, 0) + 1
     total = sum(hist.values())
     return {c: hist[c] / total for c in sorted(hist)}
 
@@ -677,8 +760,7 @@ def _write_csv(fh, header_cols, rows):
     from . import csv_header
     fh.write(csv_header() + "\n")
     fh.write(",".join(header_cols) + "\n")
-    for row in rows:
-        fh.write(",".join(str(c) for c in row) + "\n")
+    fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def write_walk_stats_csv(path, paths):

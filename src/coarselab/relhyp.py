@@ -20,13 +20,14 @@ small balls by the test suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import morse as _morse
 from .errors import CertificationError, DomainError, PreconditionError
 from .morse import Verdict, _band_trend_fail
 from .seeds import rng_for
-from .space import (FreeProductSpace, _norms_along, distance_to_set,
+from .space import (FreeProductSpace, _norms_along, _shared, distance_to_set,
                     is_quasi_geodesic)
 from .sublinear import evaluate
 
@@ -490,8 +491,7 @@ class ProjectionOracle:
     Projecting many points onto the same gamma dominates the contraction
     tests, so the coset runs and the gamma vertex list are computed once
     here.  A run contributes its excursion segment when its coset sits
-    within coned distance R1 of pi_gamma(x), measured per query by
-    coned_dist_to_coset.
+    within coned distance R1 of pi_gamma(x) (_coset_dists).
     """
 
     def __init__(self, sp, gamma, constants):
@@ -501,14 +501,49 @@ class ProjectionOracle:
         self.constants = constants
         self.runs = coset_runs(sp, gamma, constants.D0)
         self._verts = gamma.vertex_list()
+        # the run representatives are prefixes of the endpoint's normal
+        # form on the paths coset_runs sweeps once; _sums[m] is the coned
+        # norm of its first m syllables
+        self._nf = nf = gamma.endpoint()
+        self._sums = list(itertools.accumulate(
+            (sp.coned_costs[i](e) for i, e in nf), initial=0))
+        self._prefix = [P.rep == nf[:len(P.rep)] for _, _, P in self.runs]
+
+    def _coset_dists(self, v):
+        """d_Ghat(v, P), as coned_dist_to_coset prices it, for the coset P
+        of each run.  For P.rep = nf[:m], with v sharing J leading
+        syllables with nf: when m <= J, rep^-1 v is v[m:], less its entry
+        syllable; otherwise it is nf[J:m]^-1 v[J:], whose two facing
+        syllables merge when they share a factor, whatever m is.  So one
+        running coned sum over v and the sums of nf price every run."""
+        sp, costs, nf, sums = self.sp, self.sp.coned_costs, self._nf, self._sums
+        J = _shared(nf, v)
+        run = list(itertools.accumulate((costs[i](e) for i, e in v), initial=0))
+        rest = run[-1] - run[J]
+        if J < len(nf) and J < len(v) and nf[J][0] == v[J][0]:
+            (i, u), (_, w) = nf[J], v[J]
+            f = sp.factors[i]
+            rest += costs[i](f.mul(f.inv(u), w)) - costs[i](u) - costs[i](w)
+        out = []
+        for (_, _, P), prefix in zip(self.runs, self._prefix):
+            m = len(P.rep)
+            if not prefix:
+                out.append(coned_dist_to_coset(sp, v, P))
+            elif m > J:
+                out.append(sums[m] - sums[J] + rest)
+            elif m < len(v) and v[m][0] == P.factor:
+                out.append(run[-1] - run[m + 1])
+            else:
+                out.append(run[-1] - run[m])
+        return out
 
     def project(self, x):
         j = coned_nearest_index(self.sp, self.gamma, x)
         pivot = self._verts[j]
         points = []
         cosets = []
-        for a, b, coset in self.runs:
-            if coned_dist_to_coset(self.sp, pivot, coset) <= self.constants.R1:
+        for (a, b, coset), d in zip(self.runs, self._coset_dists(pivot)):
+            if d <= self.constants.R1:
                 cosets.append(coset)
                 points.extend(self._verts[a:b + 1])
         if not points:

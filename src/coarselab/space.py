@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import deque
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -108,11 +108,17 @@ class PathSeg:
             return self._vertices[i]
         if i == len(self.letters) and self._end is not None:
             return self._end
-        norms = self._norms
-        if isinstance(self.sp, FreeGroupSpace) and self.start == () \
-                and norms is not None and norms[i] == i:
-            # from the identity, norm i after i letters means none cancels
-            return tuple(itertools.chain.from_iterable(self.letters[:i]))
+        norms, sp = self._norms, self.sp
+        if self.start == () and norms is not None and norms[i] == i:
+            # from the identity, norm i after i letters means none cancels:
+            # vertex i is its letters, grouped into syllables on a free
+            # product (each run of one factor is a syllable)
+            if isinstance(sp, FreeGroupSpace):
+                return sp._word(self.letters[:i])
+            if isinstance(sp, FreeProductSpace):
+                return tuple((j, sp.factors[j]._word([g for _, g in run]))
+                             for j, run in itertools.groupby(self.letters[:i],
+                                                             key=itemgetter(0)))
         return next(self.vertices_at((i,)))
 
     def vertices_at(self, indices):
@@ -434,6 +440,10 @@ class FreeGroupSpace(GroupSpace):
             seg.hook = _TreeTarget(y)
         return seg
 
+    def _word(self, letters):
+        """The element of generator letters of which none cancels."""
+        return tuple(itertools.chain.from_iterable(letters))
+
     def parse_word(self, word):
         """Letters like 'a b A c' (capitals are inverses) -> group element."""
         letters = []
@@ -493,6 +503,10 @@ class GridSpace(GroupSpace):
     def vertex_key(self, v):
         return (self.norm(v), v)
 
+    def _word(self, letters):
+        """The element of generator letters: their coordinate sums."""
+        return tuple(map(sum, zip(*letters)))
+
     def geodesic_letters(self, x, y):
         """Axis-ordered staircase: move coordinate 0 first, then 1, etc."""
         letters = []
@@ -538,6 +552,12 @@ class FreeProductSpace(GroupSpace):
         self._word_costs = tuple(f.norm for f in self.factors)
         self.coned_costs = tuple((lambda e: 1) if i in self.peripheral
                                  else f.norm for i, f in enumerate(self.factors))
+        # what each generator does to a syllable under the word costs, read
+        # by _pushes: (i, c, s) moves coordinate c of a grid factor i by the
+        # sign s, and (i, None, a) appends the letter a to a free factor i
+        self._moves = {(i, g): (i, None, g[0]) if isinstance(f, FreeGroupSpace)
+                       else (i, next(c for c, x in enumerate(g) if x), sum(g))
+                       for i, f in enumerate(self.factors) for g in f.gens}
 
     @property
     def identity(self):
@@ -602,14 +622,17 @@ class FreeProductSpace(GroupSpace):
         entry per syllable; `norm` is the total cost.
 
         costs[i] prices a factor-i syllable: the factor norm for the word
-        metric, or the coned cost of relhyp.  A single generator costs 1
-        under both, which is what a fresh syllable is charged.
+        metric, or the coned cost of relhyp.  A fresh syllable is charged
+        its cost, so a letter may be any non-identity factor element, not
+        only a generator.  `moves` is the space's generator table under the
+        word costs (_pushes reads it), and None under any other costs.
         """
-        __slots__ = ("factors", "costs", "stack", "norm")
+        __slots__ = ("factors", "costs", "moves", "stack", "norm")
 
         def __init__(self, sp, start, costs):
             self.factors = sp.factors
             self.costs = costs
+            self.moves = sp._moves if costs is sp._word_costs else None
             self.stack = [[i, e, costs[i](e)] for i, e in start]
             self.norm = sum(s[2] for s in self.stack)
 
@@ -628,8 +651,9 @@ class FreeProductSpace(GroupSpace):
                     top[2] = self.costs[i](merged)
                     self.norm += top[2]
             else:
-                s.append([i, ge, 1])
-                self.norm += 1
+                c = self.costs[i](ge)
+                s.append([i, ge, c])
+                self.norm += c
 
         def value(self):
             return tuple((i, e) for i, e, _ in self.stack)
@@ -736,17 +760,14 @@ class FlatCode:
         """(factor index, factor element) of each row given as (atom,
         packed vector), packed by the FlatPack `pack` into one integer;
         equal rows are decoded once."""
-        memo, out = {}, []
-        for row in rows:
-            part = memo.get(row)
-            if part is None:
-                a, x = row
-                v = pack.digits(x, self.widths[a])
-                g = self.letter[a]
-                part = memo[row] = (self.owner[a], tuple(v) if not g else
-                                    (g,) * v[0] if v[0] > 0 else (-g,) * -v[0])
-            out.append(part)
-        return out
+        rows, memo = list(rows), {}
+        for row in set(rows):
+            a, x = row
+            v = pack.digits(x, self.widths[a])
+            g = self.letter[a]
+            memo[row] = (self.owner[a], tuple(v) if not g else
+                         (g,) * v[0] if v[0] > 0 else (-g,) * -v[0])
+        return list(map(memo.__getitem__, rows))
 
     def element(self, parts):
         """The element of the decoded rows of a normal form: adjacent atoms
@@ -759,20 +780,54 @@ class FlatCode:
             return tuple(parts)
         return parts[0][1] if parts else self.sp.identity
 
-    def gen_words(self, walks):
-        """The element each walk spells, for walks given as lists of indices
-        into the space's `gens`, reduced by reduce_flat with one block per
-        walk."""
+    def walk_pairs(self, walk, index, count):
+        """The ends (x, y) of `count` pairs of generator walks, and per pair
+        (d(x, y), the coned norm of x^-1 y, the norms of its peripheral
+        rows in order); the steps are given as `index`, indices into the
+        space's `gens`, of walk ids `walk`, non-decreasing, walks 2 p and
+        2 p + 1 being pair p.
+
+        One reduce_flat call takes three blocks per pair to normal form:
+        x, y, and x^-1 y spelled as the steps of x reversed and inverted
+        (every atom is abelian, so a row inverts by negating its vector),
+        then the steps of y.  The third block's rows give the terms: a
+        row's norm is the l^1 norm of its vector, and its coned norm is 1
+        on a peripheral atom and the norm otherwise."""
         fac, cols, _ = self.columns((g,) if self.product else g
                                     for g in self.sp.gens)
-        idx = np.fromiter(itertools.chain.from_iterable(walks), np.int64)
-        block = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
-        pack = FlatPack(len(cols), len(idx), 1)
-        block, fac, words = reduce_flat(block, fac[idx],
-                                        [w[idx] for w in pack.pack(cols)])
-        bounds = np.searchsorted(block, np.arange(len(walks) + 1)).tolist()
-        parts = self.decode(zip(fac.tolist(), pack.join(words)), pack)
-        return [self.element(parts[a:b]) for a, b in zip(bounds, bounds[1:])]
+        n = len(walk)
+        lens = np.bincount(walk, minlength=2 * count)
+        pair, step = walk // 2, np.arange(n)
+        first = (np.cumsum(lens) - lens)[0::2][pair]   # where x starts
+        lx, k = lens[0::2][pair], step - first
+        in_x = k < lx
+        # pair p's rows start at 2 first: the steps of x and y, then the
+        # third block, those of x reversed and those of y
+        here = first + step
+        copy = 2 * first + lx + lens[1::2][pair] + np.where(in_x, lx - 1 - k, k)
+        rows, block = np.empty(2 * n, np.int64), np.empty(2 * n, np.int64)
+        rows[here] = rows[copy] = index
+        block[here], block[copy] = walk + pair, 3 * pair + 2
+        sign = np.ones(2 * n, np.int64)
+        sign[copy[in_x]] = -1
+        pack = FlatPack(len(cols), 2 * n, 1)
+        block, fac, words = reduce_flat(block, fac[rows],
+                                        [w[rows] * sign for w in pack.pack(cols)])
+        xy = block % 3 < 2
+        bounds = np.searchsorted(block[xy],
+                                 np.arange(2 * count + 1) * 3 // 2).tolist()
+        parts = self.decode(zip(fac[xy].tolist(),
+                                pack.join([w[xy] for w in words])), pack)
+        ends = [self.element(parts[a:b]) for a, b in zip(bounds, bounds[1:])]
+        z = ~xy
+        norm = sum(np.abs(c) for c in pack.unpack([w[z] for w in words]))
+        per, which = self.peripheral[fac[z]], block[z] // 3
+        d, c = (np.bincount(which, weights=x, minlength=count)
+                .astype(np.int64).tolist() for x in (norm, np.where(per, 1, norm)))
+        cut = np.searchsorted(which[per], np.arange(count + 1)).tolist()
+        pn = norm[per].tolist()
+        return (list(zip(ends[0::2], ends[1::2])),
+                [(a, b, pn[lo:hi]) for a, b, lo, hi in zip(d, c, cut, cut[1:])])
 
 
 class FlatPack:
@@ -786,7 +841,7 @@ class FlatPack:
     62 // bits digits; wider vectors spill into further words.
     """
 
-    __slots__ = ("width", "bits", "per")
+    __slots__ = ("width", "bits", "per", "_halves")
 
     def __init__(self, width, rows, bound):
         self.width = width
@@ -795,6 +850,11 @@ class FlatPack:
         if not self.per:
             raise DomainError(f"{rows} flat rows with coordinates up to "
                               f"{bound} overflow a 62-bit digit")
+        # _halves[n]: 2^(bits - 1) in each of the first n digit fields
+        half = 1 << self.bits - 1
+        self._halves = list(itertools.accumulate(
+            (half << self.bits * c for c in range(max(width, self.per))),
+            initial=0))
 
     def pack(self, cols):
         """Integer vector columns -> the list of int64 words."""
@@ -818,7 +878,7 @@ class FlatPack:
         plain unsigned one, without carries between fields."""
         b, half = self.bits, 1 << self.bits - 1
         mask = (1 << b) - 1
-        y = x + sum(half << b * c for c in range(n))
+        y = x + self._halves[n]
         return [((y >> b * c) & mask) - half for c in range(n)]
 
     def unpack(self, words):
@@ -1047,6 +1107,44 @@ def _pushes(acc, letters):
             else:
                 stack.append(letter)
             yield len(stack)
+        return
+    if isinstance(acc, FreeProductSpace._RightAcc) and acc.moves is not None:
+        # the push of a free-product accumulator under the word costs,
+        # inlined: a generator moves its syllable's cost by +-1, with no
+        # factor mul, is_identity or norm call; any other letter takes
+        # acc.push.  The [factor, element, cost] stack and acc.norm stay
+        # current after each letter, for readers such as
+        # _SyllableTarget.dist_along.
+        moves, stack = acc.moves, acc.stack
+        for g in letters:
+            m = moves.get(g)
+            if m is None:
+                acc.push(g)
+                yield acc.norm
+                continue
+            i, c, a = m
+            top = stack[-1] if stack else None
+            if top is None or top[0] != i:
+                stack.append([i, g[1], 1])
+                step = 1
+            elif c is None:                 # a free letter
+                e = top[1]
+                step = -1 if e[-1] == -a else 1
+                if step > 0:
+                    top[1], top[2] = e + g[1], top[2] + 1
+                elif len(e) > 1:
+                    top[1], top[2] = e[:-1], top[2] - 1
+                else:
+                    stack.pop()
+            else:                           # a grid coordinate
+                e = top[1]
+                step = -1 if e[c] * a < 0 else 1
+                if top[2] + step:
+                    top[1], top[2] = tuple(map(add, e, g[1])), top[2] + step
+                else:
+                    stack.pop()
+            acc.norm += step
+            yield acc.norm
         return
     for g in letters:
         acc.push(g)

@@ -261,7 +261,7 @@ def test_walk_statistics_free_product():
 
 def test_distance_formula_stability():
     zz = build_space("free_product(grid(2), free_group(1))")
-    pairs = cli._random_pairs(zz, 500, 30, seed=11)
+    pairs, _ = cli._random_pairs(zz, 500, 30, seed=11)
     fit5 = relhyp.fit_distance_formula(zz, pairs, 5)
     fit10 = relhyp.fit_distance_formula(zz, pairs, 10)
     assert abs(fit10.M - fit5.M) / fit5.M < 0.10

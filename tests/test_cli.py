@@ -1,15 +1,17 @@
 import hashlib
 import json
 import os
+import random
 
 import numpy as np
 import pytest
 
 import oracles
-from coarselab import cli, morse
+from coarselab import cli, morse, randwalk, relhyp
 from coarselab.cli import ConfigError, main, run_experiment, validate_config
 from coarselab.errors import (CertificationError, GenerationError,
                              Inconclusive, NotSublinear, PreconditionError)
+from coarselab.seeds import derive_seed
 from coarselab.space import build_space
 
 GAUGE_CONFIG = """\
@@ -416,6 +418,28 @@ def test_free_group_run_output_matches_the_golden_digests(tmp_path, statistic):
                    "walk_stats.csv": GOLDEN_F2_WALK_STATS}
 
 
+class _CountedRandom(random.Random):
+    """A Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def _counted_streams(monkeypatch):
+    """The streams _random_pairs draws from, counting their draws."""
+    made = []
+
+    def rng_for(*indices):
+        made.append(_CountedRandom(derive_seed(*indices)))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "rng_for", rng_for)
+    return made
+
+
 @pytest.mark.parametrize("spec", [
     "free_product(grid(2), free_group(1))",
     "free_product(grid(2), free_group(1), grid(1))",
@@ -424,11 +448,30 @@ def test_free_group_run_output_matches_the_golden_digests(tmp_path, statistic):
     "free_product(free_group(2), grid(2))",
 ])
 @pytest.mark.parametrize("radius", [0, 3, 30])
-def test_random_pairs_match_one_push_per_step(spec, radius):
+def test_random_pairs_match_one_push_per_step(spec, radius, monkeypatch):
+    """The bulk draws, reductions and distance-formula terms of the runner's
+    sample match one sp.mul per step and relhyp._formula_terms per pair,
+    and some pairs use more words than their first draw."""
+    made = _counted_streams(monkeypatch)
     sp = build_space(spec)
     count = cli._PAIR_CHUNK + 5   # a full chunk and a partial one
-    assert cli._random_pairs(sp, count, radius, seed=4) == \
-        oracles.random_pairs(sp, count, radius, 4)
+    pairs, terms = cli._random_pairs(sp, count, radius, seed=4)
+    assert pairs == oracles.random_pairs(sp, count, radius, 4)
+    assert terms == relhyp._formula_terms(sp, pairs)
+    assert len(made) == count and any(r.calls > 1 for r in made)
+
+
+def test_random_pairs_refill_a_small_word_budget(monkeypatch):
+    """With 3 words drawn up front, most pairs draw more at least twice,
+    and the streams continue exactly."""
+    made = _counted_streams(monkeypatch)
+    monkeypatch.setattr(randwalk, "_pair_words", lambda radius, n: 3)
+    sp = build_space("free_product(grid(2), free_group(1), grid(1))")
+    count = cli._PAIR_CHUNK + 5
+    pairs, terms = cli._random_pairs(sp, count, 12, seed=4)
+    assert pairs == oracles.random_pairs(sp, count, 12, 4)
+    assert terms == relhyp._formula_terms(sp, pairs)
+    assert sum(r.calls >= 3 for r in made) > count / 2
 
 
 # ---------------------------------------------------------------------------

@@ -551,6 +551,38 @@ def test_no_blas_backed_numpy_calls(path):
     assert blas_calls(path.read_text()) == []
 
 
+def numpy_random_reads(source):
+    """(line, alias) of each ``<alias>.random`` under any alias of numpy,
+    which imports numpy.random on first use as surely as the imports
+    forbidden_imports flags.  The program draws every random number from
+    random.Random streams (seeds.rng_for), and loading numpy.random as well
+    raised a process's peak RSS by 5.4 MB, about 13% of the runner's, and
+    cost 7 ms per process (CPython 3.11, numpy 2.4, after importing
+    coarselab.cli)."""
+    tree = ast.parse(source)
+    numpy = {"numpy"} | {a.asname for node in ast.walk(tree)
+                         if isinstance(node, ast.Import)
+                         for a in node.names if a.name == "numpy" and a.asname}
+    return sorted((node.lineno, node.value.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "random"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in numpy)
+
+
+def test_checker_flags_a_numpy_random_read():
+    src = ("import random\n"
+           "import numpy as xp\n"
+           "a = xp.random.default_rng(0)\n"
+           "b = random.random() + rng.random() + xp.cumsum(a)\n"
+           "c = numpy.random.MT19937\n")
+    assert numpy_random_reads(src) == [(3, "xp"), (5, "numpy")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_numpy_random(path):
+    assert numpy_random_reads(path.read_text()) == []
+
+
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS")
 

@@ -619,6 +619,42 @@ def test_excursion_contracting_log_ray(zz):
     assert cc.C2 < 10.0
 
 
+@pytest.mark.parametrize("gamma", ["log ray", "wandering"])
+def test_projection_oracle_prices_every_run_as_coned_dist_to_coset(
+        zz, consts, gamma):
+    """The prefix-sum pricing of the coset runs equals coned_dist_to_coset
+    run by run, at vertices on gamma and off it, and project() selects
+    what per-run pricing selects: on the 60-syllable log ray, whose run
+    representatives are prefixes of its end, and on a path that leaves
+    and re-enters cosets, whose are not all."""
+    if gamma == "log ray":
+        path = excursion_ray(zz, 60, lambda k: int(math.log2(1 + k)))
+    else:
+        path = PathSeg(zz, letters=[zz.parse_word(w)[0] for w in
+                                    "t a a A A T b b t a B".split()])
+    oracle = relhyp.ProjectionOracle(zz, path, consts)
+    assert all(oracle._prefix) == (gamma == "log ray")
+    rng = random.Random(6)
+    verts = path.vertex_list()
+    points = verts[::7] + [verts[-1]]
+    for _ in range(150):
+        v = rng.choice(verts)
+        for _ in range(rng.randint(0, 30)):
+            v = zz.mul_gen(v, rng.choice(zz.gens))
+        points.append(v)
+    for v in points:
+        assert oracle._coset_dists(v) == [coned_dist_to_coset(zz, v, P)
+                                          for _, _, P in oracle.runs]
+    for x in points[::3]:
+        bp = oracle.project(x)
+        pivot = verts[bp.pi_index]
+        near = [(a, b, P) for a, b, P in oracle.runs
+                if coned_dist_to_coset(zz, pivot, P) <= consts.R1]
+        assert bp.cosets == [P for _, _, P in near]
+        assert bp.points == ([v for a, b, _ in near for v in verts[a:b + 1]]
+                             or [pivot])
+
+
 def test_excursion_contracting_requires_the_excursion_property(zz):
     ray = excursion_ray(zz, 40, lambda k: k)
     with pytest.raises(PreconditionError):

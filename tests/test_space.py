@@ -136,6 +136,45 @@ def test_pathseg_one_sweep_lookups(name):
             with pytest.raises(IndexError):
                 seg.dist_between(a, b)
         assert seg.vertex_list() == vs
+    # from o with its norms recorded, vertex() reads every vertex up to the
+    # first cancellation off the letters (free groups and free products)
+    path = [sp.identity]
+    for g in start_letters + letters:
+        path.append(sp.mul_gen(path[-1], g))
+    seg = PathSeg(sp, start=sp.identity, letters=start_letters + letters,
+                  norms=[sp.norm(v) for v in path])
+    assert [seg.vertex(i) for i in range(len(path))] == path
+
+
+@pytest.mark.parametrize("spec", ["free_product(grid(3), free_group(2))",
+                                  "free_product(grid(2), free_group(1), grid(1))"])
+@pytest.mark.parametrize("coned", [False, True])
+def test_pushes_match_the_free_product_push(spec, coned):
+    """_pushes, inlined under the word costs, leaves the norm after each
+    letter and the [factor, element, cost] stack that push leaves: on
+    random letter paths from random starts, with factor elements that are
+    not generators mixed in."""
+    sp = build_space(spec)
+    costs = sp.coned_costs if coned else None
+    rng = random.Random(8)
+    others = [(i, f.mul(g, h)) for i, f in enumerate(sp.factors)
+              for g in f.gens for h in f.gens if not f.is_identity(f.mul(g, h))]
+    for _ in range(80):
+        start = sp.identity
+        for _ in range(rng.randint(0, 12)):
+            start = sp.mul_gen(start, rng.choice(sp.gens))
+        letters = [rng.choice(others) if rng.random() < 0.1 else rng.choice(sp.gens)
+                   for _ in range(rng.randint(0, 200))]
+        acc, ref = sp.right_acc(start, costs=costs), sp.right_acc(start, costs=costs)
+        assert (acc.moves is None) == coned
+        norms = list(space._pushes(acc, letters))
+        expected = []
+        for g in letters:
+            ref.push(g)
+            expected.append(ref.norm)
+        assert norms == expected
+        assert acc.stack == ref.stack and acc.norm == ref.norm
+        assert acc.value() == sp.mul(start, tuple(letters))
 
 
 @pytest.mark.parametrize("spec, u, v", [
