@@ -22,7 +22,10 @@ norm of x^-1 v, so one right sweep started at x^-1 * (path start) covers
 every vertex of a letter path.  `_pushes` is the one replay of letters on
 an accumulator: every vertex, norm and distance read off a letter path,
 and every word spelled letter by letter, goes through it (only
-_TreeTarget.dist_along inlines its own copy).
+_TreeTarget.dist_along inlines its own copy), and it holds the one push
+rule of free groups and free products, under the word and the coned
+costs alike.  Letters are generators: a free-product letter that is not
+one raises DomainError.
 """
 
 from __future__ import annotations
@@ -47,13 +50,15 @@ class PathSeg:
 
     For group spaces a unit-speed path is stored as a start vertex plus a
     letter sequence (one generator per edge); vertices are materialized on
-    demand, each reader replaying the letters through `_pushes`.  General
-    paths store their vertices outright; either way consecutive vertices
-    are at distance at most 1.  A vertex index outside 0..len - 1 raises
-    IndexError.  The constructor copies the letters or vertices, and
-    nothing changes them afterwards.  The optional (q, Q) fields are a
-    quasi-geodesic certificate attached by the caller once
-    is_quasi_geodesic has checked every pair of vertices.
+    demand, each reader replaying the letters through `_pushes`, where a
+    free-product letter that is not a generator raises DomainError.
+    General paths store their vertices outright; either way consecutive
+    vertices are at distance at most 1.  A vertex index outside
+    0..len - 1, or a prefix of fewer than one vertex, raises IndexError.
+    The constructor copies the letters or vertices, and nothing changes
+    them afterwards.  The optional (q, Q) fields are a quasi-geodesic
+    certificate attached by the caller once is_quasi_geodesic has checked
+    every pair of vertices.
 
     `hook` answers for the path as a target Z in closed form, or is None
     unless its builder attached one: geodesics from o on free groups and
@@ -186,7 +191,10 @@ class PathSeg:
         return self._end
 
     def prefix(self, n_vertices):
-        """The sub-path on the first n_vertices vertices."""
+        """The sub-path on the first n_vertices vertices, all of them past
+        the end; IndexError when n_vertices < 1."""
+        if n_vertices < 1:
+            raise IndexError(f"no {n_vertices}-vertex prefix of a path")
         norms = self._norms[:n_vertices] if self._norms is not None else None
         if self._vertices is not None:
             return PathSeg(self.sp, vertices=self._vertices[:n_vertices],
@@ -410,12 +418,7 @@ class FreeGroupSpace(GroupSpace):
             self.stack = list(start)
 
         def push(self, g):
-            (letter,) = g
-            s = self.stack
-            if s and s[-1] == -letter:
-                s.pop()
-            else:
-                s.append(letter)
+            deque(_pushes(self, (g,)), maxlen=0)
 
         @property
         def norm(self):
@@ -552,12 +555,18 @@ class FreeProductSpace(GroupSpace):
         self._word_costs = tuple(f.norm for f in self.factors)
         self.coned_costs = tuple((lambda e: 1) if i in self.peripheral
                                  else f.norm for i, f in enumerate(self.factors))
-        # what each generator does to a syllable under the word costs, read
-        # by _pushes: (i, c, s) moves coordinate c of a grid factor i by the
-        # sign s, and (i, None, a) appends the letter a to a free factor i
+        # what each generator does to a syllable, read by _pushes under
+        # both cost tables: (i, c, s) moves coordinate c of a grid factor i
+        # by the sign s, and (i, None, a) appends the letter a to a free
+        # factor i.  Either way the syllable's factor norm moves by +-1, and
+        # so does its cost, unless the syllable is flat: flat[i] holds for a
+        # peripheral factor under the coned costs, whose syllable costs 1
+        # until it empties.  _flat is that mask for (word, coned) costs.
         self._moves = {(i, g): (i, None, g[0]) if isinstance(f, FreeGroupSpace)
                        else (i, next(c for c, x in enumerate(g) if x), sum(g))
                        for i, f in enumerate(self.factors) for g in f.gens}
+        self._flat = ((False,) * len(self.factors),
+                      tuple(i in self.peripheral for i in range(len(self.factors))))
 
     @property
     def identity(self):
@@ -618,49 +627,31 @@ class FreeProductSpace(GroupSpace):
                                     for i, e in v))
 
     class _RightAcc:
-        """w <- w*g on the syllable stack of w, one [factor, element, cost]
-        entry per syllable; `norm` is the total cost.
-
-        costs[i] prices a factor-i syllable: the factor norm for the word
-        metric, or the coned cost of relhyp.  A fresh syllable is charged
-        its cost, so a letter may be any non-identity factor element, not
-        only a generator.  `moves` is the space's generator table under the
-        word costs (_pushes reads it), and None under any other costs.
-        """
-        __slots__ = ("factors", "costs", "moves", "stack", "norm")
+        """w <- w*g on the syllable stack of w, one [factor, element, factor
+        norm] entry per syllable; `norm` is the total cost under the word
+        costs or the coned costs of relhyp (DomainError for any other
+        table).  A letter is a generator; _pushes raises DomainError on any
+        other."""
+        __slots__ = ("moves", "flat", "stack", "norm")
 
         def __init__(self, sp, start, costs):
-            self.factors = sp.factors
-            self.costs = costs
-            self.moves = sp._moves if costs is sp._word_costs else None
-            self.stack = [[i, e, costs[i](e)] for i, e in start]
-            self.norm = sum(s[2] for s in self.stack)
+            coned = costs is sp.coned_costs
+            if not coned and costs is not sp._word_costs:
+                raise DomainError("a free-product accumulator prices "
+                                  "syllables by the word or the coned costs")
+            self.moves, self.flat = sp._moves, sp._flat[coned]
+            self.stack = [[i, e, sp._word_costs[i](e)] for i, e in start]
+            self.norm = sum(1 if self.flat[i] else n for i, _, n in self.stack)
 
         def push(self, g):
-            i, ge = g
-            s = self.stack
-            if s and s[-1][0] == i:
-                f = self.factors[i]
-                top = s[-1]
-                merged = f.mul(top[1], ge)
-                self.norm -= top[2]
-                if f.is_identity(merged):
-                    s.pop()
-                else:
-                    top[1] = merged
-                    top[2] = self.costs[i](merged)
-                    self.norm += top[2]
-            else:
-                c = self.costs[i](ge)
-                s.append([i, ge, c])
-                self.norm += c
+            deque(_pushes(self, (g,)), maxlen=0)
 
         def value(self):
             return tuple((i, e) for i, e, _ in self.stack)
 
     def right_acc(self, start=None, costs=None):
-        """Syllable-stack accumulator; `costs` is a per-factor syllable cost
-        table, the word norms unless given."""
+        """Syllable-stack accumulator priced by `costs`, the word costs
+        unless given, or `coned_costs`; one move table serves both."""
         return self._RightAcc(self, start if start is not None else (),
                               costs if costs is not None else self._word_costs)
 
@@ -1108,39 +1099,35 @@ def _pushes(acc, letters):
                 stack.append(letter)
             yield len(stack)
         return
-    if isinstance(acc, FreeProductSpace._RightAcc) and acc.moves is not None:
-        # the push of a free-product accumulator under the word costs,
-        # inlined: a generator moves its syllable's cost by +-1, with no
-        # factor mul, is_identity or norm call; any other letter takes
-        # acc.push.  The [factor, element, cost] stack and acc.norm stay
-        # current after each letter, for readers such as
-        # _SyllableTarget.dist_along.
-        moves, stack = acc.moves, acc.stack
+    if isinstance(acc, FreeProductSpace._RightAcc):
+        # the push of a free-product accumulator, inlined: a generator moves
+        # its syllable's factor norm by +-1, with no factor mul, is_identity
+        # or norm call, and the total cost by the same step, except inside a
+        # flat syllable, where only opening or emptying it moves the cost.
+        # The [factor, element, factor norm] stack and acc.norm stay current
+        # after each letter, for readers such as _SyllableTarget.dist_along.
+        moves, flat, stack = acc.moves, acc.flat, acc.stack
         for g in letters:
             m = moves.get(g)
             if m is None:
-                acc.push(g)
-                yield acc.norm
-                continue
+                raise DomainError(f"letter {g!r} is not a generator")
             i, c, a = m
             top = stack[-1] if stack else None
             if top is None or top[0] != i:
                 stack.append([i, g[1], 1])
                 step = 1
-            elif c is None:                 # a free letter
-                e = top[1]
-                step = -1 if e[-1] == -a else 1
-                if step > 0:
-                    top[1], top[2] = e + g[1], top[2] + 1
-                elif len(e) > 1:
-                    top[1], top[2] = e[:-1], top[2] - 1
-                else:
-                    stack.pop()
-            else:                           # a grid coordinate
-                e = top[1]
-                step = -1 if e[c] * a < 0 else 1
-                if top[2] + step:
-                    top[1], top[2] = tuple(map(add, e, g[1])), top[2] + step
+            else:
+                e, n = top[1], top[2]
+                if c is None:               # a free letter
+                    step = -1 if e[-1] == -a else 1
+                    e = e + g[1] if step > 0 else e[:-1]
+                else:                       # a grid coordinate
+                    step = -1 if e[c] * a < 0 else 1
+                    e = tuple(map(add, e, g[1]))
+                if n + step:
+                    top[1], top[2] = e, n + step
+                    if flat[i]:
+                        step = 0
                 else:
                     stack.pop()
             acc.norm += step

@@ -434,6 +434,60 @@ def test_every_push_goes_through_pushes():
     assert stray_pushes(sources) == []
 
 
+def forked_pushes(source):
+    """(qualified name, line) of each method ``push`` of the space.py text
+    `source`, other than ``GroupSpace._GenericAcc.push``, whose body does
+    more than replay its letter through ``_pushes``: one expression
+    statement that calls ``_pushes``.  So the push rules of free groups and
+    free products live in ``_pushes`` alone."""
+    out = []
+
+    def visit(node, names):
+        for child in node.body:
+            if isinstance(child, ast.ClassDef):
+                visit(child, names + [child.name])
+            elif (isinstance(child, ast.FunctionDef) and child.name == "push"
+                  and names and names != ["GroupSpace", "_GenericAcc"]):
+                body = child.body[1:] if ast.get_docstring(child) else child.body
+                if not (len(body) == 1 and isinstance(body[0], ast.Expr)
+                        and any(isinstance(n, ast.Call)
+                                and isinstance(n.func, ast.Name)
+                                and n.func.id == "_pushes"
+                                for n in ast.walk(body[0]))):
+                    out.append((".".join(names + ["push"]), child.lineno))
+
+    visit(ast.parse(source), [])
+    return out
+
+
+def test_checker_flags_a_forked_push():
+    space = ("class GroupSpace:\n"
+             "    class _GenericAcc:\n"
+             "        def push(self, g):\n"
+             "            self.cur = g\n"
+             "class FreeGroupSpace:\n"
+             "    class _RightAcc:\n"
+             "        def push(self, g):\n"
+             "            '''Replay g.'''\n"
+             "            deque(_pushes(self, (g,)), maxlen=0)\n"
+             "class FreeProductSpace:\n"
+             "    class _RightAcc:\n"
+             "        def push(self, g):\n"
+             "            self.stack.append(g)\n"
+             "    class _GenericAcc:\n"
+             "        def push(self, g):\n"
+             "            deque(_pushes(self, (g,)), maxlen=0)\n"
+             "            self.norm += 1\n"
+             "def push(acc, g):\n"
+             "    acc.stack.append(g)\n")
+    assert forked_pushes(space) == [("FreeProductSpace._RightAcc.push", 12),
+                                    ("FreeProductSpace._GenericAcc.push", 15)]
+
+
+def test_every_push_method_replays_through_pushes():
+    assert forked_pushes((SRC / "space.py").read_text()) == []
+
+
 # every verdict follows from the config and the seed it records, so the
 # program reads no setting from the environment
 ENV_NAMES = ("environ", "getenv")

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +128,13 @@ def test_pathseg_one_sweep_lookups(name):
         assert [seg.dist_between(a, b) for a, b in pairs] == \
             [sp.dist(vs[a], vs[b]) for a, b in pairs]
         assert seg.norms() == [sp.norm(v) for v in vs]
+        for k in range(1, n + 1):
+            head = seg.prefix(k)
+            assert head.vertex_list() == vs[:k]
+            assert head.norms() == [sp.norm(v) for v in vs[:k]]
+        for k in (0, -1):
+            with pytest.raises(IndexError):
+                seg.prefix(k)
         assert seg.endpoint() == vs[-1]
         for i in (n, -1):
             with pytest.raises(IndexError):
@@ -150,31 +159,31 @@ def test_pathseg_one_sweep_lookups(name):
                                   "free_product(grid(2), free_group(1), grid(1))"])
 @pytest.mark.parametrize("coned", [False, True])
 def test_pushes_match_the_free_product_push(spec, coned):
-    """_pushes, inlined under the word costs, leaves the norm after each
-    letter and the [factor, element, cost] stack that push leaves: on
-    random letter paths from random starts, with factor elements that are
-    not generators mixed in."""
+    """_pushes, the one free-product push, leaves after each letter the cost
+    that cost_between prices and the [factor, element, factor norm] stack
+    of the vertex that mul_gen spells, under either cost table, on random
+    letter paths from random starts.  It refuses a letter that is not a
+    generator, and the accumulator refuses a foreign cost table."""
     sp = build_space(spec)
-    costs = sp.coned_costs if coned else None
+    costs = sp.coned_costs if coned else sp._word_costs
     rng = random.Random(8)
-    others = [(i, f.mul(g, h)) for i, f in enumerate(sp.factors)
-              for g in f.gens for h in f.gens if not f.is_identity(f.mul(g, h))]
     for _ in range(80):
         start = sp.identity
         for _ in range(rng.randint(0, 12)):
             start = sp.mul_gen(start, rng.choice(sp.gens))
-        letters = [rng.choice(others) if rng.random() < 0.1 else rng.choice(sp.gens)
-                   for _ in range(rng.randint(0, 200))]
-        acc, ref = sp.right_acc(start, costs=costs), sp.right_acc(start, costs=costs)
-        assert (acc.moves is None) == coned
-        norms = list(space._pushes(acc, letters))
-        expected = []
-        for g in letters:
-            ref.push(g)
-            expected.append(ref.norm)
-        assert norms == expected
-        assert acc.stack == ref.stack and acc.norm == ref.norm
-        assert acc.value() == sp.mul(start, tuple(letters))
+        letters = [rng.choice(sp.gens) for _ in range(rng.randint(0, 200))]
+        acc, v = sp.right_acc(start, costs=costs), start
+        for g, norm in zip(letters, space._pushes(acc, letters)):
+            v = sp.mul_gen(v, g)
+            assert norm == acc.norm == sp.cost_between((), v, costs)
+            assert acc.stack == [[i, e, sp.factors[i].norm(e)] for i, e in v]
+        assert acc.value() == v
+    f = sp.factors[0]
+    square = (0, f.mul(f.gens[0], f.gens[0]))
+    with pytest.raises(DomainError, match=re.escape(f"letter {square!r}")):
+        list(space._pushes(sp.right_acc(costs=costs), [sp.gens[0], square]))
+    with pytest.raises(DomainError, match="word or the coned costs"):
+        sp.right_acc(costs=(lambda e: 2,) * len(sp.factors))
 
 
 @pytest.mark.parametrize("spec, u, v", [
@@ -319,8 +328,10 @@ def test_quasi_geodesic_rejects_letter_jumps(name, letters, jump):
     is step-checked before its path tree reads a letter per step."""
     sp = QG_SPACES[name][0]
     path = PathSeg(sp, start=sp.identity, letters=letters)
+    vertices = list(itertools.accumulate(letters, sp.mul_gen,
+                                         initial=sp.identity))
     messages = []
-    for p in (path, PathSeg(sp, vertices=path.vertex_list())):
+    for p in (path, PathSeg(sp, vertices=vertices)):
         with pytest.raises(DomainError) as err:
             is_quasi_geodesic(p, 2, 4)
         messages.append(str(err.value))
