@@ -48,6 +48,15 @@ def _count(s):
     return n
 
 
+def _radius(s):
+    """A radius as the float _float gives, which must be a whole number
+    >= 0: paths are looked up by their integer norms."""
+    r = float(s)
+    if not (r >= 0 and r.is_integer()):
+        raise ValueError(f"need a whole radius >= 0, got {s}")
+    return r
+
+
 def _bool(s):
     if s.lower() in ("1", "true", "yes", "on"):
         return True
@@ -109,8 +118,8 @@ SCHEMA = {
         "length": (_length, 600),
         "kappa": (_kappa, "1"),
         "kappa_prime": (_kappa, "1"),
-        "r": (_float, 100.0),
-        "big_r": (_float, 400.0),
+        "r": (_radius, 100.0),
+        "big_r": (_radius, 400.0),
         "q": (_float, 1.5),
         "big_q": (_float, 0.0),
         "probes": (_count, 40),
@@ -159,8 +168,8 @@ SCHEMA = {
     },
     "surgery": {
         "fixtures": (_count, 50),
-        "r": (_float, 40.0),
-        "big_r": (_float, 120.0),
+        "r": (_radius, 40.0),
+        "big_r": (_radius, 120.0),
         "expect": (_expect, "pass"),
     },
     "distance_formula": {

@@ -772,36 +772,6 @@ def derived_gauge(C1, C2, D1, D2, kappa):
     return MorseGauge(fn)
 
 
-def radius_contraction_rho(gauge, r):
-    """rho(r) = sup{s : s <= 4r and s <= 18 * gauge(12r/s, 0)}.
-
-    The left constraint increases and the right side is nonincreasing in s
-    (the gauge is nondecreasing in q and q = 12r/s falls as s grows), so the
-    supremum is found by bisection to tolerance 1e-6 * r.
-    """
-    if r <= 0:
-        raise DomainError(f"need r > 0, got {r}")
-    probe_qs = (3.0, 4.0, 6.0, 12.0)
-    vals = [gauge(pq, 0) for pq in probe_qs]
-    if any(b < a - TOL for a, b in zip(vals, vals[1:])):
-        raise DomainError("gauge is not nondecreasing in q on probed points")
-
-    def rhs(s):
-        return 18 * gauge(12 * r / s, 0)
-
-    hi = 4.0 * r
-    if hi <= rhs(hi):
-        return hi
-    lo = min(1e-9 * r, hi / 2)
-    while hi - lo > 1e-6 * r:
-        mid = (lo + hi) / 2
-        if mid <= rhs(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 # ---------------------------------------------------------------------------
 # projection diameter profiles
 

@@ -12,7 +12,8 @@ it.  Syllable normal form makes everything exactly computable:
   shortcut edge) and full length per free syllable;
 * the nearest-point projection to a peripheral coset is the entry vertex
   of the normal form, so coset distances d_P read off syllable norms;
-* deep components of geodesics are the syllable blocks, fattened by D.
+* the coset runs of a normal-form path are its peripheral syllable blocks,
+  fattened by D.
 
 Every closed form in this module is cross-checked against BFS oracles on
 small balls by the test suite.
@@ -24,7 +25,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import morse as _morse
-from .errors import CertificationError, DomainError, PreconditionError
+from .errors import (CertificationError, DomainError, Inconclusive,
+                     PreconditionError)
 from .morse import Verdict, _band_trend_fail
 from .seeds import rng_for
 from .space import (FreeProductSpace, _norms_along, _shared, distance_to_set,
@@ -43,19 +45,7 @@ def require_relhyp(sp):
 
 
 # ---------------------------------------------------------------------------
-# normal forms and the two metrics
-
-def normal_form(sp, word):
-    """Canonical syllable form of a generator word (or an element as-is).
-
-    Vertices of a FreeProductSpace *are* normal forms, so a string is
-    parsed and an element is returned unchanged; either way the result is
-    the unique alternating syllable tuple.
-    """
-    if isinstance(word, str):
-        return sp.parse_word(word)
-    return tuple(word)
-
+# cosets and the two metrics
 
 @dataclass(frozen=True)
 class PeripheralCoset:
@@ -153,35 +143,11 @@ def coned_dist_to_coset(sp, v, P):
     return d
 
 
-# ---------------------------------------------------------------------------
-# coset projections and peripheral distances
-
 def coset_projection(sp, x, P):
     """Nearest-point set of x on the coset (a singleton in free products:
     the entry vertex of the normal form, or the representative itself)."""
     entry = _entry(x, P)
     return [P.rep if entry is None else P.rep + (entry,)]
-
-
-def peripheral_distance(sp, x, y, P):
-    """d_P(x, y) = d_G(pi_P(x), pi_P(y))."""
-    return sp.dist(coset_projection(sp, x, P)[0], coset_projection(sp, y, P)[0])
-
-
-def peripheral_distances(sp, x, y):
-    """All cosets with d_P(x, y) > 0, mapped to d_P(x, y).
-
-    These are exactly the cosets the normal form of x^-1 y travels through
-    with a peripheral syllable, and d_P equals that syllable's norm.
-    """
-    out = {}
-    prefix = list(x)   # the running product x * (syllables so far)
-    for syl in sp.mul(sp.inv(x), y):
-        i, e = syl
-        if i in sp.peripheral:
-            out[coset_of(sp, tuple(prefix), i)] = sp.factors[i].norm(e)
-        sp._push_syllable(prefix, syl)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +165,8 @@ def _formula_terms(sp, pairs):
     """Per pair (d_G(x, y), d_Ghat(x, y), the d_P(x, y) > 0), from one
     product z = x^-1 y and one pass over its syllables: d_G is the sum of
     their norms, d_Ghat the sum of their coned costs, and the d_P are the
-    norms of the peripheral ones (one coset each, as in
-    peripheral_distances)."""
+    norms of the peripheral ones (one coset each: the coset the normal
+    form of x^-1 y, read from x, travels through with that syllable)."""
     pers, costs = sp.peripheral, sp.coned_costs
     out = []
     for x, y in pairs:
@@ -269,29 +235,6 @@ def lift_coned_geodesic(sp, report):
     return path, (1, 0)
 
 
-# ---------------------------------------------------------------------------
-# deep components
-
-@dataclass
-class DeepComponent:
-    start: int   # vertex index on the geodesic, inclusive
-    end: int     # vertex index, inclusive
-    coset: PeripheralCoset
-
-
-@dataclass
-class DeepDecomposition:
-    components: list
-    D: float
-    R: float
-
-    def transition_indices(self, length):
-        deep = set()
-        for c in self.components:
-            deep.update(range(c.start, c.end + 1))
-        return [i for i in range(length) if i not in deep]
-
-
 def _syllable_blocks(sp, path):
     """(factor, first_vertex_idx, last_vertex_idx) per syllable of a
     normal-form geodesic; letters of one syllable are always contiguous."""
@@ -309,56 +252,29 @@ def coset_runs(sp, geodesic, D):
     """(start, end, coset) vertex ranges of gamma inside N_D(P), one per
     peripheral syllable block, fattened by D on both sides.
 
-    The coset of a block is that of the vertex after its first letter.
-    When the letter blocks spell the syllables of the endpoint's normal
-    form after those of the start (lifts, axis rays and excursion rays
-    do), that vertex is the endpoint's normal form cut before the block's
-    syllable, plus one letter; so every representative is a prefix slice
-    of the one endpoint tuple, and the letters are swept once.  This holds
+    The path's letter blocks must spell the syllables of its endpoint's
+    normal form after those of its start, as they do on lifts, axis rays,
+    excursion rays and their prefixes; DomainError otherwise.  This holds
     exactly when the endpoint has len(start) + (number of blocks)
-    syllables.  Any other path keeps the per-block route: one forward
-    sweep that builds the whole vertex after each block's first letter,
-    whose cost grows with the square of the syllable count.
+    syllables, since a block that cancels, or merges with its neighbour or
+    with the start's last syllable, removes one.  The coset of a block is
+    that of the vertex after its first letter, whose representative is the
+    endpoint's normal form cut before the block's syllable; so every
+    representative is a prefix slice of the one endpoint tuple.
     """
     require_relhyp(sp)
     n = len(geodesic)
     blocks = _syllable_blocks(sp, geodesic)
     nf = geodesic.endpoint()
-    base = len(nf) - len(blocks)
-    peripheral = [(k, b) for k, b in enumerate(blocks) if b[0] in sp.peripheral]
-    if base == len(geodesic.start):
-        cosets = [PeripheralCoset(factor=i, rep=nf[:base + k])
-                  for k, (i, _, _) in peripheral]
-    else:
-        entries = geodesic.vertices_at(first + 1 for _, (_, first, _) in peripheral)
-        cosets = [coset_of(sp, v, i) for (_, (i, _, _)), v in zip(peripheral, entries)]
-    return [(max(0, first - int(D)), min(n - 1, last + int(D)), coset)
-            for (_, (_, first, last)), coset in zip(peripheral, cosets)]
-
-
-def deep_components(sp, geodesic, D, R):
-    """Maximal (D, R)-deep ranges of a geodesic with their cosets.
-
-    A point is deep when it sits strictly more than R inside a coset run
-    (runs clipped by the ends of the path are not trimmed there, matching
-    a ray prefix).  Components of distinct cosets are disjoint whenever
-    R >= D (asserted), and each lies within the 3D-neighborhood of its
-    coset.
-    """
-    n = len(geodesic)
-    comps = []
-    for run_a, run_b, coset in coset_runs(sp, geodesic, D):
-        a = run_a + int(R) + 1 if run_a > 0 else run_a
-        b = run_b - int(R) - 1 if run_b < n - 1 else run_b
-        if a > b:
-            continue
-        comps.append(DeepComponent(start=a, end=b, coset=coset))
-    for c1, c2 in zip(comps, comps[1:]):
-        if c2.start <= c1.end and c1.coset != c2.coset:
-            raise CertificationError(
-                f"deep components overlap at indices {c2.start}..{c1.end}; "
-                f"use R >= D (got D={D}, R={R})")
-    return DeepDecomposition(components=comps, D=D, R=R)
+    base = len(geodesic.start)
+    if len(nf) != base + len(blocks):
+        raise DomainError(
+            f"the {len(blocks)} letter blocks of the path do not spell the "
+            f"normal form of its end ({len(nf)} syllables) after its start "
+            f"({base} syllables)")
+    return [(max(0, first - int(D)), min(n - 1, last + int(D)),
+             PeripheralCoset(factor=i, rep=nf[:base + k]))
+            for k, (i, first, last) in enumerate(blocks) if i in sp.peripheral]
 
 
 # ---------------------------------------------------------------------------
@@ -389,31 +305,30 @@ def excursion_profile(sp, gamma, D0, kappa):
     Rows are (coset, excursion diameter, coned norm of the coset, ratio
     excursion / kappa(coned norm)); E_gamma is the max ratio and the
     verdict passes iff the ratio envelope is stable across dyadic bands of
-    the coned norm.
+    the coned norm.  A gamma that meets no peripheral coset has no
+    excursion to bound, so it raises Inconclusive instead of a verdict.
 
     d_Ghat(o, P) is the coned norm of P's minimal representative, whose
     last syllable is never in P's factor.  The representatives of
-    coset_runs on a normal-form path are growing prefixes of one tuple, so
-    one running sum of coned syllable costs over it prices them all; a
-    representative that does not extend the previous one (the fallback
-    route of coset_runs) restarts the sum.
+    coset_runs are growing prefixes of one tuple, so one running sum of
+    coned syllable costs over it prices them all.
     """
     costs = sp.coned_costs
-    prev, sums = (), [0]   # sums[k]: coned norm of prev[:k]
+    sums = [0]   # sums[k]: coned norm of the first k syllables of a rep
     rows = []
     for a, b, coset in coset_runs(sp, gamma, D0):
         # run endpoints on a geodesic realize the diameter
         exc = gamma.dist_between(a, b)
         rep = coset.rep
-        if rep[:len(prev)] != prev:
-            prev, sums = (), [0]
-        for i, e in rep[len(prev):]:
+        for i, e in rep[len(sums) - 1:]:
             sums.append(sums[-1] + costs[i](e))
-        prev = rep
         cn = sums[len(rep)]
         ratio = exc / evaluate(kappa, cn)
         rows.append((coset, exc, cn, ratio))
-    E = max((r[3] for r in rows), default=0.0)
+    if not rows:
+        raise Inconclusive(f"gamma ({len(gamma)} vertices) meets no "
+                           "peripheral coset, so it has no excursion")
+    E = max(r[3] for r in rows)
     band = {}
     for _, _, cn, ratio in rows:
         key = int(cn).bit_length()
@@ -491,7 +406,8 @@ class ProjectionOracle:
     Projecting many points onto the same gamma dominates the contraction
     tests, so the coset runs and the gamma vertex list are computed once
     here.  A run contributes its excursion segment when its coset sits
-    within coned distance R1 of pi_gamma(x) (_coset_dists).
+    within coned distance R1 of pi_gamma(x) (_coset_dists).  gamma must
+    spell its endpoint's normal form, as coset_runs requires.
     """
 
     def __init__(self, sp, gamma, constants):
@@ -502,12 +418,10 @@ class ProjectionOracle:
         self.runs = coset_runs(sp, gamma, constants.D0)
         self._verts = gamma.vertex_list()
         # the run representatives are prefixes of the endpoint's normal
-        # form on the paths coset_runs sweeps once; _sums[m] is the coned
-        # norm of its first m syllables
+        # form; _sums[m] is the coned norm of its first m syllables
         self._nf = nf = gamma.endpoint()
         self._sums = list(itertools.accumulate(
             (sp.coned_costs[i](e) for i, e in nf), initial=0))
-        self._prefix = [P.rep == nf[:len(P.rep)] for _, _, P in self.runs]
 
     def _coset_dists(self, v):
         """d_Ghat(v, P), as coned_dist_to_coset prices it, for the coset P
@@ -525,11 +439,9 @@ class ProjectionOracle:
             f = sp.factors[i]
             rest += costs[i](f.mul(f.inv(u), w)) - costs[i](u) - costs[i](w)
         out = []
-        for (_, _, P), prefix in zip(self.runs, self._prefix):
+        for _, _, P in self.runs:
             m = len(P.rep)
-            if not prefix:
-                out.append(coned_dist_to_coset(sp, v, P))
-            elif m > J:
+            if m > J:
                 out.append(sums[m] - sums[J] + rest)
             elif m < len(v) and v[m][0] == P.factor:
                 out.append(run[-1] - run[m + 1])
@@ -549,32 +461,6 @@ class ProjectionOracle:
         if not points:
             points = [pivot]
         return BigProjection(points=points, pi_index=j, cosets=cosets)
-
-
-def big_projection(sp, gamma, x, constants):
-    """The coarse projection onto gamma built from peripheral excursions.
-
-    pi_gamma(x) is the coned nearest point; every peripheral coset that
-    meets the D0-neighborhood of gamma within coned distance R1 of it
-    contributes its whole excursion segment.  With no such coset the
-    projection degenerates to {pi_gamma(x)}.
-    """
-    return ProjectionOracle(sp, gamma, constants).project(x)
-
-
-def nearest_transition_past(sp, gamma, x, constants):
-    """c_{gamma,y}(x): the first transition point of gamma at or past every
-    deep component contributed by P_{gamma,x}."""
-    bp = big_projection(sp, gamma, x, constants)
-    if not bp.cosets:
-        return gamma.vertex(bp.pi_index)
-    dd = deep_components(sp, gamma, D=constants.D0, R=constants.D0)
-    last = max(c.end for c in dd.components if c.coset in bp.cosets)
-    for k in dd.transition_indices(len(gamma)):
-        if k >= last:
-            return gamma.vertex(k)
-    raise DomainError("gamma too short: no transition point past the deep "
-                      "components feeding the projection")
 
 
 def test_excursion_contracting(sp, gamma, kappa, samples, seed):

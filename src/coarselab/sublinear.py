@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -148,17 +148,16 @@ def _check_sublinear_on_grid(ts: np.ndarray, vs: np.ndarray) -> None:
         )
 
 
-def concavify(raw: Callable[[float], float], grid: Sequence[float] | None = None,
+def concavify(raw: Callable[[float], float],
               tag: str = "concavified") -> SublinearFn:
     """Discrete concave majorant of a raw sublinear candidate.
 
     Returns a SublinearFn interpolating the least concave majorant on the
-    grid, with raw values clipped to >= 1 first.  The multiplicative gap
+    log grid, with raw values clipped to >= 1 first.  The multiplicative gap
     C = max(hull/raw) is recorded on the result as ``concavify_ratio``.
     Rejects raw functions that are not sublinear on the grid.
     """
-    ts = _sorted_unique(np.asarray(grid if grid is not None else log_grid(),
-                                   dtype=float))
+    ts = log_grid()
     # one pass of raw over the grid feeds both the check and the hull
     vs = np.maximum(np.fromiter(map(raw, ts.tolist()), dtype=float,
                                 count=len(ts)), 1.0)
@@ -169,13 +168,9 @@ def concavify(raw: Callable[[float], float], grid: Sequence[float] | None = None
     hull = np.maximum.accumulate(hull)
     ratio = float(np.max(hull / vs))
     cap = float(ts[-1])
-    t_arr = ts
-    h_arr = hull
-    last_slope = 0.0
-    if len(ts) >= 2 and ts[-1] > ts[-2]:
-        last_slope = float((hull[-1] - hull[-2]) / (ts[-1] - ts[-2]))
+    last_slope = float((hull[-1] - hull[-2]) / (ts[-1] - ts[-2]))
 
-    def _eval(t: float, _t=t_arr, _h=h_arr, _cap=cap, _sl=last_slope) -> float:
+    def _eval(t: float, _t=ts, _h=hull, _cap=cap, _sl=last_slope) -> float:
         if t <= _t[0]:
             return float(_h[0])
         if t >= _cap:
@@ -304,32 +299,3 @@ def by_tag(tag: str) -> SublinearFn:
         f = _GAUGES[tag] = make()
     return f
 
-
-def from_table(path: str, tag: str = "table") -> SublinearFn:
-    """Custom gauge from a text file of '<t> <value>' pairs.
-
-    Values are linearly interpolated, then concavified; beyond the last
-    tabulated point the function is held constant (still sublinear).
-    """
-    pts = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            t, v = line.split()
-            pts.append((float(t), float(v)))
-    if len(pts) < 2:
-        raise DomainError(f"need at least two table points in {path}")
-    pts.sort()
-    ts = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-
-    def raw(t, _t=ts, _v=vs):
-        if t >= _t[-1]:
-            return float(_v[-1])
-        return float(np.interp(t, _t, _v))
-
-    # concavify sorts the grid and drops repeats
-    grid = np.concatenate((log_grid(float(ts[-1]) if ts[-1] > 1 else 10.0), ts))
-    return concavify(raw, grid=grid, tag=tag)

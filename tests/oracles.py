@@ -221,6 +221,20 @@ def coset_runs_by_block(sp, path, D):
     return runs
 
 
+def spells_normal_form(sp, path):
+    """Whether the maximal one-factor letter blocks of the path, each
+    multiplied out in its factor, are the syllables that follow the
+    start's in the normal form of the path's end."""
+    syllables = []
+    for i, block in itertools.groupby(path.step_letters(), key=lambda l: l[0]):
+        f = sp.factors[i]
+        e = f.identity
+        for _, g in block:
+            e = f.mul_gen(e, g)
+        syllables.append((i, e))
+    return path.start + tuple(syllables) == path.endpoint()
+
+
 def excursion_rows_by_block(sp, path, D0, kappa):
     """The rows of relhyp.excursion_profile by their definition: the
     distance between the ends of each run of coset_runs_by_block, and the
@@ -231,6 +245,24 @@ def excursion_rows_by_block(sp, path, D0, kappa):
         cn = coned_norm(sp, coset.rep)
         rows.append((coset, exc, cn, exc / evaluate(kappa, cn)))
     return rows
+
+
+def peripheral_distances(sp, x, y):
+    """All cosets P with d_P(x, y) > 0, mapped to d_P(x, y), the terms
+    relhyp._formula_terms reads off one product x^-1 y.
+
+    These are exactly the cosets the normal form of x^-1 y travels through
+    with a peripheral syllable, each found by pushing the syllables onto x
+    one at a time, and d_P equals that syllable's norm.
+    """
+    out = {}
+    prefix = list(x)   # the running product x * (syllables so far)
+    for syl in sp.mul(sp.inv(x), y):
+        i, e = syl
+        if i in sp.peripheral:
+            out[coset_of(sp, tuple(prefix), i)] = sp.factors[i].norm(e)
+        sp._push_syllable(prefix, syl)
+    return out
 
 
 class ConedBallOracle:

@@ -96,7 +96,12 @@ def test_validate_reports_line_numbers(tmp_path):
                             ("walk", "support", "factor:x"),
                             ("walk", "support", "factor:-1"),
                             ("morse", "gauge", "abc"),
-                            ("distance_formula", "radius", "-1")):
+                            ("distance_formula", "radius", "-1"),
+                            # radii are looked up among integer norms
+                            ("surgery", "r", "40.5"),
+                            ("surgery", "big_r", "-120"),
+                            ("morse", "r", "100.5"),
+                            ("morse", "big_r", "inf")):
         path = _write(tmp_path, GAUGE_CONFIG + f"\n[{sec}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf":13: bad value for '{key}'"):
             validate_config(path)
@@ -210,15 +215,25 @@ def test_support_on_a_missing_factor_is_a_section_record(tmp_path):
 
 
 def test_module_errors_are_recorded_not_raised(tmp_path):
-    # distance_formula needs a peripheral factor; free_group(2) has none
-    text = GAUGE_CONFIG + "\n[distance_formula]\npairs = 10\n"
-    cfg = validate_config(_write(tmp_path, text))
-    summary, code = run_experiment(cfg, out=str(tmp_path / "out"))
-    assert code == 1
-    by_name = {r["section"]: r for r in summary["results"]}
-    assert by_name["gauge"]["ok"]
-    assert not by_name["distance_formula"]["ok"]
-    assert "DomainError" in by_name["distance_formula"]["error"]
+    for spec, section, body, error in (
+            # distance_formula needs a peripheral factor; free_group(2) has
+            # none
+            ("free_group(2)", "distance_formula", "pairs = 10\n",
+             "DomainError: "),
+            # a ray with no peripheral syllable has no excursion to bound
+            (FP, "excursion", "syllables = 20\nsizes = const:0\n",
+             "Inconclusive: ")):
+        text = GAUGE_CONFIG.replace("free_group(2)", spec) + \
+            f"\n[{section}]\n{body}"
+        out = tmp_path / section
+        assert main(["run", "--config", _write(tmp_path, text),
+                     "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        by_name = {r["section"]: r for r in summary["results"]}
+        assert by_name["gauge"]["ok"]
+        rec = by_name[section]
+        assert not rec["ok"] and "passed" not in rec
+        assert rec["error"].startswith(error)
 
 
 def test_tracking_without_a_checkpoint_records_the_error(tmp_path):

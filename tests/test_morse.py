@@ -11,8 +11,7 @@ from coarselab.morse import (MorseGauge, Verdict, _band_trend_fail,
                              cone_membership, derive_gauge, derived_gauge,
                              fellow_traveling_profile, fit_kappa_projection,
                              in_kappa_neighborhood, probe_family,
-                             projection_diameter_profile,
-                             radius_contraction_rho, surgery,
+                             projection_diameter_profile, surgery,
                              symmetry_transfer)
 # aliased so pytest does not collect the library entry points as tests
 from coarselab.morse import test_kappa_contracting as check_contracting
@@ -119,39 +118,6 @@ def test_derive_gauge_rejects_bad_inputs():
                        ("D2", (2, 0, 0.5, 1, 1, -2))):
         with pytest.raises(DomainError, match=f"needs {name} >= 0"):
             derive_gauge(*args, K1)
-
-
-def test_radius_contraction_rho_tree_anchor():
-    g = derived_gauge(0.5, 0, 1, 0, K1)
-    assert radius_contraction_rho(g, 100) == pytest.approx(400.0, rel=1e-5)
-
-
-def test_radius_contraction_rho_matches_brute_scan():
-    g = derived_gauge(0.5, 1, 1, 1, KLOG)
-    r = 50.0
-    rho = radius_contraction_rho(g, r)
-    # brute scan of the defining supremum
-    best = 0.0
-    s = 1e-3
-    while s <= 4 * r:
-        if s <= 18 * g(12 * r / s, 0):
-            best = s
-        s += 0.01
-    assert rho == pytest.approx(best, abs=0.05)
-
-
-@pytest.mark.parametrize("gauge, exact", [
-    # rhs(s) = 18 * 10 stays below 4r, so the sup is 180
-    (MorseGauge.constant(10.0), 180.0),
-    # s <= 18 * 12r / s, so the sup is sqrt(216 r)
-    (MorseGauge(lambda q, Q: q), math.sqrt(216 * 100.0)),
-], ids=["constant", "identity"])
-def test_radius_contraction_rho_bisects_below_4r(gauge, exact):
-    """Closed forms whose supremum lies below 4r, so the bisection runs;
-    it returns a feasible s within its tolerance of the sup."""
-    r = 100.0
-    rho = radius_contraction_rho(gauge, r)
-    assert 0 <= exact - rho <= 1e-6 * r
 
 
 # ---------------------------------------------------------------------------

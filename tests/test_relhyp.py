@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 
 import oracles
 from coarselab import randwalk, relhyp, sublinear
-from coarselab.errors import (CertificationError, DomainError,
-                              PreconditionError)
-from coarselab.relhyp import (PeripheralCoset, big_projection, coned_dist,
+from coarselab.errors import DomainError, Inconclusive, PreconditionError
+from coarselab.relhyp import (PeripheralCoset, ProjectionOracle, coned_dist,
                               coned_dist_to_coset, coned_distance,
                               coned_nearest_index, coned_norm, coset_of,
-                              coset_projection, coset_runs, deep_components,
-                              default_constants, excursion_profile,
-                              excursion_ray, fit_distance_formula,
-                              lift_coned_geodesic, nearest_transition_past,
-                              normal_form, peripheral_distance,
-                              peripheral_distances, require_relhyp)
+                              coset_projection, coset_runs, default_constants,
+                              excursion_profile, excursion_ray,
+                              fit_distance_formula, lift_coned_geodesic,
+                              require_relhyp)
 from coarselab.relhyp import \
     test_excursion_contracting as check_excursion_contracting
 from coarselab.space import (FreeGroupSpace, FreeProductSpace, GridSpace,
@@ -49,12 +46,6 @@ def test_peripheral_structure(zz, f2):
     assert require_relhyp(zz) is zz
     with pytest.raises(DomainError):
         require_relhyp(f2)   # not a free product at all
-
-
-def test_normal_form(zz):
-    assert normal_form(zz, "a b a t") == ((0, (2, 1)), (1, (1,)))
-    v = zz.parse_word("t a")
-    assert normal_form(zz, v) == v
 
 
 def test_coset_of_and_representative_invariant(zz):
@@ -146,8 +137,10 @@ def test_coset_projection_worked_example(zz):
     v = zz.parse_word(V34T)
     P = coset_of(zz, (), 0)
     assert coset_projection(zz, v, P) == [((0, (3, 4)),)]
-    assert peripheral_distance(zz, (), v, P) == 7
-    assert peripheral_distances(zz, (), v) == {P: 7}
+    # d_P(o, v): the distance between the two projections
+    assert zz.dist(coset_projection(zz, (), P)[0],
+                   coset_projection(zz, v, P)[0]) == 7
+    assert oracles.peripheral_distances(zz, (), v) == {P: 7}
 
 
 def test_coset_projection_matches_brute_force(zz):
@@ -167,7 +160,9 @@ def test_peripheral_distance_is_nonexpansive(zz):
     rng = random.Random(13)
     for _ in range(120):
         x, y = rng.choice(pool), rng.choice(pool)
-        assert peripheral_distance(zz, x, y, P) <= zz.dist(x, y)
+        d_P = zz.dist(coset_projection(zz, x, P)[0],
+                      coset_projection(zz, y, P)[0])
+        assert d_P <= zz.dist(x, y)
 
 
 def test_geodesic_missing_the_coset_projects_to_a_point(zz):
@@ -235,13 +230,15 @@ def test_distance_formula_terms_match_their_definitions(spec):
         assert fit_distance_formula(sp, pairs, K, terms=terms) == fit
         assert fit.residuals == [
             (x, y, sp.dist(x, y),
-             sum(v for v in peripheral_distances(sp, x, y).values() if v >= K)
+             sum(v for v in oracles.peripheral_distances(sp, x, y).values()
+                 if v >= K)
              + coned_dist(sp, x, y))
             for x, y in pairs]
     norms = []
     for x, y in pairs:
-        for P, v in peripheral_distances(sp, x, y).items():
-            assert peripheral_distance(sp, x, y, P) == v > 0
+        for P, v in oracles.peripheral_distances(sp, x, y).items():
+            assert sp.dist(coset_projection(sp, x, P)[0],
+                           coset_projection(sp, y, P)[0]) == v > 0
             norms.append(v)
     assert min(norms) < 5 and max(norms) >= 10
 
@@ -427,30 +424,13 @@ def test_lift_passes_through_every_report_vertex(data):
 
 
 # ---------------------------------------------------------------------------
-# deep components
-
-def test_deep_components_single_run(zz):
-    g = zz.geodesic((), zz.parse_word(" ".join(["a"] * 40) + " t"))
-    dd = deep_components(zz, g, D=0, R=0)
-    assert len(dd.components) == 1
-    c = dd.components[0]
-    assert (c.start, c.end) == (0, 39)
-    assert c.coset == coset_of(zz, (), 0)
-    # transition points: the run boundary plus the trailing t edge
-    assert dd.transition_indices(len(g)) == [40, 41]
-
+# coset runs
 
 def test_coset_runs_are_fattened_and_clipped(zz):
     g = PathSeg(zz, letters=[(1, (1,))] * 4 + [(0, (1, 0))] * 3, q=1, Q=0)
     (a, b, coset), = coset_runs(zz, g, D=2)
     assert (a, b) == (2, 7)   # 4 - 2 on the left, clipped at the right end
     assert coset.factor == 0
-
-
-def test_deep_components_reject_overlap(zz):
-    g = PathSeg(zz, letters=[(0, (1, 0)), (1, (1,)), (0, (0, 1))], q=1, Q=0)
-    with pytest.raises(CertificationError):
-        deep_components(zz, g, D=2, R=0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +462,34 @@ def test_excursion_profile_linear_ray_fails_log_gauge(zz):
 
 
 def test_excursion_profile_peripheral_free_ray(zz):
+    # no coset, so no excursion to bound: no verdict either way
     taxis = PathSeg(zz, letters=[(1, (1,))] * 40, q=1, Q=0)
-    rows, E, v = excursion_profile(zz, taxis, 0, K1)
-    assert v and rows == [] and E == 0.0
+    assert coset_runs(zz, taxis, 0) == []
+    with pytest.raises(Inconclusive, match="meets no peripheral coset"):
+        excursion_profile(zz, taxis, 0, K1)
 
 
 def _assert_runs_and_rows_by_block(sp, path):
+    """coset_runs and the excursion rows equal their block definitions on
+    a path whose letter blocks spell its end's normal form after its
+    start, and both refuse any other path.  Returns whether it spells."""
+    if not oracles.spells_normal_form(sp, path):
+        with pytest.raises(DomainError, match="do not spell the normal form"):
+            coset_runs(sp, path, 0)
+        with pytest.raises(DomainError, match="do not spell the normal form"):
+            excursion_profile(sp, path, 0, KLOG)
+        return False
     for D in (0, 1, 3):
         assert coset_runs(sp, path, D) == oracles.coset_runs_by_block(sp, path, D)
     rows, _, _ = excursion_profile(sp, path, 0, KLOG)
     assert rows == oracles.excursion_rows_by_block(sp, path, 0, KLOG)
+    return True
 
 
 def test_coset_runs_of_an_excursion_ray_match_the_block_definition(zz):
     # size 0 puts two t letters in one block
     ray = excursion_ray(zz, 30, lambda k: (k * 7) % 5)
-    _assert_runs_and_rows_by_block(zz, ray)
+    assert _assert_runs_and_rows_by_block(zz, ray)
 
 
 def test_coset_runs_of_a_walk_ray_lift_match_the_block_definition(zz):
@@ -505,7 +497,7 @@ def test_coset_runs_of_a_walk_ray_lift_match_the_block_definition(zz):
     for p in randwalk.sample_paths(zz, mu, 600, 3, seed=5):
         w = p.positions_at({p.length})[p.length]
         seg, _ = lift_coned_geodesic(zz, coned_distance(zz, (), w))
-        _assert_runs_and_rows_by_block(zz, seg)
+        assert _assert_runs_and_rows_by_block(zz, seg)
 
 
 def test_coset_runs_of_an_offset_lift_match_the_block_definition(zz):
@@ -513,7 +505,7 @@ def test_coset_runs_of_an_offset_lift_match_the_block_definition(zz):
         # x ends in t, so x and x^-1 y do not share a boundary factor
         (zz.parse_word("a a b t"), zz.parse_word("a a b t a b b b t t A A")),
         # x^-1 y opens in x's last factor: the lift's first block merges
-        # into x's last syllable
+        # into x's last syllable, so coset_runs refuses the lift
         (zz.parse_word("t a a b"), zz.parse_word("t a a b a b t a a a")),
         # ... and cancels it partly on the way
         (zz.parse_word("t a a"), zz.parse_word("t b b t")),
@@ -524,10 +516,11 @@ def test_coset_runs_of_an_offset_lift_match_the_block_definition(zz):
     merged = 0
     for x, y in pairs:
         z = zz.mul(zz.inv(x), y)
-        merged += bool(x and z and x[-1][0] == z[0][0])
+        merges = bool(x and z and x[-1][0] == z[0][0])
+        merged += merges
         seg, _ = lift_coned_geodesic(zz, coned_distance(zz, x, y))
         assert seg.start == x
-        _assert_runs_and_rows_by_block(zz, seg)
+        assert _assert_runs_and_rows_by_block(zz, seg) != merges
     assert 2 <= merged < len(pairs)
 
 
@@ -544,7 +537,7 @@ def test_coset_runs_of_a_letter_path_off_normal_form_match_the_block_definition(
             letters = [rng.choice(sp.gens) for _ in range(rng.randint(20, 120))]
             paths.append(PathSeg(sp, start=start, letters=letters))
     for path in paths:
-        _assert_runs_and_rows_by_block(path.sp, path)
+        assert not _assert_runs_and_rows_by_block(path.sp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -568,31 +561,18 @@ def test_big_projection_pulls_in_the_whole_excursion(zz, consts):
     gamma = PathSeg(zz, letters=[(0, (1, 0))] * 10 + [(1, (1,))] * 10,
                     q=1, Q=0)
     x = zz.parse_word("a a a b b b")
-    bp = big_projection(zz, gamma, x, consts)
+    bp = ProjectionOracle(zz, gamma, consts).project(x)
     assert bp.cosets == [coset_of(zz, (), 0)]
     assert bp.points == gamma.vertex_list()[:11]
-    # the transition point past the run is the coset exit vertex
-    assert nearest_transition_past(zz, gamma, x, consts) == ((0, (10, 0)),)
 
 
 def test_big_projection_degenerates_without_nearby_cosets(zz, consts):
     gamma = PathSeg(zz, letters=[(1, (1,))] * 30, q=1, Q=0)
     x = zz.parse_word("t t t t t a a")
-    bp = big_projection(zz, gamma, x, consts)
+    bp = ProjectionOracle(zz, gamma, consts).project(x)
     assert bp.cosets == []
     assert bp.points == [gamma.vertex(bp.pi_index)]
     assert bp.pi_index == 5
-    # with no coset to pass, the transition point is pi_gamma(x) itself
-    assert nearest_transition_past(zz, gamma, x, consts) == gamma.vertex(5)
-
-
-def test_nearest_transition_past_needs_a_transition_point(zz, consts):
-    # gamma ends inside the deep component that feeds the projection
-    gamma = PathSeg(zz, letters=[(0, (1, 0))] * 10, q=1, Q=0)
-    x = zz.parse_word("a a a b b b")
-    assert big_projection(zz, gamma, x, consts).cosets == [coset_of(zz, (), 0)]
-    with pytest.raises(DomainError, match="no transition point"):
-        nearest_transition_past(zz, gamma, x, consts)
 
 
 def test_coned_projection_bound_on_samples(zz, consts):
@@ -624,16 +604,17 @@ def test_projection_oracle_prices_every_run_as_coned_dist_to_coset(
         zz, consts, gamma):
     """The prefix-sum pricing of the coset runs equals coned_dist_to_coset
     run by run, at vertices on gamma and off it, and project() selects
-    what per-run pricing selects: on the 60-syllable log ray, whose run
-    representatives are prefixes of its end, and on a path that leaves
-    and re-enters cosets, whose are not all."""
-    if gamma == "log ray":
-        path = excursion_ray(zz, 60, lambda k: int(math.log2(1 + k)))
-    else:
+    what per-run pricing selects, on the 60-syllable log ray.  A path that
+    leaves and re-enters cosets does not spell its end's normal form, and
+    the oracle refuses it."""
+    if gamma == "wandering":
         path = PathSeg(zz, letters=[zz.parse_word(w)[0] for w in
                                     "t a a A A T b b t a B".split()])
-    oracle = relhyp.ProjectionOracle(zz, path, consts)
-    assert all(oracle._prefix) == (gamma == "log ray")
+        with pytest.raises(DomainError, match="do not spell the normal form"):
+            ProjectionOracle(zz, path, consts)
+        return
+    path = excursion_ray(zz, 60, lambda k: int(math.log2(1 + k)))
+    oracle = ProjectionOracle(zz, path, consts)
     rng = random.Random(6)
     verts = path.vertex_list()
     points = verts[::7] + [verts[-1]]

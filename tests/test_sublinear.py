@@ -14,8 +14,8 @@ import oracles
 from coarselab import sublinear
 from coarselab.errors import DomainError, Inconclusive, NotSublinear
 from coarselab.sublinear import (TOL, by_tag, check_scaling, concavify,
-                                 estimation_constant, evaluate, from_table,
-                                 log_grid, registry, small_compared)
+                                 estimation_constant, evaluate, log_grid,
+                                 registry, small_compared)
 
 TAGS = ("1", "log", "sqrt", "log^2", "log^3")
 
@@ -47,15 +47,9 @@ def test_log_grid_is_shared_read_only_and_equals_the_unique_construction(cap):
     assert g.tobytes() == ref.tobytes()
 
 
-def _table_gauge(tmp_path):
-    p = tmp_path / "gauge.txt"
-    p.write_text("0 1\n3 2.5\n10 4\n100 8\n1000 10\n5000 11\n")
-    return from_table(str(p), tag="toy")
-
-
-@pytest.mark.parametrize("tag", TAGS + ("table",))
-def test_array_evaluator_equals_evaluate_bit_for_bit(tag, tmp_path):
-    f = _table_gauge(tmp_path) if tag == "table" else by_tag(tag)
+@pytest.mark.parametrize("tag", TAGS)
+def test_array_evaluator_equals_evaluate_bit_for_bit(tag):
+    f = by_tag(tag)
     ts = log_grid(f.grid_cap)
     assert sublinear._on_log_grid(f).tolist() == [evaluate(f, t) for t in ts]
     # and at the points a scan evaluates off the grid
@@ -220,27 +214,6 @@ def test_concavify_repairs_sqrt_kink():
     f = concavify(raw, tag="sqrt-hull")
     assert f.concavify_ratio <= 2.0
     assert evaluate(f, 0.5) >= 1.0
-
-
-# ---------------------------------------------------------------------------
-# tables
-
-def test_from_table_roundtrip(tmp_path):
-    p = tmp_path / "gauge.txt"
-    p.write_text("# toy gauge\n0 1\n10 4\n100 8\n1000 10\n")
-    f = from_table(str(p), tag="toy")
-    assert evaluate(f, 10) >= 4 - 1e-9
-    assert evaluate(f, 2000) >= evaluate(f, 1000) - 1e-9
-    ts = np.linspace(0, 1000, 101)
-    vals = [evaluate(f, t) for t in ts]
-    assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
-
-
-def test_from_table_needs_two_points(tmp_path):
-    p = tmp_path / "one.txt"
-    p.write_text("0 1\n")
-    with pytest.raises(DomainError):
-        from_table(str(p))
 
 
 def test_by_tag_unknown():
